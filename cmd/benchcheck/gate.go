@@ -14,7 +14,6 @@ import (
 type row struct {
 	NsOp     float64
 	AllocsOp float64
-	Cpus     float64
 	hasNs    bool
 }
 
@@ -37,9 +36,6 @@ func flatten(v interface{}, out map[string]row) {
 			}
 			if al, ok := cm["allocs_op"].(float64); ok {
 				r.AllocsOp = al
-			}
-			if c, ok := cm["cpus"].(float64); ok {
-				r.Cpus = c
 			}
 			if r.hasNs {
 				out[k] = r
@@ -72,13 +68,11 @@ func loadBaselines(raw []byte, section string) (map[string]row, error) {
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 var allocsField = regexp.MustCompile(`([0-9.]+) allocs/op`)
-var cpusField = regexp.MustCompile(`([0-9.]+) cpus`)
 
 // obs is the best observation of one benchmark in the run.
 type obs struct {
 	nsOp   float64
 	allocs float64
-	cpus   float64
 }
 
 // parseRuns scans `go test -bench` output, echoing every line to echo
@@ -103,18 +97,15 @@ func parseRuns(r io.Reader, echo io.Writer) (map[string]obs, []string, error) {
 		if err != nil {
 			continue
 		}
-		var allocs, cpus float64
+		var allocs float64
 		if am := allocsField.FindStringSubmatch(m[3]); am != nil {
 			allocs, _ = strconv.ParseFloat(am[1], 64)
-		}
-		if cm := cpusField.FindStringSubmatch(m[3]); cm != nil {
-			cpus, _ = strconv.ParseFloat(cm[1], 64)
 		}
 		if prev, dup := seen[name]; !dup || ns < prev.nsOp {
 			if !dup {
 				order = append(order, name)
 			}
-			seen[name] = obs{nsOp: ns, allocs: allocs, cpus: cpus}
+			seen[name] = obs{nsOp: ns, allocs: allocs}
 		}
 	}
 	return seen, order, sc.Err()
@@ -158,67 +149,6 @@ func compare(order []string, seen map[string]obs, baselines map[string]row, tole
 	sort.Strings(missing)
 	for _, name := range missing {
 		fmt.Fprintf(w, "benchcheck: %-55s not in this run (baseline row unused)\n", name)
-	}
-	return failed
-}
-
-const (
-	scalingParallel = "BenchmarkRouterParallel"
-	scalingSerial   = "BenchmarkRouterStep"
-)
-
-// scalingGate enforces the multi-core speedup bar: for every
-// configuration observed under both BenchmarkRouterParallel/<cfg> and
-// BenchmarkRouterStep/<cfg>, the sharded engine must be at least
-// minSpeedup× faster than the serial reference. The bar only means
-// anything when the cores exist on both sides of the comparison, so
-// the gate applies only when the parallel baseline row carries
-// cpus ≥ minCpus AND the run reports cpus ≥ minCpus; otherwise it
-// emits a machine-readable SKIP line (key=value tokens) instead of
-// silently passing. Returns true when the gate fails.
-func scalingGate(seen map[string]obs, baselines map[string]row, minSpeedup, minCpus float64, w io.Writer) bool {
-	var cfgs []string
-	for name := range seen {
-		if strings.HasPrefix(name, scalingParallel+"/") {
-			cfgs = append(cfgs, strings.TrimPrefix(name, scalingParallel+"/"))
-		}
-	}
-	sort.Strings(cfgs)
-	failed := false
-	for _, cfg := range cfgs {
-		par := seen[scalingParallel+"/"+cfg]
-		ser, ok := seen[scalingSerial+"/"+cfg]
-		if !ok {
-			fmt.Fprintf(w, "benchcheck: SCALING SKIP cfg=%s reason=missing-serial-pair\n", cfg)
-			continue
-		}
-		base, ok := baselines[scalingParallel+"/"+cfg]
-		if !ok {
-			fmt.Fprintf(w, "benchcheck: SCALING SKIP cfg=%s reason=no-baseline run_cpus=%g\n",
-				cfg, par.cpus)
-			continue
-		}
-		if base.Cpus < minCpus {
-			fmt.Fprintf(w, "benchcheck: SCALING SKIP cfg=%s reason=baseline-cpus base_cpus=%g min_cpus=%g\n",
-				cfg, base.Cpus, minCpus)
-			continue
-		}
-		if par.cpus < minCpus {
-			fmt.Fprintf(w, "benchcheck: SCALING SKIP cfg=%s reason=host-cpus run_cpus=%g min_cpus=%g\n",
-				cfg, par.cpus, minCpus)
-			continue
-		}
-		speedup := ser.nsOp / par.nsOp
-		status := "ok"
-		if speedup < minSpeedup {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Fprintf(w, "benchcheck: SCALING cfg=%s speedup=%.2f min_speedup=%.2f serial_ns=%.1f parallel_ns=%.1f run_cpus=%g status=%s\n",
-			cfg, speedup, minSpeedup, ser.nsOp, par.nsOp, par.cpus, status)
-	}
-	if len(cfgs) == 0 {
-		fmt.Fprintf(w, "benchcheck: SCALING SKIP reason=no-parallel-rows\n")
 	}
 	return failed
 }

@@ -22,17 +22,6 @@
 // "-N" GOMAXPROCS suffix that `go test` appends on multi-core hosts is
 // stripped before lookup, so baselines recorded on a single-CPU box
 // match runs from any runner.
-//
-// With -scaling, benchcheck additionally enforces the multi-core
-// speedup bar: for every configuration present under both
-// BenchmarkRouterParallel/<cfg> and BenchmarkRouterStep/<cfg>, the
-// parallel engine must be at least -scaling-min× faster than the
-// serial reference. The bar applies only when the parallel baseline
-// row records cpus ≥ -scaling-cpus AND the run reports cpus ≥
-// -scaling-cpus (benchmarks emit runtime.NumCPU() as a "cpus"
-// metric); on smaller hosts the gate prints a machine-readable
-// "benchcheck: SCALING SKIP ... reason=..." line instead of silently
-// passing, so CI logs record that the bar was not exercised.
 package main
 
 import (
@@ -48,12 +37,6 @@ func main() {
 		"top-level section of the baseline file to gate against")
 	tolerance := flag.Float64("tolerance", 0.25,
 		"allowed fractional ns/op regression over baseline")
-	scaling := flag.Bool("scaling", false,
-		"enforce the parallel-vs-serial router scaling gate")
-	scalingMin := flag.Float64("scaling-min", 2.0,
-		"required parallel-over-serial speedup factor")
-	scalingCpus := flag.Float64("scaling-cpus", 8,
-		"minimum cpus (baseline row and run) for the scaling gate to apply")
 	flag.Parse()
 
 	raw, err := os.ReadFile(*baselinePath)
@@ -78,10 +61,6 @@ func main() {
 	}
 
 	failed := compare(order, seen, baselines, *tolerance, os.Stdout)
-	if *scaling && scalingGate(seen, baselines, *scalingMin, *scalingCpus, os.Stdout) {
-		fmt.Fprintln(os.Stderr, "benchcheck: FAIL: parallel engine below scaling bar")
-		failed = true
-	}
 	if failed {
 		fmt.Fprintln(os.Stderr, "benchcheck: FAIL: regression over baseline")
 		os.Exit(1)

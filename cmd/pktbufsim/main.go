@@ -10,7 +10,7 @@
 //	          -arrivals roundrobin -requests rrdrain
 //
 // With -router the harness drives the full Figure-1 system instead:
-// a sharded router engine (repro/pktbuf/router) with one VOQ buffer
+// the router engine (repro/pktbuf/router) with one VOQ buffer
 // per input port, segmentation, an iSLIP fabric and output
 // reassembly:
 //
@@ -77,14 +77,12 @@ func main() {
 
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		blockProf = flag.String("blockprofile", "", "write a pprof blocking profile at exit to this file (enables block profiling; mainly useful with -router workers)")
+		blockProf = flag.String("blockprofile", "", "write a pprof blocking profile at exit to this file (enables block profiling)")
 
-		routerMode = flag.Bool("router", false, "drive the Figure-1 router engine instead of a single buffer (uses -ports/-classes/-workers/-iters; -queues/-arrivals/-requests/-warmup/-record/-replay/-latency are ignored)")
+		routerMode = flag.Bool("router", false, "drive the Figure-1 router engine instead of a single buffer (uses -ports/-classes/-iters; -queues/-arrivals/-requests/-warmup/-record/-replay/-latency are ignored)")
 		ports      = flag.Int("ports", 4, "router mode: input (= output) ports")
 		classes    = flag.Int("classes", 1, "router mode: service classes per output")
-		workers    = flag.Int("workers", 0, "router mode: worker goroutines (0 = one per port, 1 = serial)")
 		iters      = flag.Int("iters", 1, "router mode: iSLIP iterations per slot")
-		epoch      = flag.Int("epoch", 1, "router mode: epoch-batched speculation window K (1 = lockstep barrier every slot)")
 		pktBytes   = flag.Int("pktbytes", 576, "router mode: mean packet size in bytes (trimodal mix around it)")
 	)
 	flag.Parse()
@@ -127,8 +125,8 @@ func main() {
 
 	if *routerMode {
 		runRouter(cfg, routerOpts{
-			ports: *ports, classes: *classes, workers: *workers, iters: *iters,
-			epoch: *epoch, slots: *slots, load: *load, seed: *seed, meanBytes: *pktBytes,
+			ports: *ports, classes: *classes, iters: *iters,
+			slots: *slots, load: *load, seed: *seed, meanBytes: *pktBytes,
 		})
 		return
 	}
@@ -294,8 +292,7 @@ var stopProfiles = func() {}
 
 // startProfiles arms the requested pprof outputs: the CPU profile
 // runs from here to exit, the heap and block profiles are snapshotted
-// at exit. Block profiling is only enabled when asked for — its
-// bookkeeping slows the router's worker handoffs.
+// at exit. Block profiling is only enabled when asked for.
 func startProfiles(cpu, mem, block string) error {
 	var cpuF *os.File
 	if cpu != "" {
@@ -354,33 +351,29 @@ type noneArrivals struct{}
 func (noneArrivals) Next(uint64) pktbuf.Queue { return pktbuf.None }
 
 type routerOpts struct {
-	ports, classes, workers, iters int
-	epoch                          int
-	slots                          uint64
-	load                           float64
-	seed                           int64
-	meanBytes                      int
+	ports, classes, iters int
+	slots                 uint64
+	load                  float64
+	seed                  int64
+	meanBytes             int
 }
 
-// runRouter drives the sharded router engine under uniform random
+// runRouter drives the router engine under uniform random
 // packet traffic paced to -load offered cells per input per slot,
 // with a trimodal packet-size mix around -pktbytes.
 func runRouter(buffer pktbuf.Config, o routerOpts) {
 	eng, err := router.New(router.Config{
 		Ports:               o.ports,
 		Classes:             o.classes,
-		Workers:             o.workers,
 		SchedulerIterations: o.iters,
-		EpochSlots:          o.epoch,
 		Buffer:              buffer,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer eng.Close()
-	epochK := eng.Config().EpochSlots
-	fmt.Printf("router: ports=%d classes=%d workers=%d iters=%d epoch=%d voqs/input=%d load=%.2f cells/slot/port\n",
-		o.ports, o.classes, eng.Workers(), o.iters, epochK, o.ports*o.classes, o.load)
+	fmt.Printf("router: ports=%d classes=%d iters=%d voqs/input=%d load=%.2f cells/slot/port\n",
+		o.ports, o.classes, o.iters, o.ports*o.classes, o.load)
 
 	rng := rand.New(rand.NewSource(o.seed))
 	sizes := [3]int{40, o.meanBytes, 1500}
@@ -400,35 +393,22 @@ func runRouter(buffer pktbuf.Config, o routerOpts) {
 	for p := range next {
 		next[p] = drawPacket()
 	}
-	// Step epochK slots per batch so the engine can amortize the
-	// barrier; ingress credit for the whole batch is granted up front
-	// (at -epoch 1 this is exactly the old slot-at-a-time pacing).
 	out := make([]router.Egress, 0, 4*o.ports)
-	for slot := uint64(0); slot < o.slots; {
-		n := uint64(epochK)
-		if rem := o.slots - slot; rem < n {
-			n = rem
-		}
+	for slot := uint64(0); slot < o.slots; slot++ {
 		for p := 0; p < o.ports; p++ {
-			credit[p] += o.load * float64(n)
-			for try := uint64(0); try < n; try++ {
-				cells := float64(packet.CellCount(len(next[p].Payload)))
-				if credit[p] < cells {
-					break
+			credit[p] += o.load
+			if cells := float64(packet.CellCount(len(next[p].Payload))); credit[p] >= cells {
+				if err := eng.Offer(p, next[p]); err == nil {
+					credit[p] -= cells
+					next[p] = drawPacket()
 				}
-				if err := eng.Offer(p, next[p]); err != nil {
-					break
-				}
-				credit[p] -= cells
-				next[p] = drawPacket()
 			}
 		}
 		var err error
-		out, err = eng.StepBatch(int(n), out[:0])
+		out, err = eng.StepBatch(1, out[:0])
 		if err != nil {
 			log.Fatalf("slot %d: %v", slot, err)
 		}
-		slot += n
 	}
 
 	st := eng.Stats()
@@ -437,13 +417,6 @@ func runRouter(buffer pktbuf.Config, o routerOpts) {
 		float64(st.SwitchedCells)/float64(st.Slots),
 		float64(st.Matches)/float64(st.Slots),
 		st.DeliveredPackets, st.OfferedPackets)
-	if epochK > 1 {
-		es := eng.EpochStats()
-		fmt.Printf("epoch: K=%d epochs=%d planned=%d committed=%d horizon_truncations=%d serial_fallback=%d divergences=%d sync_ops=%d (%.3f/slot)\n",
-			epochK, es.Epochs, es.PlannedSlots, es.CommittedSlots,
-			es.HorizonTruncations, es.SerialFallbackSlots, es.Divergences,
-			es.SyncOps, float64(es.SyncOps)/float64(st.Slots))
-	}
 	clean := true
 	skipped := uint64(0)
 	for p := 0; p < o.ports; p++ {

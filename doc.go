@@ -5,7 +5,7 @@
 // The public API is the repro/pktbuf tree: repro/pktbuf (the buffer:
 // Tick/TickBatch, typed sentinel errors, sizing and the technology
 // model), repro/pktbuf/packet (cell segmentation and reassembly),
-// repro/pktbuf/router (the sharded Figure-1 router engine),
+// repro/pktbuf/router (the Figure-1 router engine),
 // repro/pktbuf/sim (the batched simulation driver and the workload
 // generators) and repro/pktbuf/trace (slot-trace record and replay).
 // The substrates (DRAM banking, shared SRAM organizations, MMAs, the
@@ -85,8 +85,8 @@
 // to its next arrival (SparseArrivalProcess; NewBernoulliArrivals
 // draws geometric gaps, one RNG call per arrival) and the request
 // policy is idle-stable (StableRequestPolicy), making a load-ρ run
-// cost O(ρ·slots); router.Engine.StepBatch fast-forwards all port
-// shards in lockstep once every port is quiescent. Fast-forwarding
+// cost O(ρ·slots); router.Engine.StepBatch fast-forwards every port's
+// buffer once every port is quiescent. Fast-forwarding
 // engages only when idle gaps outlast the request pipeline
 // (lookahead + latency register), so sparse deployments shorten it
 // via the Lookahead/LatencySlots overrides. Seeded differential
@@ -121,23 +121,24 @@
 // ~125–140 ns/slot at the Q=512 design point, 0 allocs/op — and
 // cmd/benchcheck gates CI at +25% over the recorded rows.
 //
-// # Sharded router engine
+// # Router engine
 //
 // repro/pktbuf/router promotes the paper's system context (Figure 1)
-// to the public surface as a concurrent engine: one VOQ buffer shard
-// per input port, each advanced by a dedicated worker goroutine, with
-// the iSLIP request-grant-accept exchange as the only per-slot
-// synchronization barrier. Port ticks touch only port-local state
-// (dense per-VOQ metadata deques, matching the core's arena
-// discipline), the scheduler consumes only the request vectors the
-// ports published after their previous ticks, and egress is collected
-// in input-port order into a per-batch payload arena — so the sharded
-// engine is deterministic, bit-identical to the serial Workers: 1
-// path (pinned by golden-equivalence tests at both the internal and
-// public layers), race-clean under go test -race, and 0 allocs/op at
-// steady state. cmd/pktbufsim -router -ports N drives it from the
-// CLI; BENCH_baseline.json's router_pr3 section records the scaling
-// baselines.
+// to the public surface: one VOQ buffer per input port, an iSLIP
+// request-grant-accept fabric scheduler, and reassembly at the
+// outputs. The engine is serial — a slot is one scheduler exchange
+// and then every port's ingress, buffer tick and fabric crossing in
+// input order, on the caller's goroutine — because a line card's work
+// between two exchanges (~400 ns) is too fine a grain for a goroutine
+// hand-off: every sharded variant measured slower (README, "Why the
+// engine is serial"). The scheduler works on per-output request
+// bitmasks that port ticks keep current incrementally, per-cell
+// metadata lives in dense per-VOQ deques (the core's arena
+// discipline), and egress lands in a per-batch payload arena, so the
+// steady state is 0 allocs/op. Differential tests pin batch ≡
+// slot-by-slot stepping and bitmask ≡ matrix iSLIP; cmd/pktbufsim
+// -router -ports N drives the engine from the CLI, and go run
+// ./benchmark -workload router_serial is its end-to-end reading.
 //
 // # Machine-checked contracts
 //

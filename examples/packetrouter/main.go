@@ -113,8 +113,8 @@ func main() {
 	st := eng.Stats()
 	fmt.Printf("offered packets:   %d (%d bytes)\n", offered, bytesIn)
 	fmt.Printf("delivered packets: %d (byte-verified)\n", verified)
-	fmt.Printf("switched cells:    %d (%.2f cells/slot, %d workers)\n",
-		st.SwitchedCells, float64(st.SwitchedCells)/float64(slots), eng.Workers())
+	fmt.Printf("switched cells:    %d (%.2f cells/slot)\n",
+		st.SwitchedCells, float64(st.SwitchedCells)/float64(slots))
 	clean := true
 	for p := 0; p < ports; p++ {
 		if bs := eng.BufferStats(p); !bs.Clean() {

@@ -2,8 +2,7 @@
 // on the public router engine. Four input ports each hold a VOQ
 // packet buffer with one logical queue per (output port, service
 // class); the engine's iSLIP fabric scheduler matches inputs to
-// outputs every slot and pulls cells through the buffers, one worker
-// goroutine per port.
+// outputs every slot and pulls cells through the buffers.
 //
 // The example forwards a bursty traffic mix for 50k slots and reports
 // per-port throughput and the buffers' invariant verdicts.
@@ -99,9 +98,9 @@ func main() {
 		allClean = allClean && bs.Clean()
 		fmt.Printf("in[%d]    %12d %12d %10d %v\n", p, bs.Arrivals, sum, bs.Misses, forwarded[p])
 	}
-	fmt.Printf("\nfabric: %.2f cells/slot switched, %.2f matches/slot across %d ports (%d workers)\n",
+	fmt.Printf("\nfabric: %.2f cells/slot switched, %.2f matches/slot across %d ports\n",
 		float64(st.SwitchedCells)/float64(st.Slots),
-		float64(st.Matches)/float64(st.Slots), ports, eng.Workers())
+		float64(st.Matches)/float64(st.Slots), ports)
 	fmt.Printf("packets: %d offered, %d delivered\n", st.OfferedPackets, st.DeliveredPackets)
 	if allClean {
 		fmt.Println("OK: all port buffers clean (zero misses, zero conflicts)")

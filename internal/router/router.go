@@ -10,14 +10,14 @@
 // (§3) the buffer must absorb, and any miss, conflict or reorder
 // surfaces as a corrupted packet at an output port.
 //
-// A slot decomposes into three building blocks — schedule (the iSLIP
-// request-grant-accept exchange), tickPort (one port's ingress, buffer
-// tick and metadata bookkeeping) and collect (fabric crossing and
-// output reassembly). Router.Step runs them serially; Engine runs
-// tickPort on one worker goroutine per port shard with schedule and
-// collect as the only per-slot serialization points, producing
-// bit-identical results (tickPort touches only port-local state, and
-// collect consumes deliveries in input-port order either way).
+// A slot is one iSLIP request-grant-accept exchange (islip.schedule)
+// followed by tickPort for every port in input order: the port's
+// ingress, its buffer tick, and the delivered cell's fabric crossing
+// and output reassembly. The whole router runs on the caller's
+// goroutine; a line card's work between two scheduler exchanges
+// (~400 ns) is far too fine a grain to hand to another goroutine, and
+// every parallel variant measured slower than this one (README, "Why
+// the engine is serial").
 //
 // All per-cell metadata lives in dense slice-indexed arenas: per-VOQ
 // compacting deques keyed by the delivery sequence order the buffer
@@ -51,13 +51,6 @@ type Config struct {
 	// IngressCap bounds each input's pre-segmentation cell backlog
 	// (0 = a generous default of 4096 cells).
 	IngressCap int
-	// EpochSlots is the engine's speculation window K: the coordinator
-	// plans up to K consecutive slots of iSLIP matchings in one
-	// serialized pass and hands each worker the whole plan in a single
-	// exchange, so the per-slot barrier becomes a per-epoch barrier
-	// (≤0 = 1 = the lockstep engine; clamped to 4096). The serial
-	// Router ignores it; see Engine.
-	EpochSlots int
 }
 
 // Errors returned by the router. Config rejections wrap
@@ -68,14 +61,6 @@ var (
 	ErrBadPort     = errors.New("router: port out of range")
 	ErrBadFlow     = errors.New("router: packet flow out of range")
 	ErrClosed      = errors.New("router: engine closed")
-	// ErrEpochDiverged reports that a port shard's live state diverged
-	// from the epoch plan mid-execution and other shards had already
-	// run past the divergence point. The committed prefix returned
-	// with the error is valid; the engine is torn beyond it and
-	// rejects further calls. Reachable only when a buffer invariant
-	// has already broken — the planner's admission horizon makes the
-	// prediction exact in every healthy state (see planEpoch).
-	ErrEpochDiverged = errors.New("router: epoch execution diverged from plan")
 )
 
 // Egress is one packet leaving the router.
@@ -118,11 +103,6 @@ func (q *segRing) push(c packet.SegCell) {
 
 func (q *segRing) front() packet.SegCell { return q.cells[q.start] }
 
-// at returns the j-th queued cell (0 = front) without consuming it.
-// The epoch planner walks the pending ring this way to predict which
-// VOQ each future arrival lands in.
-func (q *segRing) at(j int) packet.SegCell { return q.cells[q.start+j] }
-
 func (q *segRing) popFront() packet.SegCell {
 	c := q.cells[q.start]
 	q.cells[q.start] = packet.SegCell{} // drop the payload reference
@@ -134,8 +114,7 @@ func (q *segRing) popFront() packet.SegCell {
 }
 
 // lineCard is one ingress port: its VOQ buffer plus the dense
-// per-VOQ metadata arenas. All lineCard state is port-local — the
-// sharded engine mutates it only from the port's own worker.
+// per-VOQ metadata arenas.
 type lineCard struct {
 	buf *core.Buffer
 	seg packet.Segmenter
@@ -151,33 +130,10 @@ type lineCard struct {
 	// one the buffer hands back next.
 	meta []segRing
 	// reqVec[output] is the highest-priority requestable VOQ addressed
-	// to output, refreshed after every tick (cell.NoQueue = none). The
-	// scheduler reads it at the next slot's request phase.
+	// to output (cell.NoQueue = none): what the port requests when the
+	// scheduler matches it to output. refreshReq keeps it, and the
+	// scheduler's request bit for (port, output), current.
 	reqVec []cell.QueueID
-}
-
-// computeReqVec refreshes reqVec from the buffer state.
-func (in *lineCard) computeReqVec(classes int) {
-	for o := range in.reqVec {
-		in.reqVec[o] = cell.NoQueue
-		base := o * classes
-		for class := 0; class < classes; class++ {
-			q := cell.QueueID(base + class)
-			if in.buf.Requestable(q) > 0 {
-				in.reqVec[o] = q
-				break
-			}
-		}
-	}
-}
-
-// delivery is one port's tick outcome, handed from tickPort to
-// collect.
-type delivery struct {
-	sc    packet.SegCell
-	queue cell.QueueID
-	ok    bool
-	err   error
 }
 
 // Stats aggregates router-level counters.
@@ -197,29 +153,22 @@ type Router struct {
 	cfg     Config
 	inputs  []*lineCard
 	reasm   []*packet.DenseReassembler // per output port
-	grant   []int                      // iSLIP grant pointers, per output
-	accept  []int                      // iSLIP accept pointers, per input
+	sched   *islip
 	stats   Stats
 	voqs    int
 	flowMul cell.QueueID // reassembly namespace multiplier
+	closed  bool
 
-	// Scheduler and step scratch, reused every slot.
-	reqMat      []bool // request matrix, [output*Ports+input]
-	grantChoice []int  // per-output granted input this iteration
-	matchedOut  []int  // per-output matched input
-	matched     []int  // per-input matched output
-	deliveries  []delivery
-	egScratch   []Egress
-	// reqRows[i] aliases inputs[i].reqVec: the serial path hands
-	// schedule the live request vectors through the same row-view
-	// interface the epoch planner uses for predicted ones.
-	reqRows [][]cell.QueueID
+	egScratch []Egress
 	// egArena backs the payloads of returned Egress packets. It is
-	// reset at the start of every Step / StepAppend / (engine)
-	// StepBatch call, so egress stays valid for the whole batch: a
-	// mid-batch grow moves new payloads to a fresh block while
-	// already-returned slices keep the old one alive and untouched.
+	// reset at the start of every Step / StepAppend / StepBatch call,
+	// so egress stays valid for the whole batch: a mid-batch grow moves
+	// new payloads to a fresh block while already-returned slices keep
+	// the old one alive and untouched.
 	egArena []byte
+	// tickHook, when set, runs after every port tick (tests audit the
+	// incrementally maintained request state against a full recompute).
+	tickHook func(port int)
 }
 
 // New builds a router. Rejected configurations return errors matching
@@ -240,26 +189,14 @@ func New(cfg Config) (*Router, error) {
 	if cfg.IngressCap <= 0 {
 		cfg.IngressCap = 4096
 	}
-	if cfg.EpochSlots <= 0 {
-		cfg.EpochSlots = 1
-	}
-	if cfg.EpochSlots > maxEpochSlots {
-		cfg.EpochSlots = maxEpochSlots
-	}
 	voqs := cfg.Ports * cfg.Classes
 	cfg.Buffer.Q = voqs
 
 	r := &Router{
-		cfg:         cfg,
-		grant:       make([]int, cfg.Ports),
-		accept:      make([]int, cfg.Ports),
-		voqs:        voqs,
-		flowMul:     cell.QueueID(voqs),
-		reqMat:      make([]bool, cfg.Ports*cfg.Ports),
-		grantChoice: make([]int, cfg.Ports),
-		matchedOut:  make([]int, cfg.Ports),
-		matched:     make([]int, cfg.Ports),
-		deliveries:  make([]delivery, cfg.Ports),
+		cfg:     cfg,
+		sched:   newISLIP(cfg.Ports, cfg.SchedulerIterations),
+		voqs:    voqs,
+		flowMul: cell.QueueID(voqs),
 	}
 	for i := 0; i < cfg.Ports; i++ {
 		buf, err := core.New(cfg.Buffer)
@@ -277,16 +214,8 @@ func New(cfg Config) (*Router, error) {
 		// same-flow cells of different inputs never interleave.
 		r.reasm = append(r.reasm, packet.NewDenseReassembler(cfg.Ports*voqs))
 	}
-	r.reqRows = make([][]cell.QueueID, cfg.Ports)
-	for i, in := range r.inputs {
-		r.reqRows[i] = in.reqVec
-	}
 	return r, nil
 }
-
-// maxEpochSlots bounds the speculation window so plan arenas stay a
-// few MB even at large port counts.
-const maxEpochSlots = 4096
 
 func newNoQueueVec(n int) []cell.QueueID {
 	v := make([]cell.QueueID, n)
@@ -309,6 +238,9 @@ func (r *Router) VOQ(output, class int) cell.QueueID {
 // a valid VOQ id (use VOQ to build it). The segmented cells alias
 // p.Payload until the packet leaves the router.
 func (r *Router) Offer(port int, p packet.Packet) error {
+	if r.closed {
+		return ErrClosed
+	}
 	if port < 0 || port >= r.cfg.Ports {
 		return fmt.Errorf("%w: %d", ErrBadPort, port)
 	}
@@ -334,6 +266,9 @@ func (r *Router) Offer(port int, p packet.Packet) error {
 // ErrIngressFull when the next packet would overflow the backlog); the
 // remaining packets are not offered.
 func (r *Router) OfferBatch(port int, ps []packet.Packet) (int, error) {
+	if r.closed {
+		return 0, ErrClosed
+	}
 	if port < 0 || port >= r.cfg.Ports {
 		return 0, fmt.Errorf("%w: %d", ErrBadPort, port)
 	}
@@ -373,21 +308,21 @@ func (r *Router) BufferStats(port int) core.Stats { return r.inputs[port].buf.St
 func (r *Router) Stats() Stats { return r.stats }
 
 // Quiescent reports whether a Step would be a pure slot-counter
-// advance on every port: no ingress cell is waiting, no port's
-// request vector names a VOQ (so the iSLIP exchange makes no match
-// and moves no pointer), and every buffer shard is itself quiescent.
-// The checks run cheapest-first and bail on the first busy port, so
-// a loaded router pays almost nothing for the probe.
+// advance on every port: no ingress cell is waiting, no port can serve
+// any output (so the iSLIP exchange makes no match and moves no
+// pointer), and every buffer is itself quiescent. The checks run
+// cheapest-first and bail on the first busy port, so a loaded router
+// pays almost nothing for the probe.
 func (r *Router) Quiescent() bool {
 	for _, in := range r.inputs {
 		if in.pending.len() > 0 {
 			return false
 		}
-		for _, q := range in.reqVec {
-			if q != cell.NoQueue {
-				return false
-			}
-		}
+	}
+	if !r.sched.idle() {
+		return false
+	}
+	for _, in := range r.inputs {
 		if !in.buf.Quiescent() {
 			return false
 		}
@@ -395,12 +330,12 @@ func (r *Router) Quiescent() bool {
 	return true
 }
 
-// fastForward advances all port shards by n slots in lockstep; the
-// caller has established Quiescent. It is bit-identical to n Steps of
-// a quiescent router: every buffer fast-forwards (which is exact per
-// core.Buffer.FastForward), the request vectors recomputed by those
-// skipped ticks would be unchanged, and the only router-level state a
-// quiescent slot touches is the slot counter.
+// fastForward advances every port by n slots; the caller has
+// established Quiescent. It is bit-identical to n Steps of a quiescent
+// router: every buffer fast-forwards (which is exact per
+// core.Buffer.FastForward), no skipped tick would change a request
+// vector, and the only router-level state a quiescent slot touches is
+// the slot counter.
 func (r *Router) fastForward(n uint64) {
 	for _, in := range r.inputs {
 		in.buf.FastForward(n)
@@ -408,186 +343,116 @@ func (r *Router) fastForward(n uint64) {
 	r.stats.Slots += n
 }
 
-// schedule computes one slot's input→output matching with iterative
-// round-robin request-grant-accept (iSLIP) over the given request
-// rows, writing matched[input] = output or -1. It is the single
-// serialization point of the sharded engine. reqRows[i][o] names the
-// VOQ input i would serve to output o (cell.NoQueue = none): the
-// serial path passes r.reqRows (live per-port vectors published by the
-// ports' previous ticks); the epoch planner passes rows predicted from
-// a synthetic occupancy view, so both evolve the grant/accept pointers
-// through identical code.
-//
-//pktbuf:hotpath
-func (r *Router) schedule(reqRows [][]cell.QueueID, matched []int) {
-	P := r.cfg.Ports
-	for i := 0; i < P; i++ {
-		matched[i], r.matchedOut[i] = -1, -1
+// refreshReq re-derives port i's request toward the output that owns
+// VOQ q — the lowest requestable class — and publishes it to the
+// scheduler. A tick moves Requestable only on its arrival VOQ (+1 when
+// admitted) and its request VOQ (-1 when admitted); a delivery retires
+// a cell and its pending request together, net zero. So refreshing
+// these two after a tick keeps the whole vector equal to a recompute
+// over all Ports×Classes VOQs.
+func (r *Router) refreshReq(i int, in *lineCard, q cell.QueueID) {
+	if q == cell.NoQueue {
+		return
 	}
-	for iter := 0; iter < r.cfg.SchedulerIterations; iter++ {
-		// Request: unmatched inputs request every unmatched output they
-		// can serve a cell to.
-		any := false
-		for o := 0; o < P; o++ {
-			row := r.reqMat[o*P : o*P+P]
-			if r.matchedOut[o] >= 0 {
-				for i := range row {
-					row[i] = false
-				}
-				continue
-			}
-			for i := 0; i < P; i++ {
-				row[i] = matched[i] < 0 && reqRows[i][o] != cell.NoQueue
-				any = any || row[i]
-			}
-		}
-		if !any {
+	C := r.cfg.Classes
+	o := int(q) / C
+	best := cell.NoQueue
+	for v, end := cell.QueueID(o*C), cell.QueueID(o*C+C); v < end; v++ {
+		if in.buf.Requestable(v) > 0 {
+			best = v
 			break
 		}
-		// Grant: each output picks the requesting input nearest its
-		// grant pointer.
-		for o := 0; o < P; o++ {
-			r.grantChoice[o] = -1
-			if r.matchedOut[o] >= 0 {
-				continue
-			}
-			row := r.reqMat[o*P : o*P+P]
-			for k := 0; k < P; k++ {
-				i := (r.grant[o] + k) % P
-				if row[i] {
-					r.grantChoice[o] = i
-					break
-				}
-			}
-		}
-		// Accept: each input picks the granting output nearest its
-		// accept pointer; pointers advance only on first-iteration
-		// accepts (the iSLIP desynchronization rule).
-		for i := 0; i < P; i++ {
-			if matched[i] >= 0 {
-				continue
-			}
-			best, bestDist := -1, P+1
-			for o := 0; o < P; o++ {
-				if r.grantChoice[o] != i {
-					continue
-				}
-				if d := (o - r.accept[i] + P) % P; d < bestDist {
-					best, bestDist = o, d
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			matched[i], r.matchedOut[best] = best, i
-			r.stats.Matches++
-			if iter == 0 {
-				r.accept[i] = (best + 1) % P
-				r.grant[best] = (i + 1) % P
-			}
-		}
 	}
+	in.reqVec[o] = best
+	r.sched.set(i, o, best != cell.NoQueue)
 }
 
-// tickPort advances one port one slot: admit one pending ingress cell,
+// tickPort advances port i one slot: admit one pending ingress cell,
 // tick the buffer with the fabric request for the matched output, and
-// resolve the delivered cell's metadata. It touches only the port's
-// lineCard, so the engine runs it concurrently across ports.
+// move the delivered cell across the fabric to its output reassembler,
+// appending any completed packet to out. Ports run in input order, so
+// egress order is deterministic.
 //
 //pktbuf:hotpath
-func (r *Router) tickPort(i, matchedOut int) delivery {
+func (r *Router) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
 	in := r.inputs[i]
 	tick := core.TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
-
-	// Ingress: admit one pending cell.
-	admit := false
 	if in.pending.len() > 0 {
 		tick.Arrival = in.pending.front().Flow
-		admit = true
 	}
-	// Fabric request for the matched output; the scheduler only
-	// matches ports whose request vector named a VOQ.
+	// The scheduler only matches ports whose request vector names a VOQ.
 	if matchedOut >= 0 {
 		tick.Request = in.reqVec[matchedOut]
 	}
-
 	res, err := in.buf.Tick(tick)
-	var d delivery
 	if err != nil {
 		if errors.Is(err, core.ErrBufferFull) {
-			// Keep the cell pending; retry next slot.
-			admit = false
+			err = nil // the cell stays pending and retries next slot
 		} else {
-			d.err = fmt.Errorf("router: input %d: %w", i, err) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
-			in.computeReqVec(r.cfg.Classes)
-			return d
+			err = fmt.Errorf("router: input %d: %w", i, err) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 		}
 	}
-	if admit {
-		head := in.pending.popFront()
-		in.arrivals[head.Flow]++
-		in.meta[head.Flow].push(head)
+	// The buffer completes the slot whatever it reports, so the line
+	// card commits what the buffer did, not what the tick asked for: the
+	// arrival was admitted iff the buffer assigned it a sequence number.
+	if a := tick.Arrival; a != cell.NoQueue && in.buf.ArrivedSeq(a) > in.arrivals[a] {
+		in.arrivals[a]++
+		in.meta[a].push(in.pending.popFront())
 	}
-
-	// Egress: resolve the delivered cell's payload and header from the
-	// per-VOQ FIFO metadata.
-	if res.Delivered != nil {
-		dc := *res.Delivered
-		mq := &in.meta[dc.Queue]
-		if mq.len() == 0 || in.delivered[dc.Queue] != dc.Seq {
-			d.err = fmt.Errorf("router: input %d delivered unknown cell %v", i, dc) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
-			in.computeReqVec(r.cfg.Classes)
-			return d
+	if dc := res.Delivered; dc != nil {
+		// Per-VOQ FIFO delivery makes the front of meta the cell's
+		// payload and header.
+		q := dc.Queue
+		if mq := &in.meta[q]; mq.len() > 0 && in.delivered[q] == dc.Seq {
+			in.delivered[q]++
+			var ferr error
+			if out, ferr = r.cross(i, q, mq.popFront(), out); err == nil {
+				err = ferr
+			}
+		} else if err == nil {
+			err = fmt.Errorf("router: input %d delivered unknown cell %v", i, *dc) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 		}
-		in.delivered[dc.Queue]++
-		d.sc = mq.popFront()
-		d.queue = dc.Queue
-		d.ok = true
 	}
-	in.computeReqVec(r.cfg.Classes)
-	return d
+	r.refreshReq(i, in, tick.Arrival)
+	r.refreshReq(i, in, tick.Request)
+	if r.tickHook != nil {
+		r.tickHook(i)
+	}
+	return out, err
 }
 
-// collect moves port i's delivered cell across the fabric to its
-// output reassembler, appending any completed packet to out. It runs
-// serially in input-port order so egress order is deterministic.
+// cross moves a cell delivered by input i's VOQ q across the fabric to
+// its output reassembler, appending a completed packet to out.
 //
 //pktbuf:hotpath
-func (r *Router) collect(i int, d delivery, out []Egress) ([]Egress, error) {
-	if d.err != nil {
-		return out, d.err
-	}
-	if !d.ok {
-		return out, nil
-	}
+func (r *Router) cross(i int, q cell.QueueID, sc packet.SegCell, out []Egress) ([]Egress, error) {
 	r.stats.SwitchedCells++
-	output := int(d.queue) / r.cfg.Classes
-	sc := d.sc
+	output := int(q) / r.cfg.Classes
 	// Reassemble per (input, voq) stream so same-flow cells of
 	// different inputs never interleave.
-	sc.Flow = cell.QueueID(i)*r.flowMul + d.queue
+	sc.Flow = cell.QueueID(i)*r.flowMul + q
 	p, ok, err := r.reasm[output].Push(sc)
 	if err != nil {
 		return out, fmt.Errorf("router: output %d: %w", output, err) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 	}
 	if ok {
-		p.Flow %= r.flowMul // restore the offered flow id
+		p.Flow = q // the flow id as offered
 		// Copy the payload out of the reassembler's per-flow buffer
 		// (overwritten by the stream's next packet) into the egress
 		// arena (stable until the next step call).
 		off := len(r.egArena)
 		r.egArena = append(r.egArena, p.Payload...) //pktbuf:allow hotpath-noalloc egress arena append: amortized, capacity reused across steps
 		p.Payload = r.egArena[off:len(r.egArena):len(r.egArena)]
-		out = append(out, Egress{Output: output, Input: i, Packet: p}) //pktbuf:allow hotpath-noalloc appends into the reused egScratch backing array; grows only on the first steps
+		out = append(out, Egress{Output: output, Input: i, Packet: p}) //pktbuf:allow hotpath-noalloc appends into the caller's reused backing array; grows only on the first steps
 		r.stats.DeliveredPackets++
 	}
 	return out, nil
 }
 
-// Step advances the router one slot: one ingress cell per port, one
-// fabric matching, one buffer tick per port, and output reassembly.
-// It returns the packets completed this slot; the slice (and the
-// packet payloads, see Egress) is scratch reused by the next Step.
+// Step advances the router one slot: one fabric matching, then per
+// port one ingress cell, one buffer tick and output reassembly. It
+// returns the packets completed this slot; the slice (and the packet
+// payloads, see Egress) is scratch reused by the next Step.
 func (r *Router) Step() ([]Egress, error) {
 	out, err := r.StepAppend(r.egScratch[:0])
 	r.egScratch = out
@@ -599,25 +464,58 @@ func (r *Router) Step() ([]Egress, error) {
 // completes on every port; the first error in input-port order is
 // returned.
 func (r *Router) StepAppend(out []Egress) ([]Egress, error) {
+	if r.closed {
+		return out, ErrClosed
+	}
 	r.egArena = r.egArena[:0]
 	return r.stepSlot(out)
 }
 
-// stepSlot advances one slot without resetting the egress arena (the
-// engine's StepBatch resets it once per batch).
-func (r *Router) stepSlot(out []Egress) ([]Egress, error) {
-	r.schedule(r.reqRows, r.matched)
-	for i := range r.inputs {
-		r.deliveries[i] = r.tickPort(i, r.matched[i])
+// StepBatch advances slots slots, appending all egress to out; egress
+// payloads from the whole batch stay valid until the next step call,
+// and with enough capacity in out the batch allocates nothing. On a
+// slot error it stops after the offending slot (whose egress is
+// already appended) and returns the error. When the router goes
+// quiescent the remaining slots are skipped in one fast-forward of
+// every buffer — bit-identical to stepping them apart from
+// core.Stats.FastForwardedSlots — so a batch that outlives its traffic
+// costs O(events), not O(slots).
+func (r *Router) StepBatch(slots int, out []Egress) ([]Egress, error) {
+	if r.closed {
+		return out, ErrClosed
 	}
-	var firstErr error
-	for i := range r.inputs {
+	r.egArena = r.egArena[:0]
+	for s := 0; s < slots; s++ {
+		if r.Quiescent() {
+			r.fastForward(uint64(slots - s))
+			break
+		}
 		var err error
-		out, err = r.collect(i, r.deliveries[i], out)
-		if err != nil && firstErr == nil {
+		if out, err = r.stepSlot(out); err != nil {
+			return out, fmt.Errorf("slot %d of batch: %w", s, err)
+		}
+	}
+	return out, nil
+}
+
+// stepSlot advances one slot without resetting the egress arena.
+func (r *Router) stepSlot(out []Egress) ([]Egress, error) {
+	r.stats.Matches += uint64(r.sched.schedule())
+	var firstErr error
+	for i, matchedOut := range r.sched.matched {
+		var err error
+		if out, err = r.tickPort(i, matchedOut, out); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	r.stats.Slots++
 	return out, firstErr
+}
+
+// Close marks the router closed: further Offer and Step calls return
+// ErrClosed. It holds no goroutine or other resource; Close is
+// idempotent.
+func (r *Router) Close() error {
+	r.closed = true
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/packet"
 )
@@ -284,5 +285,94 @@ func TestMultiIterationScheduler(t *testing.T) {
 		if r.Stats().DeliveredPackets != 16 {
 			t.Errorf("iters=%d: delivered %d of 16", iters, r.Stats().DeliveredPackets)
 		}
+	}
+}
+
+// TestOfferBatchPartialAccept: the batched ingress path validates the
+// whole run up front — the accepted prefix lands, the rejected tail
+// does not, and a bad flow mid-run stops with ErrBadFlow. Mirrors
+// Offer's per-packet semantics exactly.
+func TestOfferBatchPartialAccept(t *testing.T) {
+	mk := func() *Router {
+		e, err := New(Config{
+			Ports: 2, Classes: 1,
+			Buffer:     core.Config{B: 8, Bsmall: 2, Banks: 16},
+			IngressCap: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	pkt := func(flow cell.QueueID, cells int) packet.Packet {
+		return packet.Packet{Flow: flow, Payload: bytes.Repeat([]byte{1}, cells*packet.CellPayload)}
+	}
+
+	// Capacity stop: 2+2 cells fit the 5-cell budget, the third
+	// 2-cell packet does not; nothing past the stop is offered.
+	e := mk()
+	n, err := e.OfferBatch(0, []packet.Packet{pkt(0, 2), pkt(1, 2), pkt(0, 2), pkt(1, 1)})
+	if n != 2 || !errors.Is(err, ErrIngressFull) {
+		t.Errorf("capacity stop = %d, %v; want 2, ErrIngressFull", n, err)
+	}
+	if got := e.IngressBacklog(0); got != 4 {
+		t.Errorf("backlog = %d, want 4", got)
+	}
+	if got := e.Stats().OfferedPackets; got != 2 {
+		t.Errorf("OfferedPackets = %d, want 2", got)
+	}
+
+	// Flow stop: an out-of-range flow mid-run rejects exactly there.
+	e = mk()
+	n, err = e.OfferBatch(0, []packet.Packet{pkt(1, 1), pkt(99, 1), pkt(0, 1)})
+	if n != 1 || !errors.Is(err, ErrBadFlow) {
+		t.Errorf("flow stop = %d, %v; want 1, ErrBadFlow", n, err)
+	}
+	if got := e.IngressBacklog(0); got != 1 {
+		t.Errorf("backlog = %d, want 1", got)
+	}
+
+	// Whole batch fits: every packet lands, no error.
+	e = mk()
+	n, err = e.OfferBatch(1, []packet.Packet{pkt(0, 2), pkt(1, 2), pkt(0, 1)})
+	if n != 3 || err != nil {
+		t.Errorf("full accept = %d, %v; want 3, nil", n, err)
+	}
+	if got := e.IngressBacklog(1); got != 5 {
+		t.Errorf("backlog = %d, want 5", got)
+	}
+
+	// The batched path must deliver the same cells the per-packet
+	// path does: drain both and compare egress.
+	a, b := mk(), mk()
+	ps := []packet.Packet{pkt(0, 2), pkt(1, 1), pkt(0, 2)}
+	if n, err := a.OfferBatch(0, ps); n != len(ps) || err != nil {
+		t.Fatalf("OfferBatch = %d, %v", n, err)
+	}
+	for k := range ps {
+		if err := b.Offer(0, ps[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ea, err := a.StepBatch(200, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := b.StepBatch(200, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ea) != len(eb) {
+		t.Fatalf("egress %d vs %d", len(ea), len(eb))
+	}
+	for k := range ea {
+		if ea[k].Output != eb[k].Output || ea[k].Input != eb[k].Input ||
+			ea[k].Packet.Flow != eb[k].Packet.Flow ||
+			!bytes.Equal(ea[k].Packet.Payload, eb[k].Packet.Payload) {
+			t.Fatalf("egress %d diverged", k)
+		}
+	}
+	if a.Stats() != b.Stats() {
+		t.Errorf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
 	}
 }

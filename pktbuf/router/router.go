@@ -1,27 +1,20 @@
-// Package router is the public concurrent router engine: the paper's
-// system context (Figure 1) promoted to the API surface. An Engine is
-// an input-queued router in which every input line card carries its
-// own VOQ packet buffer (a pktbuf.Buffer shard), fed by the cell
-// segmentation layer (repro/pktbuf/packet) and drained by an
-// iSLIP-style request-grant-accept fabric scheduler; output ports
-// reassemble cells into packets.
+// Package router is the public router engine: the paper's system
+// context (Figure 1) promoted to the API surface. An Engine is an
+// input-queued router in which every input line card carries its own
+// VOQ packet buffer (a pktbuf.Buffer), fed by the cell segmentation
+// layer (repro/pktbuf/packet) and drained by an iSLIP-style
+// request-grant-accept fabric scheduler; output ports reassemble cells
+// into packets.
 //
-// The engine is sharded for concurrency: each input port's buffer
-// shard is advanced by a dedicated worker goroutine, and the iSLIP
-// request-grant-accept exchange is the only per-slot synchronization
-// barrier — the "serialize only at the narrow bridge" discipline.
-// Port ticks touch only port-local state, the scheduler reads only
-// the request vectors the ports published after their previous ticks,
-// and egress is collected in input-port order, so the sharded engine
-// is deterministic and bit-identical to the serial path (Workers: 1),
-// which the test suite pins with a golden-equivalence test.
-//
-// Config.EpochSlots batches that barrier: the coordinator plans up to
-// K slots of matchings in one pass against analytically predicted
-// request vectors and the workers execute the whole plan between two
-// synchronizations, cutting coordination cost per slot by ~K× while
-// remaining bit-identical for every K (see the README's "Epoch
-// batching" section for the design and measured trade-offs).
+// The engine is serial: every slot — one scheduler exchange, then each
+// port's ingress, buffer tick and output reassembly in input order —
+// runs on the caller's goroutine, and the engine starts none of its
+// own. A line card's work between two scheduler exchanges is a few
+// hundred nanoseconds, far below the cost of handing it to another
+// goroutine; every sharded variant this package used to offer
+// measured slower than the serial one (see the README's "Why the
+// engine is serial"). Multi-core throughput comes from running
+// independent engines, one per goroutine.
 //
 // A minimal session:
 //
@@ -32,10 +25,9 @@
 //	egress, err := eng.StepBatch(1000, nil)   // or Step() slot by slot
 //
 // The engine is single-driver: Offer, Step, StepBatch and Close must
-// be called from one goroutine; the workers parallelize the inside of
-// a slot, not the callers. Errors are typed sentinels (ErrIngressFull,
-// ErrBadPort, ErrBadFlow, ErrClosed) matched with errors.Is; config
-// rejections wrap pktbuf.ErrBadConfig.
+// be called from one goroutine. Errors are typed sentinels
+// (ErrIngressFull, ErrBadPort, ErrBadFlow, ErrClosed) matched with
+// errors.Is; config rejections wrap pktbuf.ErrBadConfig.
 package router
 
 import (
@@ -61,13 +53,6 @@ var (
 	ErrBadFlow = irouter.ErrBadFlow
 	// ErrClosed reports use of an engine after Close.
 	ErrClosed = irouter.ErrClosed
-	// ErrEpochDiverged reports that epoch-batched execution
-	// (Config.EpochSlots > 1) diverged from its plan with shards
-	// already past the divergence point, leaving the engine torn; the
-	// egress returned alongside it is the valid committed prefix.
-	// Reachable only after a buffer invariant violation — in healthy
-	// states the epoch planner's predictions are exact.
-	ErrEpochDiverged = irouter.ErrEpochDiverged
 )
 
 // Config describes the router engine.
@@ -89,19 +74,11 @@ type Config struct {
 	// IngressCap bounds each input's pre-segmentation cell backlog
 	// (0 = a generous default of 4096 cells).
 	IngressCap int
-	// Workers selects the sharding: 0 runs one worker goroutine per
-	// port (the default), 1 runs the serial reference path in place
-	// with no goroutines, and 2..Ports-1 stripes the ports across that
-	// many workers. Every setting produces bit-identical results.
+	// Workers is ignored: the engine is serial whatever it says.
+	//
+	// Deprecated: it used to select a goroutine-per-port sharding that
+	// measured slower than the serial engine at every setting.
 	Workers int
-	// EpochSlots is the speculation window K of the epoch-batched
-	// engine: StepBatch runs as a sequence of K-slot epochs, each
-	// planned in one serialized iSLIP pass and executed by the workers
-	// between a single pair of synchronizations. 0 or 1 selects the
-	// lockstep engine (one barrier per slot); larger K amortizes the
-	// barrier ~K× (clamped to 4096). Every setting produces
-	// bit-identical egress and Stats; only coordination cost changes.
-	EpochSlots int
 }
 
 // Egress is one packet leaving the router.
@@ -130,9 +107,9 @@ type Stats struct {
 	Slots uint64
 }
 
-// Engine is the composed, sharded router.
+// Engine is the composed router.
 type Engine struct {
-	inner     *irouter.Engine
+	inner     *irouter.Router
 	cfg       Config
 	scratch   []irouter.Egress
 	egOut     []Egress
@@ -157,22 +134,19 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := irouter.NewEngine(irouter.Config{
+	inner, err := irouter.New(irouter.Config{
 		Ports:               cfg.Ports,
 		Classes:             cfg.Classes,
 		Buffer:              cc,
 		SchedulerIterations: cfg.SchedulerIterations,
 		IngressCap:          cfg.IngressCap,
-		EpochSlots:          cfg.EpochSlots,
-	}, cfg.Workers)
+	})
 	if err != nil {
 		return nil, err
 	}
 	norm := inner.Config()
 	cfg.SchedulerIterations = norm.SchedulerIterations
 	cfg.IngressCap = norm.IngressCap
-	cfg.EpochSlots = norm.EpochSlots
-	cfg.Workers = inner.Workers()
 	return &Engine{inner: inner, cfg: cfg}, nil
 }
 
@@ -204,7 +178,7 @@ func (e *Engine) Offer(port int, p packet.Packet) error {
 }
 
 // OfferBatch enqueues packets at an input port in one validated pass:
-// the port and engine state are checked once, the accepted prefix is
+// the port is checked once, the accepted prefix is
 // sized against the ingress budget up front, and its cells are
 // segmented in a single run. It returns the number of packets
 // accepted and the error that stopped the run (ErrIngressFull when
@@ -222,9 +196,9 @@ func (e *Engine) OfferBatch(port int, ps []packet.Packet) (int, error) {
 	return n, err
 }
 
-// Step advances the engine one slot: one ingress cell per port, one
-// iSLIP matching, one concurrent buffer tick per port shard, and
-// in-order output reassembly. It returns the packets completed this
+// Step advances the engine one slot: one iSLIP matching, then per
+// port one ingress cell, one buffer tick and output reassembly, in
+// input order. It returns the packets completed this
 // slot; the slice and the packet payloads are valid until the next
 // Step or StepBatch call (see Egress).
 func (e *Engine) Step() ([]Egress, error) {
@@ -234,9 +208,8 @@ func (e *Engine) Step() ([]Egress, error) {
 }
 
 // StepBatch advances up to slots slots, appending every completed
-// packet to out and returning the extended slice — the batch entry
-// point of the sharded fast path: with enough capacity in out it
-// allocates nothing. Egress payloads from the whole batch stay valid
+// packet to out and returning the extended slice: with enough
+// capacity in out it allocates nothing. Egress payloads from the whole batch stay valid
 // until the next Step or StepBatch call. On a slot error it stops
 // after the offending slot (whose egress is already appended) and
 // returns the error.
@@ -276,54 +249,14 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// EpochStats counts the epoch-batched engine's planning and
-// synchronization activity. It is separate from Stats, which stays
-// bit-identical across every EpochSlots setting.
-type EpochStats struct {
-	// Epochs counts executed plans; PlannedSlots the slots they
-	// covered and CommittedSlots the slots that committed (equal
-	// unless a divergence truncated a plan).
-	Epochs, PlannedSlots, CommittedSlots uint64
-	// HorizonTruncations counts plans cut short of the full window by
-	// the admission horizon; SerialFallbackSlots counts slots stepped
-	// in exact lockstep because no slot could be planned.
-	HorizonTruncations, SerialFallbackSlots uint64
-	// Divergences counts execution-time prediction failures (zero in
-	// every healthy state).
-	Divergences uint64
-	// SyncOps counts coordinator↔worker channel operations: the
-	// lockstep engine pays 2×Workers per slot, the epoch engine
-	// 2×Workers per epoch.
-	SyncOps uint64
-}
-
-// EpochStats returns the epoch engine's planning and synchronization
-// counters (all zero while EpochSlots ≤ 1, except SyncOps, which the
-// lockstep barrier also maintains).
-func (e *Engine) EpochStats() EpochStats {
-	s := e.inner.EpochStats()
-	return EpochStats{
-		Epochs:              s.Epochs,
-		PlannedSlots:        s.PlannedSlots,
-		CommittedSlots:      s.CommittedSlots,
-		HorizonTruncations:  s.HorizonTruncations,
-		SerialFallbackSlots: s.SerialFallbackSlots,
-		Divergences:         s.Divergences,
-		SyncOps:             s.SyncOps,
-	}
-}
-
 // Quiescent reports whether every port is idle end to end: no ingress
-// cell waiting, no requestable VOQ anywhere, and every buffer shard
-// with no internal work in flight. A quiescent engine's StepBatch
-// fast-forwards all shards in lockstep instead of stepping them slot
-// by slot (bit-identical, but O(1) per batch), so batches that
-// outlive their traffic cost nothing per slot.
+// cell waiting, no requestable VOQ anywhere, and every buffer with no
+// internal work in flight. A quiescent engine's StepBatch
+// fast-forwards every buffer instead of stepping slot by slot
+// (bit-identical, but O(1) per batch), so batches that outlive their
+// traffic cost nothing per slot.
 func (e *Engine) Quiescent() bool { return e.inner.Quiescent() }
 
-// Workers returns the number of worker goroutines (1 = serial).
-func (e *Engine) Workers() int { return e.inner.Workers() }
-
-// Close stops the worker goroutines. A closed engine rejects further
-// Offer and Step calls with ErrClosed. Close is idempotent.
+// Close marks the engine closed: it rejects further Offer and Step
+// calls with ErrClosed. Close is idempotent.
 func (e *Engine) Close() error { return e.inner.Close() }

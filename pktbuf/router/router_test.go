@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/pktbuf"
@@ -104,7 +105,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestSinglePacketAcrossFabric: one packet crosses the sharded fabric
+// TestSinglePacketAcrossFabric: one packet crosses the fabric
 // byte-identical.
 func TestSinglePacketAcrossFabric(t *testing.T) {
 	e := mustEngine(t, testConfig(2, 1, 0))
@@ -141,72 +142,126 @@ func TestSinglePacketAcrossFabric(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSerial is the public golden-equivalence test: a
-// seeded workload produces a bit-identical egress stream and stats
-// through the serial path (Workers: 1) and the sharded path
-// (Workers: 0), slot for slot.
+// TestShardedMatchesSerial pins that Config.Workers is ignored: the
+// values that used to select the sharded engine (0, 8) and the serial
+// one (1) produce a bit-identical egress stream and stats, slot for
+// slot.
 func TestShardedMatchesSerial(t *testing.T) {
 	const ports, classes, slots = 4, 2, 6000
-	serial := mustEngine(t, testConfig(ports, classes, 1))
-	sharded := mustEngine(t, testConfig(ports, classes, 0))
-	if serial.Workers() != 1 || sharded.Workers() != ports {
-		t.Fatalf("workers = %d, %d", serial.Workers(), sharded.Workers())
-	}
-
 	type rec struct {
-		output, input int
-		flow          pktbuf.Queue
-		payload       []byte
+		slot, output, input int
+		flow                pktbuf.Queue
+		payload             []byte
 	}
-	drive := func(e *router.Engine, rng *rand.Rand) []rec {
-		if rng.Intn(3) == 0 {
-			in := rng.Intn(ports)
-			payload := make([]byte, rng.Intn(4*packet.CellPayload))
-			rng.Read(payload)
-			p := packet.Packet{Flow: e.VOQ(rng.Intn(ports), rng.Intn(classes)), Payload: payload}
-			if err := e.Offer(in, p); err != nil && !errors.Is(err, router.ErrIngressFull) {
+	run := func(workers int) (recs []rec, st router.Stats, bufs []pktbuf.Stats) {
+		e := mustEngine(t, testConfig(ports, classes, workers))
+		if got := e.Config().Workers; got != workers {
+			t.Errorf("Config().Workers = %d, want %d as passed", got, workers)
+		}
+		rng := rand.New(rand.NewSource(2003))
+		for slot := 0; slot < slots; slot++ {
+			if rng.Intn(3) == 0 {
+				in := rng.Intn(ports)
+				payload := make([]byte, rng.Intn(4*packet.CellPayload))
+				rng.Read(payload)
+				p := packet.Packet{Flow: e.VOQ(rng.Intn(ports), rng.Intn(classes)), Payload: payload}
+				if err := e.Offer(in, p); err != nil && !errors.Is(err, router.ErrIngressFull) {
+					t.Fatal(err)
+				}
+			}
+			eg, err := e.Step()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		eg, err := e.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs := make([]rec, 0, len(eg))
-		for _, g := range eg {
-			recs = append(recs, rec{g.Output, g.Input, g.Packet.Flow,
-				append([]byte(nil), g.Packet.Payload...)})
-		}
-		return recs
-	}
-
-	rngA := rand.New(rand.NewSource(2003))
-	rngB := rand.New(rand.NewSource(2003))
-	for slot := 0; slot < slots; slot++ {
-		a, b := drive(serial, rngA), drive(sharded, rngB)
-		if len(a) != len(b) {
-			t.Fatalf("slot %d: serial %d egress, sharded %d", slot, len(a), len(b))
-		}
-		for k := range a {
-			if a[k].output != b[k].output || a[k].input != b[k].input ||
-				a[k].flow != b[k].flow || !bytes.Equal(a[k].payload, b[k].payload) {
-				t.Fatalf("slot %d egress %d diverged: %+v vs %+v", slot, k, a[k], b[k])
+			for _, g := range eg {
+				recs = append(recs, rec{slot, g.Output, g.Input, g.Packet.Flow, append([]byte(nil), g.Packet.Payload...)})
 			}
 		}
+		for p := 0; p < ports; p++ {
+			bufs = append(bufs, e.BufferStats(p))
+		}
+		return recs, e.Stats(), bufs
 	}
-	if serial.Stats() != sharded.Stats() {
-		t.Errorf("stats diverged: serial %+v, sharded %+v", serial.Stats(), sharded.Stats())
+	want, wantStats, wantBufs := run(1)
+	if len(want) == 0 {
+		t.Fatal("nothing delivered")
 	}
-	for p := 0; p < ports; p++ {
-		if serial.BufferStats(p) != sharded.BufferStats(p) {
-			t.Errorf("port %d buffer stats diverged", p)
+	for _, workers := range []int{0, 8} {
+		got, st, bufs := run(workers)
+		if len(got) != len(want) {
+			t.Fatalf("Workers=%d: %d egress packets, Workers=1 %d", workers, len(got), len(want))
+		}
+		for k := range want {
+			a, b := want[k], got[k]
+			if a.slot != b.slot || a.output != b.output || a.input != b.input || a.flow != b.flow || !bytes.Equal(a.payload, b.payload) {
+				t.Fatalf("Workers=%d egress %d diverged: %+v vs %+v", workers, k, a, b)
+			}
+		}
+		if st != wantStats {
+			t.Errorf("Workers=%d stats %+v, Workers=1 %+v", workers, st, wantStats)
+		}
+		for p := range bufs {
+			if bufs[p] != wantBufs[p] {
+				t.Errorf("Workers=%d port %d buffer stats diverged", workers, p)
+			}
 		}
 	}
 }
 
-// TestConservationSharded pushes random packets through a sharded 4×4
-// engine with StepBatch and checks every one emerges intact, in order
-// per (input, output, class) stream.
+// TestNoGoroutineNoAlloc: an engine built with the concurrency fields
+// at their zero values starts no goroutine, and its StepBatch(64) loop
+// allocates nothing once warm; Close stays idempotent.
+func TestNoGoroutineNoAlloc(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e, err := router.New(router.Config{Ports: 8, Classes: 2, Buffer: pktbuf.Config{
+		LineRate: pktbuf.OC3072, Granularity: 4, Banks: 256}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 300)
+	out := make([]router.Egress, 0, 256)
+	slot := 0
+	drive := func(slots int) {
+		for end := slot + slots; slot < end; slot += 64 {
+			// One 6-cell packet per port per 8 slots: 75 % load.
+			for k := slot / 8; k < (slot+64)/8; k++ {
+				for port := 0; port < 8; port++ {
+					_ = e.Offer(port, packet.Packet{Flow: e.VOQ((port+k)%8, k%2), Payload: payload})
+				}
+			}
+			var err error
+			if out, err = e.StepBatch(64, out[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	drive(10048)
+	if allocs := testing.AllocsPerRun(10, func() { drive(640) }); allocs != 0 {
+		t.Errorf("steady-state StepBatch(64) allocated %.2f per 640 slots", allocs)
+	}
+	if st := e.Stats(); st.DeliveredPackets < st.OfferedPackets*9/10 {
+		t.Errorf("workload did not flow: %+v", st)
+	}
+	// Only growth counts: the test binary's own goroutines may exit.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before New, %d after 10k slots", before, after)
+	}
+	for k := 0; k < 2; k++ {
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.StepBatch(64, nil); !errors.Is(err, router.ErrClosed) {
+		t.Errorf("StepBatch after Close: err = %v, want ErrClosed", err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before New, %d after Close", before, after)
+	}
+}
+
+// TestConservationSharded pushes random packets through a 4×4 engine
+// with StepBatch and checks every one emerges intact, in order per
+// (input, output, class) stream.
 func TestConservationSharded(t *testing.T) {
 	const ports, classes = 4, 2
 	e := mustEngine(t, testConfig(ports, classes, 0))
