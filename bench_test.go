@@ -396,79 +396,6 @@ func BenchmarkTickSparseDense(b *testing.B) {
 	}
 }
 
-// benchTickBatchFused measures the dense fused batch kernel: steady
-// full-rate round-robin traffic (the §3 adversary — one arrival and
-// one request per slot) driven through TickBatch with precomputed
-// inputs, so ns/op is the cost of one simulated slot through the
-// structure-of-arrays kernel alone. The batch length is a multiple of
-// the queue count, so every batch replays an identical whole number
-// of round-robin rounds against warmed structures; the gates are
-// 0 allocs/op and a miss-free run. Baselines live in
-// BENCH_baseline.json (fused_kernel_pr6 section).
-func benchTickBatchFused(b *testing.B, cfg core.Config, queues int) {
-	b.Helper()
-	buf, err := core.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Arrival-only warmup: eight cells per queue, so the full-rate
-	// request stream below never outruns the backlog (per-queue
-	// requests in flight stay bounded by ~pipe/Q + 1 < 8).
-	arr, _ := sim.NewRoundRobinArrivals(queues, 1.0)
-	warm := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: sim.NewIdleRequests()}
-	if _, err := warm.Run(uint64(queues * 8)); err != nil {
-		b.Fatal(err)
-	}
-	batch := queues
-	if batch < 8192 {
-		batch = (8192 / queues) * queues
-	}
-	ins := make([]core.TickInput, batch)
-	for i := range ins {
-		q := cell.QueueID(i % queues)
-		ins[i] = core.TickInput{Arrival: q, Request: q}
-	}
-	outs := make([]core.TickOutput, batch)
-	// Prime the fused path (kernel build, scratch arena, pipeline fill)
-	// off the clock; the batch length divides the round-robin period,
-	// so alignment is preserved.
-	for i := 0; i < 4; i++ {
-		if _, err := buf.TickBatch(ins, outs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	done := 0
-	for done < b.N {
-		n := batch
-		if left := b.N - done; left < n {
-			n = left
-		}
-		if _, err := buf.TickBatch(ins[:n], outs[:n]); err != nil {
-			b.Fatal(err)
-		}
-		done += n
-	}
-	b.StopTimer()
-	if st := buf.Stats(); st.Misses != 0 {
-		b.Fatalf("misses: %v", st)
-	}
-}
-
-// BenchmarkTickBatchFused is the dense fused-kernel suite: the paper
-// design points from LargeScale (Q=512) up to Q=64k for both head
-// MMAs. The Q=65536 rows are the sub-100ns tentpole gate.
-func BenchmarkTickBatchFused(b *testing.B) {
-	for _, m := range []core.MMAKind{core.ECQF, core.MDQF} {
-		for _, queues := range []int{512, 4096, 65536} {
-			b.Run(fmt.Sprintf("%s/Q=%d", m, queues), func(b *testing.B) {
-				benchTickBatchFused(b, core.Config{Q: queues, B: 32, Bsmall: 4, Banks: 256, MMA: m}, queues)
-			})
-		}
-	}
-}
-
 // BenchmarkTickQueueScaling sweeps the queue count across three
 // orders of magnitude for both head MMAs. Per-slot cost must stay
 // near-flat: every selection decision resolves through the

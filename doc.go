@@ -44,9 +44,9 @@
 // the tail and deficit selectors bucket queues by exact occupancy, and
 // the DRAM publishes its per-queue "readable now" eligibility as a
 // dense bitset the selectors consult instead of per-candidate
-// callbacks. Selections are bit-identical to the retained linear-scan
-// references (SelectScan), which seeded differential tests pin over
-// 10⁵-slot random workloads; BenchmarkTickQueueScaling holds per-slot
+// callbacks. Selections are bit-identical to the linear-scan
+// references (SelectScan, kept in the mma package's test files), which
+// seeded differential tests pin over 10⁵-slot random workloads; BenchmarkTickQueueScaling holds per-slot
 // cost near-flat from Q=64 to Q=65536 (BENCH_baseline.json,
 // bitmap_index_pr4).
 //
@@ -96,30 +96,25 @@
 // BENCH_baseline.json (sparse_ff_pr5) records ≥14× per-slot cost
 // reduction at ρ=0.01 against the dense reference at the same load.
 //
-// # Dense fused batch kernel
+// # One slot body
 //
-// Busy time is batched the way idle time is skipped. TickBatch splits
-// its input into maximal busy spans (slots carrying an arrival or a
-// request) and idle runs: idle runs fast-forward as above, and each
-// busy span executes in a structure-of-arrays fused kernel
-// (internal/core/kernel.go) rather than span-many Tick calls. A
-// per-span prologue hoists what per-slot Tick re-derives every call —
-// slot index, MMA cycle phase, logical-ring head, and the substrate
-// devirtualized to concrete pointers (ECQF vs MDQF, CAM vs list SRAM,
-// renaming vs identity) — and an epilogue writes the carried counters
-// back once; the per-slot working set (sequence numbers, system
-// occupancy, pending requests) lives in dense parallel arrays. The
-// kernel also fuses ECQF's lookahead shift with the same slot's
-// delivery (ecqf.ShiftDelivered): their two critical-slot recomputes
-// cancel in the bitmap index, so one recompute — usually a no-op —
-// replaces two Clear/Set pairs. Slot-at-a-time Tick is retained
-// untouched as the differential reference; kernel_test.go pins the
-// fused path bit-identical to it (statistics included,
-// FastForwardedSlots excluded) across MMAs, granularities, DRAM
-// bounds and renaming, including batch boundaries and error slots.
-// BENCH_baseline.json (fused_kernel_pr6) records the dense gate —
-// ~125–140 ns/slot at the Q=512 design point, 0 allocs/op — and
-// cmd/benchcheck gates CI at +25% over the recorded rows.
+// The engine has one implementation of the paper's per-slot datapath
+// (land DRAM→SRAM transfers, arrival, request into the lookahead,
+// delivery, t-MMA/h-MMA, DSA): core's tickSlot. Tick is one call of
+// it; TickBatch is a loop over it that adds the output-length check,
+// a batch-local delivered-cell scratch (every delivery of one call
+// stays valid until the next call), the idle-run fast-forward above,
+// and the stop-after-the-offending-slot error contract. A second,
+// structure-of-arrays "fused kernel" ran behind TickBatch from PR 6
+// to PR 18; it measured no faster than tickSlot and was deleted. Its
+// differential suite (internal/core/kernel_test.go) now pins
+// TickBatch ≡ per-slot Tick — statistics included, FastForwardedSlots
+// excluded — across MMAs, granularities, DRAM bounds and renaming,
+// including batch boundaries and error slots. What PR 6 won in shared
+// code remains: per-queue counters in dense parallel arrays, the
+// bitset Set early exit, DRAM power-of-two masks; cmd/benchcheck still
+// gates the slot-at-a-time rows of BENCH_baseline.json
+// (fused_kernel_pr6) at +25%.
 //
 // # Router engine
 //

@@ -56,6 +56,11 @@ type TickInput struct {
 	Request cell.QueueID
 }
 
+// idle reports a slot with neither an arrival nor a request.
+func (in TickInput) idle() bool {
+	return in.Arrival == cell.NoQueue && in.Request == cell.NoQueue
+}
+
 // TickOutput reports the slot's outcome.
 type TickOutput struct {
 	// Delivered is the cell granted to the arbiter this slot, if any.
@@ -116,11 +121,28 @@ func (t *tailQueue) extractBlock(n int, dst []cell.Cell) {
 	}
 }
 
-// Per-queue scalar state (arrival/delivery cursors, occupancy and
-// pending-request counters) lives in the structure-of-arrays arena
-// kernelState (kernel.go), shared by the slot-at-a-time path and the
-// fused batch kernel; only the tail-SRAM deques stay array-of-structs
-// because each holds a variable-length cell slice.
+// kernelState is the structure-of-arrays per-queue state arena: the
+// arrival and delivery sequence cursors and the occupancy/pending
+// counters, each in its own contiguous word-aligned array indexed by
+// the logical queue ordinal. Keeping each counter class dense lets the
+// round-robin steady state walk sixteen queues per cache line instead
+// of two. Only the tail-SRAM deques stay array-of-structs, because
+// each holds a variable-length cell slice.
+type kernelState struct {
+	arrivedSeq   []uint64
+	deliveredSeq []uint64
+	sysOcc       []int32
+	pendingReq   []int32
+}
+
+func newKernelState(queues int) kernelState {
+	return kernelState{
+		arrivedSeq:   make([]uint64, queues),
+		deliveredSeq: make([]uint64, queues),
+		sysOcc:       make([]int32, queues),
+		pendingReq:   make([]int32, queues),
+	}
+}
 
 // completion is a DRAM→SRAM block transfer scheduled to land at a
 // future slot.
@@ -155,10 +177,9 @@ type Buffer struct {
 	logical []pipeEntry
 	logHead int
 
-	// ks is the packed per-queue state arena (structure of arrays,
-	// kernel.go) and tails the parallel tail-SRAM deque arena, both
-	// indexed by the logical queue ordinal and sized to Config.Q at
-	// construction.
+	// ks is the packed per-queue state arena (structure of arrays) and
+	// tails the parallel tail-SRAM deque arena, both indexed by the
+	// logical queue ordinal and sized to Config.Q at construction.
 	ks        kernelState
 	tails     []tailQueue
 	tailTotal int // resident cells incl. promised and staged
@@ -197,11 +218,6 @@ type Buffer struct {
 	// the DRAM publishes its readable-now bits as a dense bitset that
 	// the head selectors consume directly (SetEligibility).
 	writeEligible func(q cell.QueueID) bool
-
-	// kern is the fused dense-batch kernel (kernel.go), built lazily on
-	// the first TickBatch call; the slot-at-a-time Tick path never
-	// touches it.
-	kern *kernel
 
 	stats Stats
 }
@@ -366,15 +382,6 @@ func (b *Buffer) Requestable(q cell.QueueID) int {
 // requests issued.
 func (b *Buffer) PendingRequests() int { return b.pendingTotal }
 
-// TailFree returns the number of future arrivals guaranteed to admit
-// before the tail SRAM could possibly fill: its capacity minus the
-// resident cells. The bound is conservative in the caller's favor —
-// tailTotal only ever grows by one per admitted arrival (staging and
-// bypass deliveries shrink it), so any arrival schedule that stays
-// within TailFree can never observe ErrBufferFull or ErrTailOverflow.
-// The router's epoch planner uses it as the speculation horizon.
-func (b *Buffer) TailFree() int { return b.cfg.TailSRAMCells - b.tailTotal }
-
 // ArrivedSeq returns the number of cells that have ever arrived for
 // queue q — equivalently, the Seq the next arrival to q will be
 // assigned. Samplers that attach to a buffer mid-run (for example the
@@ -532,21 +539,6 @@ func (b *Buffer) Quiescent() bool {
 	return true
 }
 
-// NextEventSlot is the event-query form of Quiescent, deliberately
-// conservative: when the buffer is quiescent there is no internal
-// event ever (ok=false — the caller may FastForward arbitrarily far);
-// otherwise it returns the current slot, meaning every slot must be
-// ticked until quiescence. It performs no calendar lookup — it never
-// names a strictly future event slot — because in-flight work makes
-// almost every intervening slot do real bookkeeping anyway, so there
-// is nothing to skip to.
-func (b *Buffer) NextEventSlot() (slot cell.Slot, ok bool) {
-	if b.Quiescent() {
-		return 0, false
-	}
-	return b.now, true
-}
-
 // FastForward advances the buffer by n idle slots in O(1). It is
 // bit-identical to calling Tick n times with an idle TickInput from a
 // quiescent state — identical statistics (FastForwardedSlots aside,
@@ -599,16 +591,14 @@ func slotsWithResidue(start, n, m, r uint64) uint64 {
 // outcome to out[i]. It requires len(out) ≥ len(in) and returns the
 // number of slots ticked; on error it stops after the offending slot
 // (which, per Tick semantics, still completes and has its outcome in
-// out[n-1]). It is the fused fast path: busy spans run through the
-// structure-of-arrays batch kernel (kernel.go) — one fused
-// arrival→select→issue→deliver loop with per-batch prologue/epilogue
-// in place of tickSlot's per-slot overhead — delivered cells land in a
-// batch-local scratch (every out[i].Delivered stays valid until the
-// next Tick or TickBatch call, not just one slot), and runs of idle
-// inputs are converted to FastForward the moment the buffer goes
-// quiescent, so fully idle spans cost O(1) instead of O(slots). The
-// outcome is bit-identical to calling Tick once per input, which the
-// differential suites in kernel_test.go and fastforward_test.go pin.
+// out[n-1]). Every slot runs tickSlot, the same body Tick runs; the
+// batch adds two things. Delivered cells land in a batch-local scratch,
+// so every out[i].Delivered stays valid until the next Tick or
+// TickBatch call, not just one slot. And a run of idle inputs is
+// converted to fastForward the moment the buffer goes quiescent, so
+// fully idle spans cost O(1) instead of O(slots). The outcome is
+// bit-identical to calling Tick once per input, which the differential
+// suites in kernel_test.go and fastforward_test.go pin.
 func (b *Buffer) TickBatch(in []TickInput, out []TickOutput) (int, error) {
 	if len(out) < len(in) {
 		return 0, fmt.Errorf("core: TickBatch output slice too short: %d outputs for %d inputs",
@@ -618,41 +608,22 @@ func (b *Buffer) TickBatch(in []TickInput, out []TickOutput) (int, error) {
 		b.deliveredBatch = make([]cell.Cell, len(in))
 	}
 	scratch := b.deliveredBatch[:cap(b.deliveredBatch)]
-	k := b.kernel()
-	i := 0
-	for i < len(in) {
-		if in[i].Arrival == cell.NoQueue && in[i].Request == cell.NoQueue {
-			// Idle run: tick until quiescent, then skip the rest in O(1).
+	for i := 0; i < len(in); i++ {
+		if in[i].idle() && b.Quiescent() {
+			// Quiescence is stable under idle slots: skip the rest of
+			// the idle run in O(1).
 			j := i + 1
-			for j < len(in) && in[j].Arrival == cell.NoQueue && in[j].Request == cell.NoQueue {
+			for j < len(in) && in[j].idle() {
 				j++
 			}
-			for i < j {
-				if b.Quiescent() {
-					b.fastForward(uint64(j - i))
-					for ; i < j; i++ {
-						out[i] = TickOutput{}
-					}
-					break
-				}
-				n, err := k.run(in[i:i+1], out[i:i+1], scratch[i:i+1])
-				i += n
-				if err != nil {
-					return i, err
-				}
-			}
+			b.fastForward(uint64(j - i))
+			clear(out[i:j])
+			i = j - 1
 			continue
 		}
-		// Busy span: hand the maximal run of non-idle slots to the
-		// fused kernel in one call.
-		j := i + 1
-		for j < len(in) && (in[j].Arrival != cell.NoQueue || in[j].Request != cell.NoQueue) {
-			j++
-		}
-		n, err := k.run(in[i:j], out[i:j], scratch[i:j])
-		i += n
-		if err != nil {
-			return i, err
+		var err error
+		if out[i], err = b.tickSlot(in[i], &scratch[i]); err != nil {
+			return i + 1, err
 		}
 	}
 	return len(in), nil

@@ -12,8 +12,8 @@ import (
 // workload (an arrival almost every slot, a round-robin drain against
 // the live view) and records every TickInput plus the delivery
 // outcome. Unlike phasedStimulus it emits no fully idle slot, so a
-// replay exercises the fused kernel on maximal busy spans with no
-// fast-forward interference.
+// replay exercises TickBatch's slot loop with no fast-forward
+// interference.
 func denseStimulus(t *testing.T, buf *Buffer, rng *rand.Rand, slots int) ([]TickInput, []slotOutcome) {
 	t.Helper()
 	ins := make([]TickInput, 0, slots)
@@ -37,7 +37,7 @@ func denseStimulus(t *testing.T, buf *Buffer, rng *rand.Rand, slots int) ([]Tick
 		}
 		if in.Arrival == cell.NoQueue && in.Request == cell.NoQueue {
 			// Keep the stimulus dense: an all-idle slot would open a
-			// fast-forward window and this suite pins the kernel alone.
+			// fast-forward window and this suite pins the slot loop alone.
 			in.Arrival = cell.QueueID(rng.Intn(queues))
 		}
 		out, err := buf.Tick(in)
@@ -83,13 +83,16 @@ func replayBatches(t *testing.T, buf *Buffer, ins []TickInput, want []slotOutcom
 	}
 }
 
-// TestKernelDifferential pins the tentpole equivalence on dense spans:
-// replaying a recorded full-load workload through the fused
-// structure-of-arrays kernel must be bit-identical to the
-// slot-at-a-time reference — same deliveries in the same slots, same
-// final statistics, same clock — across ECQF/MDQF × b ×
-// bounded/unbounded DRAM × renaming and across batch lengths that do
-// and do not divide the b-slot MMA cycle or the completion ring.
+// TestKernelDifferential pins TickBatch ≡ per-slot Tick on dense
+// spans (the name dates from the fused kernel this suite once held to
+// tickSlot; both now run tickSlot, so what it pins is the batch
+// wrapper): replaying a recorded full-load workload in batches must be
+// bit-identical to the slot-at-a-time run — same deliveries in the
+// same slots, each read back from the batch-local scratch after the
+// whole batch has run, same final statistics, same clock — across
+// ECQF/MDQF × b × bounded/unbounded DRAM × renaming and across batch
+// lengths that do and do not divide the b-slot MMA cycle or the
+// completion ring.
 func TestKernelDifferential(t *testing.T) {
 	for ci, cfg := range ffConfigs() {
 		cfg := cfg
@@ -119,8 +122,8 @@ func TestKernelDifferential(t *testing.T) {
 	}
 }
 
-// TestKernelErrorParity pins the kernel's error semantics against the
-// reference: an invalid request mid-batch must surface the same
+// TestKernelErrorParity pins TickBatch's error semantics against
+// per-slot Tick: an invalid request mid-batch must surface the same
 // sentinel after the same number of slots, the offending slot must
 // still complete, and the two buffers must remain bit-identical
 // afterwards.
@@ -179,12 +182,11 @@ func TestKernelErrorParity(t *testing.T) {
 	}
 }
 
-// TestTickBatchBoundaries pins the TickBatch edge cases the fused
-// dispatch must preserve: zero-length and single-slot batches, a batch
-// straddling a quiescent→busy transition (the idle prefix
-// fast-forwards, the busy suffix runs through the kernel), and batches
-// whose spans end mid-renaming — all bit-identical to slot-at-a-time
-// ticks.
+// TestTickBatchBoundaries pins the TickBatch edge cases: zero-length
+// and single-slot batches, a batch straddling a quiescent→busy
+// transition (the idle prefix fast-forwards, the busy suffix is ticked
+// slot by slot), and batches that end mid-renaming — all bit-identical
+// to slot-at-a-time ticks.
 func TestTickBatchBoundaries(t *testing.T) {
 	t.Run("zero-length", func(t *testing.T) {
 		buf, err := New(Config{Q: 4, B: 8, Bsmall: 4, Banks: 16})

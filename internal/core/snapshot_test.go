@@ -88,10 +88,10 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreThenBatch pins that a restored buffer feeds the
-// fused batch kernel identically: the devirtualization cache is
-// rebuilt lazily, not restored, so the first TickBatch after a restore
-// is the interesting one.
+// TestSnapshotRestoreThenBatch pins that a restored buffer runs
+// TickBatch identically: the batch-local delivered scratch is not
+// serialized, so the first TickBatch after a restore is the
+// interesting one.
 func TestSnapshotRestoreThenBatch(t *testing.T) {
 	cfg := Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, Renaming: true, BankCapacityBlocks: 64}
 	ref, err := New(cfg)

@@ -11,14 +11,13 @@
 //
 // # Selection indices
 //
-// Every selector keeps two implementations: SelectScan is the direct
-// transcription of the paper's rule as a linear scan (retained as the
-// differential-test reference), and Select answers the same question
-// from incrementally maintained hierarchical-bitmap indices
-// (internal/bitset), so the per-decision cost is O(log₆₄ n) in the
-// queue count and lookahead length instead of O(Q) / O(L). The two are
-// bit-identical — same queue, same tie-breaks — which the seeded
-// differential tests in differential_test.go pin down.
+// Every selector's Select answers the paper's rule from incrementally
+// maintained hierarchical-bitmap indices (internal/bitset), so the
+// per-decision cost is O(log₆₄ n) in the queue count and lookahead
+// length instead of O(Q) / O(L). The direct transcription of each rule
+// as a linear scan lives in scan_test.go (SelectScan, test-only); the
+// two are bit-identical — same queue, same tie-breaks — which the
+// seeded differential tests in differential_test.go pin down.
 //
 // Index invariants (checked implicitly by the differential suite):
 //
@@ -85,22 +84,7 @@ func (l *Lookahead) Pending() int { return l.count }
 //
 //pktbuf:hotpath
 func (l *Lookahead) Shift(in cell.PhysQueueID) (out cell.PhysQueueID) {
-	slot, out := l.shiftRaw(in)
-	if l.onShift != nil {
-		l.onShift(slot, in, out)
-	}
-	return out
-}
-
-// shiftRaw moves the register without notifying the shift observer and
-// additionally reports the ring slot the exchange happened at. It
-// exists for observers that drive the shift themselves (ECQF's fused
-// shift-and-deliver path) and must never be mixed with Shift by anyone
-// else — a skipped observer notification leaves the index stale.
-//
-//pktbuf:hotpath
-func (l *Lookahead) shiftRaw(in cell.PhysQueueID) (slot int, out cell.PhysQueueID) {
-	slot = l.head
+	slot := l.head
 	out = l.ring[slot]
 	l.ring[slot] = in
 	l.head = slot + 1
@@ -113,7 +97,10 @@ func (l *Lookahead) shiftRaw(in cell.PhysQueueID) (slot int, out cell.PhysQueueI
 	if in != cell.NoPhysQueue {
 		l.count++
 	}
-	return slot, out
+	if l.onShift != nil {
+		l.onShift(slot, in, out)
+	}
+	return out
 }
 
 // FastForward rotates the register head by n idle shifts in O(1). The

@@ -359,12 +359,12 @@ func (b *Buffer) Tick(in Input) (Output, error) {
 // stimulus: semantically identical to calling Tick per element — the
 // skipped-slot accounting in Stats.FastForwardedSlots aside — it
 // allocates nothing (after warm-up of its reusable scratch) and lets
-// a caller drive thousands of slots per call. It delegates to the
-// core's fused batch path, which hoists the per-slot prologue out of
-// the loop and converts runs of fully idle inputs into an O(1)
-// fast-forward as soon as the buffer is quiescent, so sparse stimulus
-// costs per event, not per slot. Outputs have value semantics as
-// always: every out[i] remains valid indefinitely.
+// a caller drive thousands of slots per call. Every slot runs the
+// same slot body Tick runs; the batch additionally converts runs of
+// fully idle inputs into an O(1) fast-forward as soon as the buffer is
+// quiescent, so sparse stimulus costs per event, not per slot. Outputs
+// have value semantics as always: every out[i] remains valid
+// indefinitely.
 func (b *Buffer) TickBatch(in []Input, out []Output) (int, error) {
 	if len(out) < len(in) {
 		return 0, fmt.Errorf("pktbuf: TickBatch output slice too short: %d outputs for %d inputs: %w",

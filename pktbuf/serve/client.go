@@ -337,12 +337,18 @@ func (c *Client) resumable() bool {
 	return c.cfg.Retry.Attempts > 0 && c.session != 0 && !c.byeSent
 }
 
+// closed reports that the connection is finished for good: it failed
+// (err) or the server said its clean Bye (byeOK) and the reader has
+// exited. Nothing returns window credit after that, so it ends every
+// wait: Submit, submitRaw and Bye all test it. Callers hold mu.
+func (c *Client) closed() bool { return c.err != nil || c.byeOK }
+
 // Submit sends one Submit frame carrying qs, blocking first until the
 // in-system window has room for the whole burst (so a single-writer
 // client never trips CodeWindowFull) and until any in-progress
 // reconnect completes. It fails fast once the server is draining or
-// the connection is irrecoverably broken. Bursts larger than the
-// window are an error.
+// has said Bye (ErrDraining) or the connection is irrecoverably
+// broken. Bursts larger than the window are an error.
 //
 // On a resumable client a mid-write connection failure is not an
 // error: the cells are accounted as submitted and the resume
@@ -359,7 +365,7 @@ func (c *Client) Submit(qs []pktbuf.Queue) error {
 		return fmt.Errorf("serve: burst of %d exceeds window %d: %w",
 			len(qs), win, pktbuf.ErrBadConfig)
 	}
-	for c.err == nil && !c.draining &&
+	for !c.closed() && !c.draining &&
 		(c.reconnectng || c.welcome.Window-c.inFlight < len(qs)) {
 		c.cond.Wait()
 	}
@@ -368,7 +374,7 @@ func (c *Client) Submit(qs []pktbuf.Queue) error {
 		c.mu.Unlock()
 		return err
 	}
-	if c.draining {
+	if c.draining || c.byeOK {
 		c.mu.Unlock()
 		return ErrDraining
 	}
@@ -407,11 +413,11 @@ func (c *Client) Submit(qs []pktbuf.Queue) error {
 // reconciliation now.
 func (c *Client) submitRaw(qs []pktbuf.Queue, epoch uint64) bool {
 	c.mu.Lock()
-	for c.err == nil && c.epochN == epoch &&
+	for !c.closed() && c.epochN == epoch &&
 		(c.reconnectng || c.welcome.Window-c.inFlight < len(qs)) {
 		c.cond.Wait()
 	}
-	if c.err != nil || c.epochN != epoch {
+	if c.closed() || c.epochN != epoch {
 		c.mu.Unlock()
 		return false
 	}
@@ -438,7 +444,7 @@ func (c *Client) submitRaw(qs []pktbuf.Queue, epoch uint64) bool {
 // ends the retry policy — a connection lost after Bye is a failure.
 func (c *Client) Bye(ctx context.Context) error {
 	c.mu.Lock()
-	for c.err == nil && (c.reconnectng || c.resubmitting > 0) {
+	for !c.closed() && (c.reconnectng || c.resubmitting > 0) {
 		c.cond.Wait()
 	}
 	c.byeSent = true

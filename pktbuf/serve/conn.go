@@ -407,6 +407,11 @@ func (c *conn) writeLoop() {
 	}
 	for {
 		progress := false
+		// Sample closing before the control queue: whoever sets it
+		// queues its last control frame first (Shutdown: Drain, then
+		// closing) and wakes the writer after, so a pass that saw
+		// closing has also written that frame ahead of the Bye.
+		closing := c.closing.Load()
 		// Control frames.
 		c.ctrlMu.Lock()
 		ctrl = append(ctrl[:0], c.ctrl...)
@@ -460,7 +465,7 @@ func (c *conn) writeLoop() {
 			// instead of draining into a dead socket.
 			return
 		}
-		if c.closing.Load() && c.inSystem() == 0 && c.ingress.empty() && c.admitting.Load() == 0 {
+		if closing && c.inSystem() == 0 && c.ingress.empty() && c.admitting.Load() == 0 {
 			if !failed {
 				if w.WriteFrame(wire.TBye, nil) == nil {
 					w.Flush()

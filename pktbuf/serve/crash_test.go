@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/pktbuf"
 	"repro/pktbuf/serve"
+	"repro/pktbuf/serve/wire"
 )
 
 // crashHarness is a resumable server living behind a fault-injection
@@ -488,4 +490,89 @@ func TestShutdownUnderChurnRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestServerByeWakesBlockedSubmit is the deterministic form of the
+// hang TestShutdownUnderChurnRace only hits by schedule: a server that
+// says Bye without a preceding Drain (Shutdown reaching a connection
+// outside its Drain snapshot) while a submitter waits on a full
+// window. The fake server never delivers, so nothing but the Bye can
+// end that wait: Submit must fail with ErrDraining and Bye must
+// return.
+func TestServerByeWakesBlockedSubmit(t *testing.T) {
+	const window = 2
+	cs, ss := net.Pipe()
+	windowFull := make(chan struct{})
+	served := make(chan error, 1)
+	go func() {
+		served <- func() error {
+			r, w := wire.NewReader(ss), wire.NewWriter(ss)
+			if typ, _, err := r.Next(); err != nil || typ != wire.THello {
+				return fmt.Errorf("handshake read %v: %v", typ, err)
+			}
+			welcome := wire.Welcome{Flows: 1, IngressRing: window, Window: window, Session: 1}
+			if err := w.WriteFrame(wire.TWelcome, welcome.AppendTo(nil)); err != nil {
+				return err
+			}
+			if err := w.WriteCells(wire.TFlows, wire.Deliveries, []pktbuf.Queue{0}); err != nil {
+				return err
+			}
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			// Swallow the window-filling burst, say Bye, then keep the
+			// synchronous pipe drained until the client closes it.
+			if typ, _, err := r.Next(); err != nil || typ != wire.TSubmit {
+				return fmt.Errorf("submit read %v: %v", typ, err)
+			}
+			<-windowFull
+			if err := w.WriteFrame(wire.TBye, nil); err != nil {
+				return err
+			}
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			for {
+				if _, _, err := r.Next(); err != nil {
+					return nil
+				}
+			}
+		}()
+	}()
+
+	c, err := serve.DialWith(serve.DialConfig{
+		Flows:  1,
+		Dialer: func() (net.Conn, error) { return cs, nil },
+	})
+	if err != nil {
+		t.Fatalf("DialWith: %v", err)
+	}
+	burst := make([]pktbuf.Queue, window)
+	if err := c.Submit(burst); err != nil {
+		t.Fatalf("window-filling Submit: %v", err)
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- c.Submit(burst[:1]) }()
+	// Give the submitter time to park on the window; the Bye must end
+	// its wait whether it arrives before or after.
+	time.Sleep(20 * time.Millisecond)
+	close(windowFull)
+
+	select {
+	case err := <-blocked:
+		if !errors.Is(err, serve.ErrDraining) {
+			t.Errorf("Submit after server Bye = %v, want ErrDraining", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Submit still blocked on the full window 1s after the server's Bye")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := c.Bye(ctx); err != nil {
+		t.Errorf("Bye after server Bye: %v", err)
+	}
+	ss.Close()
+	if err := <-served; err != nil {
+		t.Errorf("fake server: %v", err)
+	}
 }
