@@ -77,10 +77,9 @@
 // credited to the scheduler's empty-cycle count. The only trace a
 // jump leaves is Stats.FastForwardedSlots, which dense ticking keeps
 // at zero by definition — equivalence comparisons exclude it.
-// TickBatch converts runs of fully idle inputs to FastForward (its
-// outputs land in batch-local scratch: every out[i].Delivered of one
-// batch is valid until the next Tick/TickBatch call, and the public
-// façade's value-semantics Outputs are valid forever). The sim
+// pktbuf.Buffer.TickBatch scans each run of fully idle inputs once and
+// skips it with one FastForward as soon as the buffer is quiescent,
+// writing zero outputs. The sim
 // Runners skip idle spans entirely when the arrival process can jump
 // to its next arrival (SparseArrivalProcess; NewBernoulliArrivals
 // draws geometric gaps, one RNG call per arrival) and the request
@@ -100,17 +99,18 @@
 //
 // The engine has one implementation of the paper's per-slot datapath
 // (land DRAM→SRAM transfers, arrival, request into the lookahead,
-// delivery, t-MMA/h-MMA, DSA): core's tickSlot. Tick is one call of
-// it; TickBatch is a loop over it that adds the output-length check,
-// a batch-local delivered-cell scratch (every delivery of one call
-// stays valid until the next call), the idle-run fast-forward above,
-// and the stop-after-the-offending-slot error contract. A second,
-// structure-of-arrays "fused kernel" ran behind TickBatch from PR 6
-// to PR 18; it measured no faster than tickSlot and was deleted. Its
-// differential suite (internal/core/kernel_test.go) now pins
-// TickBatch ≡ per-slot Tick — statistics included, FastForwardedSlots
-// excluded — across MMAs, granularities, DRAM bounds and renaming,
-// including batch boundaries and error slots. What PR 6 won in shared
+// delivery, t-MMA/h-MMA, DSA): core.Buffer.Tick. The one batch loop
+// is pktbuf.Buffer.TickBatch, written over the public Input/Output
+// slices: it calls core's Tick once per ticked slot and adds the
+// output-length check, the idle-run fast-forward above, and the
+// stop-after-the-offending-slot error contract, with no scratch
+// between façade and core. A second, structure-of-arrays "fused
+// kernel" once ran behind TickBatch; it measured no faster than the
+// slot body and was deleted. Its differential suite
+// (internal/core/kernel_test.go) now pins TickBatch ≡ per-slot Tick —
+// statistics included, FastForwardedSlots excluded — across MMAs,
+// granularities, DRAM bounds and renaming, including batch boundaries
+// and error slots. What the fused kernel won in shared
 // code remains: per-queue counters in dense parallel arrays, the
 // bitset Set early exit, DRAM power-of-two masks; cmd/benchcheck still
 // gates the slot-at-a-time rows of BENCH_baseline.json

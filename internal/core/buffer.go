@@ -56,18 +56,11 @@ type TickInput struct {
 	Request cell.QueueID
 }
 
-// idle reports a slot with neither an arrival nor a request.
-func (in TickInput) idle() bool {
-	return in.Arrival == cell.NoQueue && in.Request == cell.NoQueue
-}
-
 // TickOutput reports the slot's outcome.
 type TickOutput struct {
 	// Delivered is the cell granted to the arbiter this slot, if any.
-	// The pointee is owned by the Buffer: a Tick output is overwritten
-	// by the next Tick, a TickBatch output lives in batch-local
-	// scratch and stays valid until the next Tick or TickBatch call.
-	// Callers that retain the cell beyond that must copy it.
+	// The pointee is owned by the Buffer and overwritten by the next
+	// Tick; callers that retain the cell beyond that must copy it.
 	Delivered *cell.Cell
 	// Bypassed reports that the delivery came straight from the tail
 	// SRAM (cut-through for queues with no DRAM-bound cells).
@@ -177,6 +170,14 @@ type Buffer struct {
 	logical []pipeEntry
 	logHead int
 
+	// compIdx (now mod len(compRing)) and phase (now mod Bsmall) are,
+	// like logHead (now mod len(logical)), slot-indexed cursors Tick
+	// advances by wrap-compare, so the slot body runs no division;
+	// fastForward and RestoreBuffer re-derive all three from now
+	// (deriveCursors). compIdx and phase are not serialised.
+	compIdx int
+	phase   int
+
 	// ks is the packed per-queue state arena (structure of arrays) and
 	// tails the parallel tail-SRAM deque arena, both indexed by the
 	// logical queue ordinal and sized to Config.Q at construction.
@@ -204,10 +205,6 @@ type Buffer struct {
 	now cell.Slot
 	// delivered is the scratch cell TickOutput.Delivered points into.
 	delivered cell.Cell
-	// deliveredBatch is the batch-local scratch TickBatch outputs point
-	// into: one cell per batch slot, so every delivery of one TickBatch
-	// call stays valid until the next Tick/TickBatch call.
-	deliveredBatch []cell.Cell
 
 	// writeEligible is the t-MMA selection predicate, built once at
 	// construction (closures created per cycle escape through the MMA
@@ -413,14 +410,6 @@ func (b *Buffer) Stats() Stats {
 	return s
 }
 
-// Tick advances the buffer by one slot. Errors wrapping the Err*
-// invariant sentinels indicate a violated worst-case guarantee;
-// ErrBufferFull / ErrBadRequest indicate caller-visible conditions
-// (the slot still completes: deliveries and internal transfers occur).
-func (b *Buffer) Tick(in TickInput) (TickOutput, error) {
-	return b.tickSlot(in, &b.delivered)
-}
-
 // recordErr keeps the first non-nil error of a slot; later errors of
 // the same slot are dropped (the slot still completes, matching the
 // hardware model where a violation is flagged but the clock advances).
@@ -430,19 +419,22 @@ func recordErr(dst *error, err error) {
 	}
 }
 
-// tickSlot is the slot body shared by Tick and TickBatch: one full
-// slot against the given delivered-cell scratch.
+// Tick advances the buffer by one slot. Errors wrapping the Err*
+// invariant sentinels indicate a violated worst-case guarantee;
+// ErrBufferFull / ErrBadRequest indicate caller-visible conditions
+// (the slot still completes: deliveries and internal transfers occur).
+// It is the engine's one slot body: pktbuf.Buffer.TickBatch and the
+// router call it once per ticked slot.
 //
 //pktbuf:hotpath
-func (b *Buffer) tickSlot(in TickInput, dst *cell.Cell) (TickOutput, error) {
+func (b *Buffer) Tick(in TickInput) (TickOutput, error) {
 	var out TickOutput
 	var firstErr error
 
 	// 1. Land DRAM→SRAM transfers completing this slot, before the
 	// delivery point ("perfectly synchronized hardware", §3). The
 	// completion calendar is a fixed ring indexed by slot.
-	slotIdx := int(b.now % cell.Slot(len(b.compRing)))
-	if pending := b.compRing[slotIdx]; len(pending) > 0 {
+	if pending := b.compRing[b.compIdx]; len(pending) > 0 {
 		for _, c := range pending {
 			base := c.ordinal * uint64(b.cfg.Bsmall)
 			for i, cl := range c.cells {
@@ -454,7 +446,7 @@ func (b *Buffer) tickSlot(in TickInput, dst *cell.Cell) (TickOutput, error) {
 			b.dram.ReleaseBlock(c.cells)
 		}
 		b.compPending -= len(pending)
-		b.compRing[slotIdx] = pending[:0]
+		b.compRing[b.compIdx] = pending[:0]
 	}
 
 	// 2. Arrival.
@@ -474,7 +466,9 @@ func (b *Buffer) tickSlot(in TickInput, dst *cell.Cell) (TickOutput, error) {
 	outPhys := b.look.Shift(phys)
 	outEntry := b.logical[b.logHead]
 	b.logical[b.logHead] = pipeEntry{logical: logical}
-	b.logHead = (b.logHead + 1) % len(b.logical)
+	if b.logHead++; b.logHead == len(b.logical) {
+		b.logHead = 0
+	}
 	if logical != cell.NoQueue {
 		b.inPipe++
 	}
@@ -482,7 +476,7 @@ func (b *Buffer) tickSlot(in TickInput, dst *cell.Cell) (TickOutput, error) {
 	// 4. Delivery at the pipeline exit.
 	if outEntry.logical != cell.NoQueue {
 		b.inPipe--
-		delivered, bypassed, err := b.deliver(outPhys, outEntry.logical, dst)
+		delivered, bypassed, err := b.deliver(outPhys, outEntry.logical)
 		recordErr(&firstErr, err)
 		if delivered != nil {
 			out.Delivered = delivered
@@ -495,7 +489,7 @@ func (b *Buffer) tickSlot(in TickInput, dst *cell.Cell) (TickOutput, error) {
 	// DRAM a random-access-time apart (the paper's RADS alternates
 	// accesses every T_RC; CFDS overlaps them across banks).
 	bs := b.cfg.Bsmall
-	phase := int(b.now) % bs
+	phase := b.phase
 	if phase == bs-1 {
 		recordErr(&firstErr, b.tailCycle())
 		recordErr(&firstErr, b.headCycle())
@@ -510,6 +504,12 @@ func (b *Buffer) tickSlot(in TickInput, dst *cell.Cell) (TickOutput, error) {
 		b.stats.TailHighWater = b.tailTotal
 	}
 	b.now++
+	if b.compIdx++; b.compIdx == len(b.compRing) {
+		b.compIdx = 0
+	}
+	if b.phase++; b.phase == bs {
+		b.phase = 0
+	}
 	return out, firstErr
 }
 
@@ -544,7 +544,7 @@ func (b *Buffer) Quiescent() bool {
 // quiescent state — identical statistics (FastForwardedSlots aside,
 // which dense ticking leaves zero by definition) and identical
 // subsequent behavior: the completion-ring index and the MMA cycle
-// phase follow now analytically, the (empty) lookahead and logical
+// phase are re-derived from now, the (empty) lookahead and logical
 // rings are rotated in place, and the DSA cycles the skipped span
 // would have run on an empty Requests Register are credited to the
 // DSS empty-cycle count. If the buffer is not quiescent nothing
@@ -560,73 +560,45 @@ func (b *Buffer) FastForward(n uint64) uint64 {
 // fastForward performs the jump; the caller has established
 // quiescence.
 func (b *Buffer) fastForward(n uint64) {
-	b.sched.SkipIdleCycles(dsaCyclesIn(uint64(b.now), n, b.cfg.Bsmall))
+	b.sched.SkipIdleCycles(dsaCyclesIn(uint64(b.phase), n, b.cfg.Bsmall))
 	b.look.FastForward(n)
-	b.logHead = int((uint64(b.logHead) + n) % uint64(len(b.logical)))
 	b.now += cell.Slot(n)
+	b.deriveCursors()
 	b.stats.FastForwardedSlots += n
 }
 
+// deriveCursors sets the slot-indexed cursors from now.
+func (b *Buffer) deriveCursors() {
+	b.logHead = int(uint64(b.now) % uint64(len(b.logical)))
+	b.compIdx = int(uint64(b.now) % uint64(len(b.compRing)))
+	b.phase = int(uint64(b.now) % uint64(b.cfg.Bsmall))
+}
+
 // dsaCyclesIn counts the DSA scheduling cycles Tick would run over the
-// n slots starting at start: every slot when b=1, otherwise the two
-// stagger phases b-1 and b/2-1 of each b-slot cycle.
-func dsaCyclesIn(start, n uint64, bs int) uint64 {
+// n slots starting at MMA cycle phase phase (< bs): every slot when
+// b=1, otherwise the two stagger phases b-1 and b/2-1 of each b-slot
+// cycle. Each whole cycle holds both once; the tail of n%bs slots
+// holds those it reaches.
+func dsaCyclesIn(phase, n uint64, bs int) uint64 {
 	if bs == 1 {
 		return n
 	}
 	m := uint64(bs)
-	return slotsWithResidue(start, n, m, m-1) + slotsWithResidue(start, n, m, m/2-1)
+	tail := n % m
+	return 2*(n/m) + phaseIn(phase, tail, m, m-1) + phaseIn(phase, tail, m, m/2-1)
 }
 
-// slotsWithResidue counts slots t in [start, start+n) with t % m == r.
-func slotsWithResidue(start, n, m, r uint64) uint64 {
-	first := start + (r-start%m+m)%m
-	if first >= start+n {
-		return 0
+// phaseIn reports (as 0 or 1) whether the span of tail < m slots
+// starting at phase reaches phase r.
+func phaseIn(phase, tail, m, r uint64) uint64 {
+	off := r - phase
+	if r < phase {
+		off += m
 	}
-	return (start+n-1-first)/m + 1
-}
-
-// TickBatch advances one slot per element of in, writing slot i's
-// outcome to out[i]. It requires len(out) ≥ len(in) and returns the
-// number of slots ticked; on error it stops after the offending slot
-// (which, per Tick semantics, still completes and has its outcome in
-// out[n-1]). Every slot runs tickSlot, the same body Tick runs; the
-// batch adds two things. Delivered cells land in a batch-local scratch,
-// so every out[i].Delivered stays valid until the next Tick or
-// TickBatch call, not just one slot. And a run of idle inputs is
-// converted to fastForward the moment the buffer goes quiescent, so
-// fully idle spans cost O(1) instead of O(slots). The outcome is
-// bit-identical to calling Tick once per input, which the differential
-// suites in kernel_test.go and fastforward_test.go pin.
-func (b *Buffer) TickBatch(in []TickInput, out []TickOutput) (int, error) {
-	if len(out) < len(in) {
-		return 0, fmt.Errorf("core: TickBatch output slice too short: %d outputs for %d inputs",
-			len(out), len(in))
+	if off < tail {
+		return 1
 	}
-	if cap(b.deliveredBatch) < len(in) {
-		b.deliveredBatch = make([]cell.Cell, len(in))
-	}
-	scratch := b.deliveredBatch[:cap(b.deliveredBatch)]
-	for i := 0; i < len(in); i++ {
-		if in[i].idle() && b.Quiescent() {
-			// Quiescence is stable under idle slots: skip the rest of
-			// the idle run in O(1).
-			j := i + 1
-			for j < len(in) && in[j].idle() {
-				j++
-			}
-			b.fastForward(uint64(j - i))
-			clear(out[i:j])
-			i = j - 1
-			continue
-		}
-		var err error
-		if out[i], err = b.tickSlot(in[i], &scratch[i]); err != nil {
-			return i + 1, err
-		}
-	}
-	return len(in), nil
+	return 0
 }
 
 // arrive admits one cell into the tail SRAM.
@@ -682,11 +654,10 @@ func (b *Buffer) admitRequest(q cell.QueueID) (cell.PhysQueueID, cell.QueueID, e
 }
 
 // deliver pops the cell for a request exiting the pipeline, storing it
-// in dst (the per-Tick or per-batch-slot scratch the returned pointer
-// aliases).
+// in b.delivered (the scratch the returned pointer aliases).
 //
 //pktbuf:hotpath
-func (b *Buffer) deliver(phys cell.PhysQueueID, q cell.QueueID, dst *cell.Cell) (*cell.Cell, bool, error) {
+func (b *Buffer) deliver(phys cell.PhysQueueID, q cell.QueueID) (*cell.Cell, bool, error) {
 	var c cell.Cell
 	bypassed := false
 	if phys == cell.NoPhysQueue {
@@ -712,10 +683,10 @@ func (b *Buffer) deliver(phys cell.PhysQueueID, q cell.QueueID, dst *cell.Cell) 
 		c = popped
 	}
 
-	*dst = c
+	b.delivered = c
 	want := b.ks.deliveredSeq[q]
 	if c.Queue != q || c.Seq != want {
-		return dst, bypassed, fmt.Errorf("%w: queue %d got %v, want seq %d",
+		return &b.delivered, bypassed, fmt.Errorf("%w: queue %d got %v, want seq %d",
 			ErrOutOfOrder, q, c, want) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 	}
 	b.ks.deliveredSeq[q] = want + 1
@@ -726,7 +697,7 @@ func (b *Buffer) deliver(phys cell.PhysQueueID, q cell.QueueID, dst *cell.Cell) 
 	if bypassed {
 		b.stats.Bypasses++
 	}
-	return dst, bypassed, nil
+	return &b.delivered, bypassed, nil
 }
 
 // tailCycle runs the t-MMA: stage one block of b cells toward DRAM.
@@ -787,8 +758,8 @@ func (b *Buffer) headCycle() error {
 // dsaCycle issues up to budget requests through the DSA and executes
 // them against the DRAM.
 func (b *Buffer) dsaCycle(budget int) error {
-	access := cell.Slot(b.cfg.accessSlots())
-	for _, r := range b.sched.Cycle(b.now, budget, b.cfg.accessSlots()) {
+	access := b.cfg.accessSlots()
+	for _, r := range b.sched.Cycle(b.now, budget, access) {
 		switch r.Dir {
 		case dss.Write:
 			if _, err := b.dram.BeginWriteAt(r.Queue, r.Ordinal, r.Cells, b.now); err != nil {
@@ -803,7 +774,10 @@ func (b *Buffer) dsaCycle(budget int) error {
 			if err != nil {
 				return fmt.Errorf("core: DSA read issue: %w", err)
 			}
-			at := int((b.now + access) % cell.Slot(len(b.compRing)))
+			at := b.compIdx + access
+			if at >= len(b.compRing) {
+				at -= len(b.compRing)
+			}
 			b.compRing[at] = append(b.compRing[at], completion{
 				phys: r.Queue, ordinal: r.Ordinal, cells: cells,
 			})

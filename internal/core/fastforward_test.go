@@ -93,12 +93,44 @@ func phasedStimulus(t *testing.T, buf *Buffer, rng *rand.Rand, slots int) ([]Tic
 	return ins, outs
 }
 
-// TestFastForwardDifferential pins the tentpole equivalence: replaying
-// a recorded phased workload through TickBatch — which
-// fast-forwards every idle span the moment the buffer goes quiescent —
-// must be bit-identical to the slot-by-slot reference run: same
-// deliveries in the same slots, same final statistics (skipped-slot
-// counter aside) and same clock.
+// replayFastForward replays ins one slot at a time, jumping every
+// idle run with FastForward as soon as the buffer accepts, and asserts
+// outcome-for-outcome equality with want.
+func replayFastForward(t *testing.T, buf *Buffer, ins []TickInput, want []slotOutcome) {
+	t.Helper()
+	idle := func(in TickInput) bool { return in.Arrival == cell.NoQueue && in.Request == cell.NoQueue }
+	for i := 0; i < len(ins); i++ {
+		if idle(ins[i]) {
+			j := i + 1
+			for j < len(ins) && idle(ins[j]) {
+				j++
+			}
+			if buf.FastForward(uint64(j-i)) != 0 {
+				i = j - 1
+				continue
+			}
+		}
+		out, err := buf.Tick(ins[i])
+		if err != nil {
+			t.Fatalf("slot %d: %v", i, err)
+		}
+		g := slotOutcome{}
+		if out.Delivered != nil {
+			g = slotOutcome{ok: true, bypassed: out.Bypassed, cell: *out.Delivered}
+		}
+		if g != want[i] {
+			t.Fatalf("slot %d: replay %+v, reference %+v", i, g, want[i])
+		}
+	}
+}
+
+// TestFastForwardDifferential pins the fast-forward equivalence on a
+// realistic workload: replaying a recorded phased workload while
+// jumping every idle span the moment the buffer goes quiescent must be
+// bit-identical to the slot-by-slot reference run — same deliveries
+// in the same slots, same final statistics (skipped-slot counter
+// aside) and same clock. (TestKernelDifferential pins the same for
+// the batch loop, across batch boundaries.)
 func TestFastForwardDifferential(t *testing.T) {
 	for ci, cfg := range ffConfigs() {
 		cfg := cfg
@@ -111,41 +143,19 @@ func TestFastForwardDifferential(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7331 + ci)))
 			ins, want := phasedStimulus(t, ref, rng, 30000)
 
-			fused, err := New(cfg)
+			jumped, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := make([]TickOutput, 512)
-			pos := 0
-			for pos < len(ins) {
-				n := len(out)
-				if left := len(ins) - pos; left < n {
-					n = left
-				}
-				m, err := fused.TickBatch(ins[pos:pos+n], out[:n])
-				if err != nil {
-					t.Fatalf("fused batch at slot %d: %v", pos+m-1, err)
-				}
-				for i := 0; i < m; i++ {
-					w := want[pos+i]
-					g := slotOutcome{}
-					if out[i].Delivered != nil {
-						g = slotOutcome{ok: true, bypassed: out[i].Bypassed, cell: *out[i].Delivered}
-					}
-					if g != w {
-						t.Fatalf("slot %d: fused %+v, reference %+v", pos+i, g, w)
-					}
-				}
-				pos += m
+			replayFastForward(t, jumped, ins, want)
+			if got, wantS := normalizeFF(jumped.Stats()), normalizeFF(ref.Stats()); got != wantS {
+				t.Errorf("stats diverge:\njumped %+v\nref    %+v", got, wantS)
 			}
-			if got, wantS := normalizeFF(fused.Stats()), normalizeFF(ref.Stats()); got != wantS {
-				t.Errorf("stats diverge:\nfused %+v\nref   %+v", got, wantS)
+			if jumped.Now() != ref.Now() {
+				t.Errorf("clock diverges: jumped %d, ref %d", jumped.Now(), ref.Now())
 			}
-			if fused.Now() != ref.Now() {
-				t.Errorf("clock diverges: fused %d, ref %d", fused.Now(), ref.Now())
-			}
-			if fused.Stats().FastForwardedSlots == 0 {
-				t.Error("fused path never fast-forwarded: the differential exercised nothing")
+			if jumped.Stats().FastForwardedSlots == 0 {
+				t.Error("replay never fast-forwarded: the differential exercised nothing")
 			}
 		})
 	}
@@ -320,62 +330,5 @@ func TestQuiescenceStableUnderIdleTicks(t *testing.T) {
 				t.Fatalf("idle tick %d changed stats:\nbefore %+v\nafter  %+v", i+1, ref, got)
 			}
 		}
-	}
-}
-
-// TestTickBatchFusedZeroAlloc gates TickBatch (slot loop, batch-local
-// delivered scratch and fast-forward together) at zero allocations per
-// batch once warm. The stimulus is a deterministic
-// period — full-load phase, fully idle gap (long enough that the
-// batch fast-forwards through it), lagged drain, trailing idle — that
-// returns the buffer to empty quiescence, so every measured batch
-// replays identical work against warmed structures.
-func TestTickBatchFusedZeroAlloc(t *testing.T) {
-	const q, lag, n = 16, 32, 2048
-	buf, err := New(Config{Q: q, B: 32, Bsmall: 4, Banks: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two idle spans must outlast the request pipeline (lookahead
-	// plus latency register — ~400 slots here) or nothing ever goes
-	// quiescent mid-batch.
-	ins := make([]TickInput, n)
-	outs := make([]TickOutput, n)
-	for i := range ins {
-		in := TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
-		switch {
-		case i < 512: // full load, requests lagging arrivals by lag slots
-			in.Arrival = cell.QueueID(i % q)
-			if i >= lag {
-				in.Request = cell.QueueID((i - lag) % q)
-			}
-		case i < 1536: // idle gap: the batch must fast-forward here
-		case i < 1536+lag: // drain the backlog the lag left behind
-			in.Request = cell.QueueID((i - 1536) % q)
-		default: // trailing idle: back to empty quiescence
-		}
-		ins[i] = in
-	}
-	run := func() {
-		m, err := buf.TickBatch(ins, outs)
-		if err != nil || m != n {
-			t.Fatalf("batch: %d slots, %v", m, err)
-		}
-	}
-	// Warm every high-water structure and all completion-ring buckets
-	// (the batch length is not a multiple of the ring length, so
-	// successive periods land on different buckets).
-	before := buf.Stats().FastForwardedSlots
-	for i := 0; i < 24; i++ {
-		run()
-	}
-	if buf.Stats().FastForwardedSlots == before {
-		t.Fatal("fused batch never fast-forwarded the idle gap")
-	}
-	if allocs := testing.AllocsPerRun(16, run); allocs != 0 {
-		t.Errorf("fused TickBatch allocates %.1f times per batch, want 0", allocs)
-	}
-	if !buf.Stats().Clean() {
-		t.Errorf("run not clean: %+v", buf.Stats())
 	}
 }

@@ -1,121 +1,162 @@
-package core
+package core_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/cell"
+	"repro/internal/core"
+	"repro/internal/facade"
+	"repro/pktbuf"
 )
 
-// denseStimulus drives buf slot-by-slot with a seeded full-load
-// workload (an arrival almost every slot, a round-robin drain against
-// the live view) and records every TickInput plus the delivery
-// outcome. Unlike phasedStimulus it emits no fully idle slot, so a
-// replay exercises TickBatch's slot loop with no fast-forward
-// interference.
-func denseStimulus(t *testing.T, buf *Buffer, rng *rand.Rand, slots int) ([]TickInput, []slotOutcome) {
+// The suites in this file pin the one batch loop, pktbuf.Buffer's
+// TickBatch, against per-slot Tick over this package's differential
+// matrix. They live beside the engine (as an external test package,
+// since pktbuf imports core) because they once held the fused kernel
+// to tickSlot; the TestKernel* ids date from then. Every core.Config
+// used here has B = 8, which the public Config reaches through the
+// OC-768 line rate, so publicBuffer can build the exact configuration
+// through pktbuf.New.
+
+// publicBuffer builds a pktbuf.Buffer dimensioned exactly as cfg and
+// fails the test if the public mapping does not reproduce cfg.
+func publicBuffer(t testing.TB, cfg core.Config) *pktbuf.Buffer {
 	t.Helper()
-	ins := make([]TickInput, 0, slots)
-	outs := make([]slotOutcome, 0, slots)
-	queues := buf.Config().Q
+	pc := pktbuf.Config{
+		Queues:             cfg.Q,
+		LineRate:           pktbuf.OC768,
+		Granularity:        cfg.Bsmall,
+		Banks:              cfg.Banks,
+		BankCapacityBlocks: cfg.BankCapacityBlocks,
+		Renaming:           cfg.Renaming,
+		Organization:       pktbuf.Organization(cfg.Org),
+		MMA:                pktbuf.MMA(cfg.MMA),
+		Lookahead:          cfg.Lookahead,
+		LatencySlots:       cfg.LatencySlots,
+	}
+	if got, err := facade.CoreConfig(pc); err != nil || got != cfg {
+		t.Fatalf("public config %+v maps to %+v (%v), want %+v", pc, got, err, cfg)
+	}
+	buf, err := pktbuf.New(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// withoutFF zeroes the only counter per-slot ticking cannot
+// accumulate, so fast-forwarded and ticked runs compare exactly.
+func withoutFF(s pktbuf.Stats) pktbuf.Stats {
+	s.FastForwardedSlots = 0
+	return s
+}
+
+// recordStimulus drives buf slot by slot with a seeded phase machine —
+// busy, fill-only and drain-only phases, plus (with idleGaps) fully
+// idle phases long enough to outlast the request pipeline — and
+// records every Input with its Output. Requests drain round-robin
+// against the live buffer, like the §3 adversary. Without idleGaps no
+// slot is fully idle, so a replay exercises the ticked path alone.
+func recordStimulus(t *testing.T, buf *pktbuf.Buffer, rng *rand.Rand, slots int, idleGaps bool) ([]pktbuf.Input, []pktbuf.Output) {
+	t.Helper()
+	ins := make([]pktbuf.Input, 0, slots)
+	outs := make([]pktbuf.Output, 0, slots)
+	cfg := facade.CoreOf(buf).Config()
+	pipe := cfg.Lookahead + cfg.LatencySlots
 	rrNext := 0
 	for len(ins) < slots {
-		in := TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
-		if rng.Float64() < 0.9 {
-			in.Arrival = cell.QueueID(rng.Intn(queues))
+		kinds := 3
+		if idleGaps {
+			kinds = 4
 		}
-		if rng.Float64() < 0.85 {
-			for i := 0; i < queues; i++ {
-				q := cell.QueueID((rrNext + i) % queues)
-				if buf.Requestable(q) > 0 {
-					in.Request = q
-					rrNext = (int(q) + 1) % queues
-					break
+		kind := rng.Intn(kinds)
+		length := 1 + rng.Intn(60)
+		if kind == 3 {
+			length = pipe + 1 + rng.Intn(3*pipe+2*cfg.Q*cfg.Bsmall)
+		}
+		for s := 0; s < length && len(ins) < slots; s++ {
+			in := pktbuf.Input{Arrival: pktbuf.None, Request: pktbuf.None}
+			if (kind == 0 || kind == 1) && rng.Float64() < 0.8 {
+				in.Arrival = pktbuf.Queue(rng.Intn(cfg.Q))
+			}
+			if kind == 0 || kind == 2 {
+				for i := 0; i < cfg.Q; i++ {
+					q := pktbuf.Queue((rrNext + i) % cfg.Q)
+					if buf.Requestable(q) > 0 {
+						in.Request = q
+						rrNext = (int(q) + 1) % cfg.Q
+						break
+					}
 				}
 			}
+			if !idleGaps && in.Arrival == pktbuf.None && in.Request == pktbuf.None {
+				in.Arrival = pktbuf.Queue(rng.Intn(cfg.Q))
+			}
+			out, err := buf.Tick(in)
+			if err != nil {
+				t.Fatalf("reference tick slot %d: %v", len(ins), err)
+			}
+			ins = append(ins, in)
+			outs = append(outs, out)
 		}
-		if in.Arrival == cell.NoQueue && in.Request == cell.NoQueue {
-			// Keep the stimulus dense: an all-idle slot would open a
-			// fast-forward window and this suite pins the slot loop alone.
-			in.Arrival = cell.QueueID(rng.Intn(queues))
-		}
-		out, err := buf.Tick(in)
-		if err != nil {
-			t.Fatalf("reference tick slot %d: %v", len(ins), err)
-		}
-		oc := slotOutcome{}
-		if out.Delivered != nil {
-			oc = slotOutcome{ok: true, bypassed: out.Bypassed, cell: *out.Delivered}
-		}
-		ins = append(ins, in)
-		outs = append(outs, oc)
 	}
 	return ins, outs
 }
 
 // replayBatches replays ins through buf.TickBatch in chunks of
 // batchLen and asserts outcome-for-outcome equality with want.
-func replayBatches(t *testing.T, buf *Buffer, ins []TickInput, want []slotOutcome, batchLen int) {
+func replayBatches(t *testing.T, buf *pktbuf.Buffer, ins []pktbuf.Input, want []pktbuf.Output, batchLen int) {
 	t.Helper()
-	out := make([]TickOutput, batchLen)
-	pos := 0
-	for pos < len(ins) {
-		n := batchLen
-		if left := len(ins) - pos; left < n {
-			n = left
-		}
+	out := make([]pktbuf.Output, batchLen)
+	for pos := 0; pos < len(ins); {
+		n := min(batchLen, len(ins)-pos)
 		m, err := buf.TickBatch(ins[pos:pos+n], out[:n])
 		if err != nil {
-			t.Fatalf("fused batch at slot %d: %v", pos+m-1, err)
+			t.Fatalf("batch at slot %d: %v", pos+m-1, err)
 		}
 		for i := 0; i < m; i++ {
-			w := want[pos+i]
-			g := slotOutcome{}
-			if out[i].Delivered != nil {
-				g = slotOutcome{ok: true, bypassed: out[i].Bypassed, cell: *out[i].Delivered}
-			}
-			if g != w {
-				t.Fatalf("slot %d: fused %+v, reference %+v", pos+i, g, w)
+			if out[i] != want[pos+i] {
+				t.Fatalf("slot %d: batch %+v, reference %+v", pos+i, out[i], want[pos+i])
 			}
 		}
 		pos += m
 	}
 }
 
-// TestKernelDifferential pins TickBatch ≡ per-slot Tick on dense
-// spans (the name dates from the fused kernel this suite once held to
-// tickSlot; both now run tickSlot, so what it pins is the batch
-// wrapper): replaying a recorded full-load workload in batches must be
-// bit-identical to the slot-at-a-time run — same deliveries in the
-// same slots, each read back from the batch-local scratch after the
-// whole batch has run, same final statistics, same clock — across
-// ECQF/MDQF × b × bounded/unbounded DRAM × renaming and across batch
-// lengths that do and do not divide the b-slot MMA cycle or the
-// completion ring.
+// TestKernelDifferential pins TickBatch ≡ per-slot Tick: replaying a
+// recorded workload in batches must be bit-identical to the
+// slot-at-a-time run — same outputs in the same slots, same final
+// statistics (FastForwardedSlots aside), same clock — across the
+// ECQF/MDQF × b × bounded/unbounded DRAM × renaming matrix and across
+// batch lengths that do and do not divide the b-slot MMA cycle or the
+// completion ring. The dense workload keeps every slot busy, so it
+// pins the ticked path with no fast-forward; the sparse one has idle
+// gaps that outlast the pipeline, so every batch length also skips
+// idle runs.
 func TestKernelDifferential(t *testing.T) {
-	for ci, cfg := range ffConfigs() {
+	for ci, cfg := range core.FFConfigs() {
 		cfg := cfg
 		name := fmt.Sprintf("%s/b=%d/cap=%d/ren=%v", cfg.MMA, cfg.Bsmall, cfg.BankCapacityBlocks, cfg.Renaming)
 		t.Run(name, func(t *testing.T) {
-			ref, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(94017 + ci)))
-			ins, want := denseStimulus(t, ref, rng, 20000)
-
-			for _, batchLen := range []int{1, 7, 256, 20000} {
-				fused, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				replayBatches(t, fused, ins, want, batchLen)
-				if got, wantS := fused.Stats(), ref.Stats(); got != wantS {
-					t.Errorf("batchLen %d: stats diverge:\nfused %+v\nref   %+v", batchLen, got, wantS)
-				}
-				if fused.Now() != ref.Now() {
-					t.Errorf("batchLen %d: clock diverges: fused %d, ref %d", batchLen, fused.Now(), ref.Now())
+			for _, sparse := range []bool{false, true} {
+				ref := publicBuffer(t, cfg)
+				rng := rand.New(rand.NewSource(int64(94017 + ci)))
+				ins, want := recordStimulus(t, ref, rng, 20000, sparse)
+				for _, batchLen := range []int{1, 7, 256, 20000} {
+					buf := publicBuffer(t, cfg)
+					replayBatches(t, buf, ins, want, batchLen)
+					got, wantS := buf.Stats(), ref.Stats()
+					if ff := got.FastForwardedSlots; sparse == (ff == 0) {
+						t.Errorf("sparse=%v batchLen %d: %d slots fast-forwarded", sparse, batchLen, ff)
+					}
+					if withoutFF(got) != wantS {
+						t.Errorf("sparse=%v batchLen %d: stats diverge:\nbatch %+v\nref   %+v", sparse, batchLen, got, wantS)
+					}
+					if buf.Now() != ref.Now() {
+						t.Errorf("sparse=%v batchLen %d: clock diverges: batch %d, ref %d", sparse, batchLen, buf.Now(), ref.Now())
+					}
 				}
 			}
 		})
@@ -124,61 +165,51 @@ func TestKernelDifferential(t *testing.T) {
 
 // TestKernelErrorParity pins TickBatch's error semantics against
 // per-slot Tick: an invalid request mid-batch must surface the same
-// sentinel after the same number of slots, the offending slot must
-// still complete, and the two buffers must remain bit-identical
-// afterwards.
+// error after the same number of slots, the offending slot must still
+// complete, and the two buffers must remain bit-identical afterwards.
 func TestKernelErrorParity(t *testing.T) {
-	cfg := Config{Q: 8, B: 8, Bsmall: 4, Banks: 16}
-	mk := func() *Buffer {
-		buf, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf
-	}
-	ref, fused := mk(), mk()
+	cfg := core.Config{Q: 8, B: 8, Bsmall: 4, Banks: 16}
+	ref, buf := publicBuffer(t, cfg), publicBuffer(t, cfg)
 
 	// A batch whose third slot requests an empty queue.
-	ins := []TickInput{
-		{Arrival: 0, Request: cell.NoQueue},
-		{Arrival: 1, Request: cell.NoQueue},
+	ins := []pktbuf.Input{
+		{Arrival: 0, Request: pktbuf.None},
+		{Arrival: 1, Request: pktbuf.None},
 		{Arrival: 2, Request: 7},
-		{Arrival: 3, Request: cell.NoQueue},
+		{Arrival: 3, Request: pktbuf.None},
 	}
 	var refErr error
 	refSlots := 0
 	for _, in := range ins {
-		if _, err := ref.Tick(in); err != nil {
-			refErr = err
-			refSlots++
+		refSlots++
+		if _, refErr = ref.Tick(in); refErr != nil {
 			break
 		}
-		refSlots++
 	}
-	out := make([]TickOutput, len(ins))
-	n, err := fused.TickBatch(ins, out)
-	if (err == nil) != (refErr == nil) || n != refSlots {
-		t.Fatalf("fused stopped after %d slots (err %v); reference after %d (err %v)", n, err, refSlots, refErr)
+	out := make([]pktbuf.Output, len(ins))
+	n, err := buf.TickBatch(ins, out)
+	if n != refSlots || !errors.Is(err, pktbuf.ErrBadRequest) || err.Error() != refErr.Error() {
+		t.Fatalf("batch stopped after %d slots (err %v); reference after %d (err %v)", n, err, refSlots, refErr)
 	}
-	if got, want := fused.Stats(), ref.Stats(); got != want {
-		t.Errorf("stats diverge after error:\nfused %+v\nref   %+v", got, want)
+	if got, want := buf.Stats(), ref.Stats(); got != want {
+		t.Errorf("stats diverge after error:\nbatch %+v\nref   %+v", got, want)
 	}
-	if fused.Now() != ref.Now() {
-		t.Errorf("clock diverges after error: fused %d, ref %d", fused.Now(), ref.Now())
+	if buf.Now() != ref.Now() {
+		t.Errorf("clock diverges after error: batch %d, ref %d", buf.Now(), ref.Now())
 	}
 
 	// Both continue identically after the error.
-	rest := []TickInput{{Arrival: 4, Request: 0}, {Arrival: 5, Request: 1}}
+	rest := []pktbuf.Input{{Arrival: 4, Request: 0}, {Arrival: 5, Request: 1}}
 	for _, in := range rest {
 		if _, err := ref.Tick(in); err != nil {
 			t.Fatalf("reference resume: %v", err)
 		}
 	}
-	if _, err := fused.TickBatch(rest, out[:len(rest)]); err != nil {
-		t.Fatalf("fused resume: %v", err)
+	if _, err := buf.TickBatch(rest, out[:len(rest)]); err != nil {
+		t.Fatalf("batch resume: %v", err)
 	}
-	if got, want := fused.Stats(), ref.Stats(); got != want {
-		t.Errorf("stats diverge after resume:\nfused %+v\nref   %+v", got, want)
+	if got, want := buf.Stats(), ref.Stats(); got != want {
+		t.Errorf("stats diverge after resume:\nbatch %+v\nref   %+v", got, want)
 	}
 }
 
@@ -189,12 +220,8 @@ func TestKernelErrorParity(t *testing.T) {
 // to slot-at-a-time ticks.
 func TestTickBatchBoundaries(t *testing.T) {
 	t.Run("zero-length", func(t *testing.T) {
-		buf, err := New(Config{Q: 4, B: 8, Bsmall: 4, Banks: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := buf.TickBatch(nil, nil)
-		if n != 0 || err != nil {
+		buf := publicBuffer(t, core.Config{Q: 4, B: 8, Bsmall: 4, Banks: 16})
+		if n, err := buf.TickBatch(nil, nil); n != 0 || err != nil {
 			t.Fatalf("TickBatch(nil) = %d, %v", n, err)
 		}
 		if buf.Now() != 0 {
@@ -203,79 +230,59 @@ func TestTickBatchBoundaries(t *testing.T) {
 	})
 
 	t.Run("length-1", func(t *testing.T) {
-		cfg := Config{Q: 4, B: 8, Bsmall: 2, Banks: 16}
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]TickOutput, 1)
+		cfg := core.Config{Q: 4, B: 8, Bsmall: 2, Banks: 16}
+		ref, buf := publicBuffer(t, cfg), publicBuffer(t, cfg)
+		out := make([]pktbuf.Output, 1)
 		for i := 0; i < 4*cfg.Q*cfg.Bsmall; i++ {
-			in := TickInput{Arrival: cell.QueueID(i % cfg.Q), Request: cell.NoQueue}
+			in := pktbuf.Input{Arrival: pktbuf.Queue(i % cfg.Q), Request: pktbuf.None}
 			if i%2 == 1 {
-				in.Request = cell.QueueID((i / 2) % cfg.Q)
+				in.Request = pktbuf.Queue((i / 2) % cfg.Q)
 			}
 			wantOut, wantErr := ref.Tick(in)
-			n, gotErr := fused.TickBatch([]TickInput{in}, out)
+			n, gotErr := buf.TickBatch([]pktbuf.Input{in}, out)
 			if n != 1 || (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("slot %d: batch n=%d err=%v, reference err=%v", i, n, gotErr, wantErr)
 			}
-			switch {
-			case (wantOut.Delivered == nil) != (out[0].Delivered == nil):
-				t.Fatalf("slot %d: delivery presence diverges", i)
-			case wantOut.Delivered != nil && (*wantOut.Delivered != *out[0].Delivered || wantOut.Bypassed != out[0].Bypassed):
-				t.Fatalf("slot %d: delivered cell diverges", i)
+			if out[0] != wantOut {
+				t.Fatalf("slot %d: batch %+v, reference %+v", i, out[0], wantOut)
 			}
 		}
-		if got, want := fused.Stats(), ref.Stats(); got != want {
-			t.Errorf("stats diverge:\nfused %+v\nref   %+v", got, want)
+		if got, want := buf.Stats(), ref.Stats(); got != want {
+			t.Errorf("stats diverge:\nbatch %+v\nref   %+v", got, want)
 		}
 	})
 
 	t.Run("quiescent-to-busy-straddle", func(t *testing.T) {
-		cfg := Config{Q: 4, B: 8, Bsmall: 4, Banks: 16, Lookahead: 2, LatencySlots: 2}
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := core.Config{Q: 4, B: 8, Bsmall: 4, Banks: 16, Lookahead: 2, LatencySlots: 2}
+		ref, buf := publicBuffer(t, cfg), publicBuffer(t, cfg)
 		// One batch: idle span long past quiescence, then a busy tail.
-		var ins []TickInput
+		var ins []pktbuf.Input
 		for i := 0; i < 64; i++ {
-			ins = append(ins, TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue})
+			ins = append(ins, pktbuf.Input{Arrival: pktbuf.None, Request: pktbuf.None})
 		}
 		for i := 0; i < 40; i++ {
-			in := TickInput{Arrival: cell.QueueID(i % cfg.Q), Request: cell.NoQueue}
+			in := pktbuf.Input{Arrival: pktbuf.Queue(i % cfg.Q), Request: pktbuf.None}
 			if i >= 8 {
-				in.Request = cell.QueueID((i - 8) % cfg.Q)
+				in.Request = pktbuf.Queue((i - 8) % cfg.Q)
 			}
 			ins = append(ins, in)
 		}
-		want := make([]slotOutcome, len(ins))
+		want := make([]pktbuf.Output, len(ins))
 		for i, in := range ins {
-			out, err := ref.Tick(in)
-			if err != nil {
+			var err error
+			if want[i], err = ref.Tick(in); err != nil {
 				t.Fatalf("reference slot %d: %v", i, err)
 			}
-			if out.Delivered != nil {
-				want[i] = slotOutcome{ok: true, bypassed: out.Bypassed, cell: *out.Delivered}
-			}
 		}
-		replayBatches(t, fused, ins, want, len(ins))
-		if fused.Stats().FastForwardedSlots == 0 {
+		replayBatches(t, buf, ins, want, len(ins))
+		if buf.Stats().FastForwardedSlots == 0 {
 			t.Error("straddling batch never fast-forwarded its idle prefix")
 		}
-		if got, wantS := normalizeFF(fused.Stats()), normalizeFF(ref.Stats()); got != wantS {
-			t.Errorf("stats diverge:\nfused %+v\nref   %+v", got, wantS)
+		if got, wantS := withoutFF(buf.Stats()), ref.Stats(); got != wantS {
+			t.Errorf("stats diverge:\nbatch %+v\nref   %+v", got, wantS)
 		}
-		if fused.Now() != ref.Now() {
-			t.Errorf("clock diverges: fused %d, ref %d", fused.Now(), ref.Now())
+		if buf.Now() != ref.Now() {
+			t.Errorf("clock diverges: batch %d, ref %d", buf.Now(), ref.Now())
 		}
 	})
 
@@ -283,21 +290,14 @@ func TestTickBatchBoundaries(t *testing.T) {
 		// Renaming config under sustained load; batch boundaries are
 		// deliberately coprime to the b-slot cycle so batches end with
 		// renamed blocks and replenishments in flight.
-		cfg := Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, Renaming: true, BankCapacityBlocks: 64}
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(424242))
-		ins, want := denseStimulus(t, ref, rng, 5000)
+		cfg := core.Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, Renaming: true, BankCapacityBlocks: 64}
+		ref := publicBuffer(t, cfg)
+		ins, want := recordStimulus(t, ref, rand.New(rand.NewSource(424242)), 5000, false)
 		for _, batchLen := range []int{3, 5, 7, 11, 13} {
-			fused, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replayBatches(t, fused, ins, want, batchLen)
-			if got, wantS := fused.Stats(), ref.Stats(); got != wantS {
-				t.Errorf("batchLen %d: stats diverge:\nfused %+v\nref   %+v", batchLen, got, wantS)
+			buf := publicBuffer(t, cfg)
+			replayBatches(t, buf, ins, want, batchLen)
+			if got, wantS := buf.Stats(), ref.Stats(); got != wantS {
+				t.Errorf("batchLen %d: stats diverge:\nbatch %+v\nref   %+v", batchLen, got, wantS)
 			}
 		}
 	})

@@ -244,6 +244,7 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 		}
 		f.set(v)
 	}
+	b.deriveCursors()
 
 	if err := fr.Expect("core-stats"); err != nil {
 		return nil, err

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/cell"
 )
 
 // TestSnapshotDifferential pins the crash-safety tentpole: interrupting
@@ -88,10 +90,11 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreThenBatch pins that a restored buffer runs
-// TickBatch identically: the batch-local delivered scratch is not
-// serialized, so the first TickBatch after a restore is the
-// interesting one.
+// TestSnapshotRestoreThenBatch pins that a restored buffer runs a
+// workload with idle runs identically when it fast-forwards them: the
+// slot cursors (completion-ring index, MMA cycle phase) are not
+// serialised but re-derived from the clock, so the first jumps and
+// ticks after a restore are the interesting ones.
 func TestSnapshotRestoreThenBatch(t *testing.T) {
 	cfg := Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, Renaming: true, BankCapacityBlocks: 64}
 	ref, err := New(cfg)
@@ -99,7 +102,7 @@ func TestSnapshotRestoreThenBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(51109))
-	ins, want := denseStimulus(t, ref, rng, 4000)
+	ins, want := phasedStimulus(t, ref, rng, 4000)
 
 	cut := len(ins) / 2
 	live, err := New(cfg)
@@ -119,8 +122,11 @@ func TestSnapshotRestoreThenBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayBatches(t, restored, ins[cut:], want[cut:], 23)
-	if got, wantS := restored.Stats(), ref.Stats(); got != wantS {
+	replayFastForward(t, restored, ins[cut:], want[cut:])
+	if restored.Stats().FastForwardedSlots == 0 {
+		t.Error("restored buffer never fast-forwarded")
+	}
+	if got, wantS := normalizeFF(restored.Stats()), ref.Stats(); got != wantS {
 		t.Errorf("final stats diverge:\nrestored %+v\nref      %+v", got, wantS)
 	}
 }
@@ -169,4 +175,47 @@ func TestSnapshotTruncated(t *testing.T) {
 	if _, err := RestoreBuffer(bytes.NewReader(snap.Bytes()[:cutoff]), cfg); err == nil {
 		t.Fatal("restore of a truncated snapshot succeeded")
 	}
+}
+
+// denseStimulus drives buf slot-by-slot with a seeded full-load
+// workload (an arrival almost every slot, a round-robin drain against
+// the live view) and records every TickInput plus the delivery
+// outcome. Unlike phasedStimulus it emits no fully idle slot.
+func denseStimulus(t *testing.T, buf *Buffer, rng *rand.Rand, slots int) ([]TickInput, []slotOutcome) {
+	t.Helper()
+	ins := make([]TickInput, 0, slots)
+	outs := make([]slotOutcome, 0, slots)
+	queues := buf.Config().Q
+	rrNext := 0
+	for len(ins) < slots {
+		in := TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
+		if rng.Float64() < 0.9 {
+			in.Arrival = cell.QueueID(rng.Intn(queues))
+		}
+		if rng.Float64() < 0.85 {
+			for i := 0; i < queues; i++ {
+				q := cell.QueueID((rrNext + i) % queues)
+				if buf.Requestable(q) > 0 {
+					in.Request = q
+					rrNext = (int(q) + 1) % queues
+					break
+				}
+			}
+		}
+		if in.Arrival == cell.NoQueue && in.Request == cell.NoQueue {
+			// Keep the stimulus dense: no all-idle slot.
+			in.Arrival = cell.QueueID(rng.Intn(queues))
+		}
+		out, err := buf.Tick(in)
+		if err != nil {
+			t.Fatalf("reference tick slot %d: %v", len(ins), err)
+		}
+		oc := slotOutcome{}
+		if out.Delivered != nil {
+			oc = slotOutcome{ok: true, bypassed: out.Bypassed, cell: *out.Delivered}
+		}
+		ins = append(ins, in)
+		outs = append(outs, oc)
+	}
+	return ins, outs
 }

@@ -31,7 +31,8 @@ type Stats struct {
 	// cells, for validating the dimensioning formulas.
 	TailHighWater, HeadHighWater int
 	// FastForwardedSlots counts slots skipped in O(1) by FastForward
-	// (and the fused TickBatch idle path) instead of being ticked.
+	// (directly or through the pktbuf TickBatch idle path) instead of
+	// being ticked.
 	// It is the only counter dense slot-by-slot ticking leaves zero:
 	// equivalence comparisons exclude it by definition.
 	FastForwardedSlots uint64

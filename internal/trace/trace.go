@@ -89,7 +89,9 @@ func Read(r io.Reader) (*Trace, error) {
 				if len(tok) < 2 {
 					return nil, fmt.Errorf("%w %d: %q", ErrFormat, line, text)
 				}
-				n, err := strconv.Atoi(tok[1:])
+				// Queue ids are int32 on the datapath: a wider id must
+				// not wrap into some other queue.
+				n, err := strconv.ParseInt(tok[1:], 10, 32)
 				if err != nil || n < 0 {
 					return nil, fmt.Errorf("%w %d: %q", ErrFormat, line, text)
 				}

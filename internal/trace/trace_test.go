@@ -52,6 +52,35 @@ func TestReadFormat(t *testing.T) {
 	}
 }
 
+// TestReadQueueRange pins that queue ids outside int32 are rejected
+// rather than wrapped into another queue.
+func TestReadQueueRange(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		ok   bool
+	}{
+		{"a2147483647", true},
+		{"r2147483647", true},
+		{"a2147483648", false},
+		{"a4294967298", false},
+		{"r20000000000", false},
+	} {
+		tr, err := Read(strings.NewReader(tc.line + "\n"))
+		if !tc.ok {
+			if !errors.Is(err, ErrFormat) {
+				t.Errorf("Read(%q) err = %v, want ErrFormat", tc.line, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Read(%q): %v", tc.line, err)
+		}
+		if e := tr.Events[0]; e.Arrival != 2147483647 && e.Request != 2147483647 {
+			t.Errorf("Read(%q) = %+v", tc.line, e)
+		}
+	}
+}
+
 func TestCaptureGenerators(t *testing.T) {
 	arr, _ := sim.NewRoundRobinArrivals(4, 1.0)
 	req, _ := sim.NewRoundRobinDrain(4)

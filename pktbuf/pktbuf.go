@@ -265,10 +265,6 @@ func (s Stats) Sub(prev Stats) Stats {
 type Buffer struct {
 	inner *core.Buffer
 	cfg   Config
-	// inScratch / outScratch are the conversion buffers TickBatch
-	// reuses, so repeated batch calls allocate nothing.
-	inScratch  []core.TickInput
-	outScratch []core.TickOutput
 }
 
 // coreConfig applies the façade's defaulting and validation to cfg
@@ -355,43 +351,57 @@ func (b *Buffer) Tick(in Input) (Output, error) {
 // outcome to out[i]. It requires len(out) ≥ len(in) and returns the
 // number of slots ticked. On error it stops after the offending slot
 // (which, per Tick semantics, still completed and has its outcome in
-// out[n-1]). TickBatch is the batch entry point for precomputed
-// stimulus: semantically identical to calling Tick per element — the
-// skipped-slot accounting in Stats.FastForwardedSlots aside — it
-// allocates nothing (after warm-up of its reusable scratch) and lets
-// a caller drive thousands of slots per call. Every slot runs the
-// same slot body Tick runs; the batch additionally converts runs of
-// fully idle inputs into an O(1) fast-forward as soon as the buffer is
-// quiescent, so sparse stimulus costs per event, not per slot. Outputs
-// have value semantics as always: every out[i] remains valid
-// indefinitely.
+// out[n-1]). The outcome is identical to calling Tick once per
+// element, statistics included — Stats.FastForwardedSlots aside.
+//
+// TickBatch is the batch entry point for precomputed stimulus, and
+// sparse stimulus costs per event, not per slot. It reads the inputs
+// in one pass. Each run of idle inputs (Arrival and Request both None)
+// is scanned once; at each idle slot one quiescence probe decides
+// whether the buffer can skip the rest of the run in O(1)
+// (FastForward) with zero outputs, or must tick the slot. Every
+// ticked slot runs the slot body Tick runs, exactly once, and writes
+// its Output in place. There is no scratch and no allocation at all,
+// from the first call. Outputs have value semantics as always: every
+// out[i] remains valid indefinitely.
+//
+//pktbuf:hotpath
 func (b *Buffer) TickBatch(in []Input, out []Output) (int, error) {
 	if len(out) < len(in) {
-		return 0, fmt.Errorf("pktbuf: TickBatch output slice too short: %d outputs for %d inputs: %w",
-			len(out), len(in), ErrBadConfig)
+		return 0, shortOutputError(len(out), len(in))
 	}
-	if cap(b.inScratch) < len(in) {
-		b.inScratch = make([]core.TickInput, len(in))
-		b.outScratch = make([]core.TickOutput, len(in))
-	}
-	cin := b.inScratch[:len(in)]
-	cout := b.outScratch[:len(in)]
-	for i, v := range in {
-		cin[i] = core.TickInput{Arrival: cell.QueueID(v.Arrival), Request: cell.QueueID(v.Request)}
-	}
-	n, err := b.inner.TickBatch(cin, cout)
-	for i := 0; i < n; i++ {
-		if d := cout[i].Delivered; d != nil {
-			out[i] = Output{
-				Delivered: Cell{Queue: Queue(d.Queue), Seq: d.Seq},
-				Ok:        true,
-				Bypassed:  cout[i].Bypassed,
+	runEnd := 0 // end of the idle run scanned last
+	for i := 0; i < len(in); i++ {
+		v := in[i]
+		if v.Arrival == None && v.Request == None {
+			if runEnd <= i {
+				runEnd = i + 1
+				for runEnd < len(in) && in[runEnd].Arrival == None && in[runEnd].Request == None {
+					runEnd++
+				}
 			}
-		} else {
-			out[i] = Output{}
+			if b.inner.FastForward(uint64(runEnd-i)) != 0 {
+				clear(out[i:runEnd])
+				i = runEnd - 1
+				continue
+			}
+		}
+		var err error
+		if out[i], err = b.Tick(v); err != nil {
+			return i + 1, err
 		}
 	}
-	return n, err
+	return len(in), nil
+}
+
+// shortOutputError is TickBatch's cold argument-check error. It is
+// not inlined, so its allocations stay out of the hot path's escape
+// analysis.
+//
+//go:noinline
+func shortOutputError(outs, ins int) error {
+	return fmt.Errorf("pktbuf: TickBatch output slice too short: %d outputs for %d inputs: %w",
+		outs, ins, ErrBadConfig)
 }
 
 // Quiescent reports whether the buffer has no internal work in flight:
