@@ -4,10 +4,15 @@ import (
 	"fmt"
 	"testing"
 
+	psim "repro/pktbuf/sim"
+
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/facade"
 	"repro/internal/sim"
+	"repro/internal/testbuf"
+	"repro/pktbuf"
 )
 
 // ------------------------------------------------------------------
@@ -82,17 +87,14 @@ func BenchmarkHeadline(b *testing.B) {
 func benchSimulate(b *testing.B, cfg core.Config, queues int) {
 	b.Helper()
 	b.ReportAllocs()
-	buf, err := core.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	arr, _ := sim.NewRoundRobinArrivals(queues, 1.0)
-	req, _ := sim.NewRoundRobinDrain(queues)
-	warm := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: sim.NewIdleRequests()}
+	buf := testbuf.New(b, cfg)
+	arr, _ := psim.NewRoundRobinArrivals(queues, 1.0)
+	req, _ := psim.NewRoundRobinDrain(queues)
+	warm := &psim.Runner{Buffer: buf, Arrivals: arr, Requests: psim.NewIdleRequests()}
 	if _, err := warm.Run(uint64(queues * cfg.Bsmall * 8)); err != nil {
 		b.Fatal(err)
 	}
-	r := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
+	r := &psim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
 	b.ResetTimer()
 	res, err := r.RunBatch(uint64(b.N), 0)
 	if err != nil {
@@ -155,13 +157,10 @@ func BenchmarkSimulateRenaming(b *testing.B) {
 // one queue) at full drain rate.
 func BenchmarkSimulateHotspot(b *testing.B) {
 	b.ReportAllocs()
-	buf, err := core.New(core.Config{Q: 32, B: 32, Bsmall: 4, Banks: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	arr, _ := sim.NewHotspotArrivals(32, 1.0, 0.8, 17)
-	req, _ := sim.NewRoundRobinDrain(32)
-	r := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
+	buf := testbuf.New(b, core.Config{Q: 32, B: 32, Bsmall: 4, Banks: 256})
+	arr, _ := psim.NewHotspotArrivals(32, 1.0, 0.8, 17)
+	req, _ := psim.NewRoundRobinDrain(32)
+	r := &psim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
 	b.ResetTimer()
 	res, err := r.RunBatch(uint64(b.N), 0)
 	if err != nil {
@@ -178,17 +177,14 @@ func BenchmarkSimulateHotspot(b *testing.B) {
 // simulator handles the full system.
 func BenchmarkSimulateLargeScale(b *testing.B) {
 	b.ReportAllocs()
-	buf, err := core.New(core.Config{Q: 512, B: 32, Bsmall: 4, Banks: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	arr, _ := sim.NewRoundRobinArrivals(512, 1.0)
-	req, _ := sim.NewRoundRobinDrain(512)
-	warm := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: sim.NewIdleRequests()}
+	buf := testbuf.New(b, core.Config{Q: 512, B: 32, Bsmall: 4, Banks: 256})
+	arr, _ := psim.NewRoundRobinArrivals(512, 1.0)
+	req, _ := psim.NewRoundRobinDrain(512)
+	warm := &psim.Runner{Buffer: buf, Arrivals: arr, Requests: psim.NewIdleRequests()}
 	if _, err := warm.Run(512 * 16); err != nil {
 		b.Fatal(err)
 	}
-	r := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
+	r := &psim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
 	b.ResetTimer()
 	res, err := r.RunBatch(uint64(b.N), 0)
 	if err != nil {
@@ -204,16 +200,13 @@ func BenchmarkSimulateLargeScale(b *testing.B) {
 // one queue sustains 2 cells/slot on B/b banks (skips exercised).
 func BenchmarkSingleQueueBlast(b *testing.B) {
 	b.ReportAllocs()
-	buf, err := core.New(core.Config{Q: 16, B: 32, Bsmall: 4, Banks: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	req, _ := sim.NewRoundRobinDrain(16)
-	warm := &sim.Runner{Buffer: buf, Arrivals: sim.NewSingleQueueArrivals(0), Requests: sim.NewIdleRequests()}
+	buf := testbuf.New(b, core.Config{Q: 16, B: 32, Bsmall: 4, Banks: 64})
+	req, _ := psim.NewRoundRobinDrain(16)
+	warm := &psim.Runner{Buffer: buf, Arrivals: psim.NewSingleQueueArrivals(0), Requests: psim.NewIdleRequests()}
 	if _, err := warm.Run(512); err != nil {
 		b.Fatal(err)
 	}
-	r := &sim.Runner{Buffer: buf, Arrivals: sim.NewSingleQueueArrivals(0), Requests: req}
+	r := &psim.Runner{Buffer: buf, Arrivals: psim.NewSingleQueueArrivals(0), Requests: req}
 	b.ResetTimer()
 	res, err := r.RunBatch(uint64(b.N), 0)
 	if err != nil {
@@ -223,7 +216,7 @@ func BenchmarkSingleQueueBlast(b *testing.B) {
 	if res.Stats.Misses != 0 {
 		b.Fatal("misses")
 	}
-	b.ReportMetric(float64(res.Stats.DSS.MaxSkips), "max-skips")
+	b.ReportMetric(float64(res.Stats.MaxRequestSkips), "max-skips")
 }
 
 // BenchmarkTick measures the raw per-slot cost of the buffer with no
@@ -253,22 +246,49 @@ func BenchmarkTick(b *testing.B) {
 // BENCH_baseline.json.
 // ------------------------------------------------------------------
 
-func benchTickSteadyState(b *testing.B, cfg core.Config, queues int) {
-	b.Helper()
-	buf, err := core.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+// coreArrivals and coreRequests hand internal generators to the
+// public Runner: the Tick benchmarks warm a buffer through the Runner
+// and then time core.Buffer.Tick driven by the same generator
+// instances, with no public adapter inside the timed loop.
+type coreArrivals struct{ inner sim.ArrivalProcess }
+
+func (a coreArrivals) Next(slot uint64) pktbuf.Queue {
+	return pktbuf.Queue(a.inner.Next(cell.Slot(slot)))
+}
+
+type coreRequests struct {
+	inner sim.RequestPolicy
+	buf   *core.Buffer
+}
+
+func (r coreRequests) Next(slot uint64, _ psim.View) pktbuf.Queue {
+	return pktbuf.Queue(r.inner.Next(cell.Slot(slot), r.buf))
+}
+
+// warmCore builds the buffer dimensioned as cfg and runs it through
+// the public Runner: warmSlots of round-robin arrivals with no
+// requests, then steadySlots under the §3 round-robin drain. It
+// returns the core buffer and the generators, positioned to go on.
+func warmCore(tb testing.TB, cfg core.Config, queues int, warmSlots, steadySlots uint64) (*core.Buffer, sim.ArrivalProcess, sim.RequestPolicy) {
+	tb.Helper()
+	pub := testbuf.New(tb, cfg)
+	buf := facade.CoreOf(pub)
 	arr, _ := sim.NewRoundRobinArrivals(queues, 1.0)
 	req, _ := sim.NewRoundRobinDrain(queues)
-	warm := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: sim.NewIdleRequests()}
-	if _, err := warm.Run(uint64(queues * cfg.B * 4)); err != nil {
-		b.Fatal(err)
+	warm := &psim.Runner{Buffer: pub, Arrivals: coreArrivals{arr}, Requests: coreRequests{sim.NewIdleRequests(), buf}}
+	if _, err := warm.Run(warmSlots); err != nil {
+		tb.Fatal(err)
 	}
-	steady := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
-	if _, err := steady.Run(uint64(queues * cfg.B * 8)); err != nil {
-		b.Fatal(err)
+	steady := &psim.Runner{Buffer: pub, Arrivals: coreArrivals{arr}, Requests: coreRequests{req, buf}}
+	if _, err := steady.Run(steadySlots); err != nil {
+		tb.Fatal(err)
 	}
+	return buf, arr, req
+}
+
+func benchTickSteadyState(b *testing.B, cfg core.Config, queues int) {
+	b.Helper()
+	buf, arr, req := warmCore(b, cfg, queues, uint64(queues*cfg.B*4), uint64(queues*cfg.B*8))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -325,34 +345,31 @@ func BenchmarkTickOC3072LargeScale(b *testing.B) {
 // ------------------------------------------------------------------
 
 // benchDenseArrivals hides the sparse/batch fast paths of a generator.
-type benchDenseArrivals struct{ inner sim.ArrivalProcess }
+type benchDenseArrivals struct{ inner psim.ArrivalProcess }
 
-func (d benchDenseArrivals) Next(slot cell.Slot) cell.QueueID { return d.inner.Next(slot) }
+func (d benchDenseArrivals) Next(slot uint64) pktbuf.Queue { return d.inner.Next(slot) }
 
 // benchUnstableRequests hides a policy's idle-stable marker.
-type benchUnstableRequests struct{ inner sim.RequestPolicy }
+type benchUnstableRequests struct{ inner psim.RequestPolicy }
 
-func (u benchUnstableRequests) Next(slot cell.Slot, v sim.View) cell.QueueID {
+func (u benchUnstableRequests) Next(slot uint64, v psim.View) pktbuf.Queue {
 	return u.inner.Next(slot, v)
 }
 
 func benchTickSparse(b *testing.B, queues int, load float64, dense bool) {
 	b.ReportAllocs()
-	buf, err := core.New(core.Config{
+	buf := testbuf.New(b, core.Config{
 		Q: queues, B: 32, Bsmall: 32, Banks: 256, Lookahead: 2, LatencySlots: 2,
 	})
+	arr, err := psim.NewBernoulliArrivals(queues, load, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	arr, err := sim.NewBernoulliArrivals(queues, load, 1)
+	req, err := psim.NewRoundRobinDrain(queues)
 	if err != nil {
 		b.Fatal(err)
 	}
-	req, err := sim.NewRoundRobinDrain(queues)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
+	r := &psim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
 	if dense {
 		r.Arrivals = benchDenseArrivals{arr}
 		r.Requests = benchUnstableRequests{req}
@@ -408,20 +425,8 @@ func BenchmarkTickQueueScaling(b *testing.B) {
 	for _, m := range []core.MMAKind{core.ECQF, core.MDQF} {
 		for _, queues := range []int{64, 1024, 16384, 65536} {
 			b.Run(fmt.Sprintf("%s/Q=%d", m, queues), func(b *testing.B) {
-				buf, err := core.New(core.Config{Q: queues, B: 32, Bsmall: 4, Banks: 256, MMA: m})
-				if err != nil {
-					b.Fatal(err)
-				}
-				arr, _ := sim.NewRoundRobinArrivals(queues, 1.0)
-				req, _ := sim.NewRoundRobinDrain(queues)
-				warm := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: sim.NewIdleRequests()}
-				if _, err := warm.Run(uint64(queues * 4)); err != nil {
-					b.Fatal(err)
-				}
-				steady := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
-				if _, err := steady.Run(uint64(queues * 2)); err != nil {
-					b.Fatal(err)
-				}
+				buf, arr, req := warmCore(b, core.Config{Q: queues, B: 32, Bsmall: 4, Banks: 256, MMA: m},
+					queues, uint64(queues*4), uint64(queues*2))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

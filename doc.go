@@ -14,10 +14,10 @@
 // repro/internal and are implementation detail; examples and the
 // pktbufsim harness consume only the public surface, and
 // api_surface_test.go pins the exported API against a golden
-// snapshot. See README.md for the map, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for the paper-versus-measured record.
-// The benchmarks in bench_test.go regenerate every table and figure
-// of the paper's evaluation.
+// snapshot. See README.md for the map; internal/experiments and its
+// tests hold the paper-versus-measured record, and the benchmarks in
+// bench_test.go regenerate every table and figure of the paper's
+// evaluation.
 //
 // # Dense-arena hot path
 //
@@ -52,17 +52,19 @@
 //
 // # Batched simulation driver
 //
-// sim.Runner.RunBatch(slots, batch) is the long-run fast path: it
-// chunks the slot loop, hoists the arrival-generator interface
-// dispatch out of the inner loop for sim.BatchArrivalProcess
-// implementations, resolves the delivery-callback and drop-tolerance
-// branches per batch, and snapshots statistics once per run.
-// cmd/pktbufsim exposes it as -batch; Runner.Run is the batch-size-1
-// special case. The same design is mirrored on the public surface:
-// pktbuf.Buffer.TickBatch and pktbuf/sim.Runner.RunBatch drive the
-// buffer through the façade at internal speed (BenchmarkPktbuf* in
-// facade_bench_test.go holds them within ~1% of the internal suite at
-// zero allocations per slot).
+// repro/pktbuf/sim's Runner is the module's one slot-loop driver;
+// cmd/pktbufsim, the §5 guarantee validation
+// (experiments.ValidateGuarantees) and the root tests all run it.
+// Runner.RunBatch(slots, batch) is the long-run fast path: it chunks
+// the slot loop, generates arrivals a chunk at a time for
+// sim.BatchArrivalProcess implementations, lets the re-exported
+// request policies probe the core buffer directly, resolves the
+// delivery-callback and drop-tolerance branches per batch, and
+// snapshots statistics once per run. cmd/pktbufsim exposes it as
+// -batch; Runner.Run is the batch-size-1 special case. For
+// precomputed stimulus, pktbuf.Buffer.TickBatch is the batch entry
+// point. BenchmarkPktbuf* in facade_bench_test.go holds both within
+// ~1% of the slot-at-a-time core suite at zero allocations per slot.
 //
 // # Event-driven idle time (sparse fast-forward)
 //
@@ -80,7 +82,7 @@
 // pktbuf.Buffer.TickBatch scans each run of fully idle inputs once and
 // skips it with one FastForward as soon as the buffer is quiescent,
 // writing zero outputs. The sim
-// Runners skip idle spans entirely when the arrival process can jump
+// Runner skips idle spans entirely when the arrival process can jump
 // to its next arrival (SparseArrivalProcess; NewBernoulliArrivals
 // draws geometric gaps, one RNG call per arrival) and the request
 // policy is idle-stable (StableRequestPolicy), making a load-ρ run

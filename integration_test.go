@@ -7,7 +7,10 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/facade"
+	"repro/internal/testbuf"
+	"repro/pktbuf"
+	"repro/pktbuf/sim"
 )
 
 // TestMetamorphicRADSvsCFDS: the DRAM reorganization is supposed to be
@@ -113,10 +116,8 @@ func TestPaperScaleConfiguration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run skipped in -short mode")
 	}
-	buf, err := core.New(core.Config{Q: 512, B: 32, Bsmall: 4, Banks: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := testbuf.New(t, core.Config{Q: 512, B: 32, Bsmall: 4, Banks: 256})
+	inner := facade.CoreOf(buf)
 	arr, _ := sim.NewRoundRobinArrivals(512, 1.0)
 	req, _ := sim.NewRoundRobinDrain(512)
 	warm := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: sim.NewIdleRequests()}
@@ -131,13 +132,13 @@ func TestPaperScaleConfiguration(t *testing.T) {
 	if !res.Clean() {
 		t.Fatalf("not clean: %v", res.Stats)
 	}
-	cfg := buf.Config()
-	if res.Stats.HeadHighWater > cfg.HeadSRAMCells {
-		t.Errorf("head high-water %d exceeds capacity %d", res.Stats.HeadHighWater, cfg.HeadSRAMCells)
+	cfg, st := inner.Config(), inner.Stats()
+	if st.HeadHighWater > cfg.HeadSRAMCells {
+		t.Errorf("head high-water %d exceeds capacity %d", st.HeadHighWater, cfg.HeadSRAMCells)
 	}
 	d := cfg.Dimension()
-	if res.Stats.DSS.MaxSkips > cfg.IssuesPerCycle*d.MaxSkips() {
-		t.Errorf("skips %d exceed bound %d", res.Stats.DSS.MaxSkips, cfg.IssuesPerCycle*d.MaxSkips())
+	if st.DSS.MaxSkips > cfg.IssuesPerCycle*d.MaxSkips() {
+		t.Errorf("skips %d exceed bound %d", st.DSS.MaxSkips, cfg.IssuesPerCycle*d.MaxSkips())
 	}
 }
 
@@ -181,10 +182,7 @@ func TestQuickRandomConfigurations(t *testing.T) {
 // TestCellConservationEndToEnd runs a long mixed workload and then
 // drains completely: arrivals must equal deliveries exactly.
 func TestCellConservationEndToEnd(t *testing.T) {
-	buf, err := core.New(core.Config{Q: 16, B: 8, Bsmall: 2, Banks: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := testbuf.New(t, core.Config{Q: 16, B: 8, Bsmall: 2, Banks: 32})
 	arr, _ := sim.NewBurstyArrivals(16, 24, 8, 21)
 	req, _ := sim.NewUniformRequests(16, 0.6, 22)
 	r := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
@@ -200,7 +198,7 @@ func TestCellConservationEndToEnd(t *testing.T) {
 	if st.Arrivals != st.Deliveries {
 		t.Fatalf("arrivals %d != deliveries %d", st.Arrivals, st.Deliveries)
 	}
-	for q := cell.QueueID(0); q < 16; q++ {
+	for q := pktbuf.Queue(0); q < 16; q++ {
 		if buf.Len(q) != 0 {
 			t.Errorf("Len(%d) = %d after drain", q, buf.Len(q))
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/facade"
+	"repro/internal/testbuf"
 	"repro/pktbuf"
 )
 
@@ -17,34 +18,8 @@ import (
 // since pktbuf imports core) because they once held the fused kernel
 // to tickSlot; the TestKernel* ids date from then. Every core.Config
 // used here has B = 8, which the public Config reaches through the
-// OC-768 line rate, so publicBuffer can build the exact configuration
+// OC-768 line rate, so testbuf.New can build the exact configuration
 // through pktbuf.New.
-
-// publicBuffer builds a pktbuf.Buffer dimensioned exactly as cfg and
-// fails the test if the public mapping does not reproduce cfg.
-func publicBuffer(t testing.TB, cfg core.Config) *pktbuf.Buffer {
-	t.Helper()
-	pc := pktbuf.Config{
-		Queues:             cfg.Q,
-		LineRate:           pktbuf.OC768,
-		Granularity:        cfg.Bsmall,
-		Banks:              cfg.Banks,
-		BankCapacityBlocks: cfg.BankCapacityBlocks,
-		Renaming:           cfg.Renaming,
-		Organization:       pktbuf.Organization(cfg.Org),
-		MMA:                pktbuf.MMA(cfg.MMA),
-		Lookahead:          cfg.Lookahead,
-		LatencySlots:       cfg.LatencySlots,
-	}
-	if got, err := facade.CoreConfig(pc); err != nil || got != cfg {
-		t.Fatalf("public config %+v maps to %+v (%v), want %+v", pc, got, err, cfg)
-	}
-	buf, err := pktbuf.New(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf
-}
 
 // withoutFF zeroes the only counter per-slot ticking cannot
 // accumulate, so fast-forwarded and ticked runs compare exactly.
@@ -141,11 +116,11 @@ func TestKernelDifferential(t *testing.T) {
 		name := fmt.Sprintf("%s/b=%d/cap=%d/ren=%v", cfg.MMA, cfg.Bsmall, cfg.BankCapacityBlocks, cfg.Renaming)
 		t.Run(name, func(t *testing.T) {
 			for _, sparse := range []bool{false, true} {
-				ref := publicBuffer(t, cfg)
+				ref := testbuf.New(t, cfg)
 				rng := rand.New(rand.NewSource(int64(94017 + ci)))
 				ins, want := recordStimulus(t, ref, rng, 20000, sparse)
 				for _, batchLen := range []int{1, 7, 256, 20000} {
-					buf := publicBuffer(t, cfg)
+					buf := testbuf.New(t, cfg)
 					replayBatches(t, buf, ins, want, batchLen)
 					got, wantS := buf.Stats(), ref.Stats()
 					if ff := got.FastForwardedSlots; sparse == (ff == 0) {
@@ -169,7 +144,7 @@ func TestKernelDifferential(t *testing.T) {
 // complete, and the two buffers must remain bit-identical afterwards.
 func TestKernelErrorParity(t *testing.T) {
 	cfg := core.Config{Q: 8, B: 8, Bsmall: 4, Banks: 16}
-	ref, buf := publicBuffer(t, cfg), publicBuffer(t, cfg)
+	ref, buf := testbuf.New(t, cfg), testbuf.New(t, cfg)
 
 	// A batch whose third slot requests an empty queue.
 	ins := []pktbuf.Input{
@@ -220,7 +195,7 @@ func TestKernelErrorParity(t *testing.T) {
 // to slot-at-a-time ticks.
 func TestTickBatchBoundaries(t *testing.T) {
 	t.Run("zero-length", func(t *testing.T) {
-		buf := publicBuffer(t, core.Config{Q: 4, B: 8, Bsmall: 4, Banks: 16})
+		buf := testbuf.New(t, core.Config{Q: 4, B: 8, Bsmall: 4, Banks: 16})
 		if n, err := buf.TickBatch(nil, nil); n != 0 || err != nil {
 			t.Fatalf("TickBatch(nil) = %d, %v", n, err)
 		}
@@ -231,7 +206,7 @@ func TestTickBatchBoundaries(t *testing.T) {
 
 	t.Run("length-1", func(t *testing.T) {
 		cfg := core.Config{Q: 4, B: 8, Bsmall: 2, Banks: 16}
-		ref, buf := publicBuffer(t, cfg), publicBuffer(t, cfg)
+		ref, buf := testbuf.New(t, cfg), testbuf.New(t, cfg)
 		out := make([]pktbuf.Output, 1)
 		for i := 0; i < 4*cfg.Q*cfg.Bsmall; i++ {
 			in := pktbuf.Input{Arrival: pktbuf.Queue(i % cfg.Q), Request: pktbuf.None}
@@ -254,7 +229,7 @@ func TestTickBatchBoundaries(t *testing.T) {
 
 	t.Run("quiescent-to-busy-straddle", func(t *testing.T) {
 		cfg := core.Config{Q: 4, B: 8, Bsmall: 4, Banks: 16, Lookahead: 2, LatencySlots: 2}
-		ref, buf := publicBuffer(t, cfg), publicBuffer(t, cfg)
+		ref, buf := testbuf.New(t, cfg), testbuf.New(t, cfg)
 		// One batch: idle span long past quiescence, then a busy tail.
 		var ins []pktbuf.Input
 		for i := 0; i < 64; i++ {
@@ -291,10 +266,10 @@ func TestTickBatchBoundaries(t *testing.T) {
 		// deliberately coprime to the b-slot cycle so batches end with
 		// renamed blocks and replenishments in flight.
 		cfg := core.Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, Renaming: true, BankCapacityBlocks: 64}
-		ref := publicBuffer(t, cfg)
+		ref := testbuf.New(t, cfg)
 		ins, want := recordStimulus(t, ref, rand.New(rand.NewSource(424242)), 5000, false)
 		for _, batchLen := range []int{3, 5, 7, 11, 13} {
-			buf := publicBuffer(t, cfg)
+			buf := testbuf.New(t, cfg)
 			replayBatches(t, buf, ins, want, batchLen)
 			if got, wantS := buf.Stats(), ref.Stats(); got != wantS {
 				t.Errorf("batchLen %d: stats diverge:\nbatch %+v\nref   %+v", batchLen, got, wantS)

@@ -79,7 +79,8 @@ func FullLookahead(q, b int) int { return q*(b-1) + 1 }
 
 // ecqfSlackFactor calibrates the sub-full-lookahead growth of the
 // RADS SRAM size against the paper's §7.2 anchor numbers (300 kB →
-// 64 kB for OC-768; 6.2 MB → 1.0 MB for OC-3072). See DESIGN.md §2.
+// 64 kB for OC-768; 6.2 MB → 1.0 MB for OC-3072), which
+// TestRADSSRAMSizePaperAnchors pins within 15 %.
 const ecqfSlackFactor = 0.8
 
 // RADSSRAMSize returns rads_sram_size(Q, L, b): the head-SRAM size in
@@ -89,7 +90,7 @@ const ecqfSlackFactor = 0.8
 // At full lookahead L ≥ L* = Q(b−1)+1 the ECQF bound Q(b−1) applies.
 // For shorter lookaheads the requirement grows as
 // Q·b·0.8·ln(L*/L); the constant is calibrated to the paper's §7.2
-// endpoints (see DESIGN.md). L is clamped below at b (the MMA cannot
+// endpoints (ecqfSlackFactor). L is clamped below at b (the MMA cannot
 // act on less than one batch of pending requests).
 func RADSSRAMSize(q, lookahead, b int) int {
 	if q <= 0 || b <= 0 {

@@ -143,8 +143,8 @@ func TestRRSizeTable2(t *testing.T) {
 	// Table 2, OC-3072 row (Q=512, B=32, M=256). The b=1..8 columns
 	// follow R = ⌈2Q/G⌉·(B/b) exactly; the printed b=16 and b=32
 	// cells (8 and 0) reflect the same bound with the degenerate
-	// no-overlap case — we reproduce 0 at b=32 (B/b=1) and flag the
-	// b=16 delta in EXPERIMENTS.md.
+	// no-overlap case — we reproduce 0 at b=32 (B/b=1); at b=16 the
+	// formula gives 16, not the printed 8, and this test checks 16.
 	want := map[int]int{1: 4096, 2: 1024, 4: 256, 8: 64, 16: 16, 32: 0}
 	for b, r := range want {
 		if got := oc3072(b, 0).RRSize(); got != r {

@@ -183,7 +183,7 @@ func (r *blockRing) grow(ordinal, consumedLim uint64) {
 }
 
 // DRAM is the banked memory system. It is not safe for concurrent use;
-// the simulator is single-goroutine by design (see DESIGN.md §6).
+// each buffer is ticked by one goroutine by design.
 type DRAM struct {
 	cfg       Config
 	busyUntil []cell.Slot  // per bank: busy while now < busyUntil

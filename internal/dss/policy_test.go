@@ -77,7 +77,8 @@ func TestPolicyAccessors(t *testing.T) {
 }
 
 // BenchmarkPolicy measures scheduler cycles per second for both
-// disciplines on the conflicting stream (the DESIGN.md ablation).
+// disciplines on the conflicting stream (the scheduler ablation of
+// the root ablation_test.go).
 func BenchmarkPolicy(b *testing.B) {
 	b.ReportAllocs()
 	for _, p := range []Policy{OldestReadyFirst, FIFOBlocking} {

@@ -3,7 +3,8 @@
 // (internal/dimension) and the technology model (internal/cacti).
 // Each generator returns a plain data structure plus a TableString
 // rendering; cmd/paperrepro prints them and the repository benchmarks
-// time them. EXPERIMENTS.md records paper-vs-model values.
+// time them. experiments_test.go pins the generated values against
+// the paper's printed ones and names each cell that differs.
 package experiments
 
 import (

@@ -80,7 +80,8 @@ func TestTable2MatchesPaper(t *testing.T) {
 		t.Fatal("want 2 panels")
 	}
 	// OC-768 row: b = 8,4,2,1 → RR 0, 4, 16, 64 (paper prints 0,2,16,64;
-	// see EXPERIMENTS.md for the b=4 delta), sched - ,51.2, 25.6, 12.8.
+	// equation (1) gives 4 at b=4, so that cell is left unchecked),
+	// sched - ,51.2, 25.6, 12.8.
 	oc768 := map[int]Table2Row{}
 	for _, r := range panels[0].Rows {
 		oc768[r.Bsmall] = r

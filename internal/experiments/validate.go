@@ -5,7 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/facade"
+	"repro/pktbuf"
+	"repro/pktbuf/sim"
 )
 
 // ValidationRow is one empirical check of the §5 worst-case claims:
@@ -59,8 +61,11 @@ func ValidateGuarantees(queues int, slots uint64) ([]ValidationRow, error) {
 	for _, b := range []int{32, 8, 2} {
 		for _, renaming := range []bool{false, true} {
 			for _, w := range workloads {
-				cfg := core.Config{Q: queues, B: 32, Bsmall: b, Banks: 256, Renaming: renaming}
-				buf, err := core.New(cfg)
+				// OC-3072 is the B = 32 line rate.
+				buf, err := pktbuf.New(pktbuf.Config{
+					Queues: queues, LineRate: pktbuf.OC3072, Granularity: b,
+					Banks: 256, Renaming: renaming,
+				})
 				if err != nil {
 					return nil, err
 				}
@@ -81,24 +86,26 @@ func ValidateGuarantees(queues int, slots uint64) ([]ValidationRow, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", w.name, err)
 				}
-				final := buf.Config()
+				inner := facade.CoreOf(buf)
+				final := inner.Config()
 				d := final.Dimension()
+				stats := inner.Stats()
 				row := ValidationRow{
 					Name:      w.name,
 					Bsmall:    b,
 					Renaming:  renaming,
 					Slots:     res.Slots,
-					Stats:     res.Stats,
+					Stats:     stats,
 					SkipBound: final.IssuesPerCycle * d.MaxSkips(),
 					RRCap:     final.RRCapacity,
 					HeadCap:   final.HeadSRAMCells,
 					TailCap:   final.TailSRAMCells,
 				}
-				row.Pass = res.Stats.Clean() &&
-					res.Stats.DSS.MaxSkips <= row.SkipBound &&
-					res.Stats.DSS.MaxOccupancy <= row.RRCap &&
-					res.Stats.HeadHighWater <= row.HeadCap &&
-					res.Stats.TailHighWater <= row.TailCap
+				row.Pass = stats.Clean() &&
+					stats.DSS.MaxSkips <= row.SkipBound &&
+					stats.DSS.MaxOccupancy <= row.RRCap &&
+					stats.HeadHighWater <= row.HeadCap &&
+					stats.TailHighWater <= row.TailCap
 				rows = append(rows, row)
 			}
 		}

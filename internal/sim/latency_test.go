@@ -1,26 +1,29 @@
-package sim
+package sim_test
 
 import (
 	"strings"
 	"testing"
 
-	"repro/internal/cell"
 	"repro/internal/core"
+	"repro/internal/facade"
+	"repro/internal/testbuf"
+	"repro/pktbuf"
+	"repro/pktbuf/sim"
 )
 
 func TestLatencyTrackerBasics(t *testing.T) {
-	tr := NewLatencyTracker()
+	tr := sim.NewLatencyTracker()
 	tr.OnArrival(3, 10)
 	tr.OnArrival(3, 12)
 	tr.OnArrival(5, 11)
 	if got := tr.InFlight(); got != 3 {
 		t.Errorf("InFlight = %d", got)
 	}
-	tr.OnDeliver(cell.Cell{Queue: 3, Seq: 0}, 30) // 20 slots
-	tr.OnDeliver(cell.Cell{Queue: 3, Seq: 1}, 52) // 40 slots
-	tr.OnDeliver(cell.Cell{Queue: 5, Seq: 0}, 41) // 30 slots
+	tr.OnDeliver(pktbuf.Cell{Queue: 3, Seq: 0}, 30) // 20 slots
+	tr.OnDeliver(pktbuf.Cell{Queue: 3, Seq: 1}, 52) // 40 slots
+	tr.OnDeliver(pktbuf.Cell{Queue: 5, Seq: 0}, 41) // 30 slots
 	// Unknown cell ignored.
-	tr.OnDeliver(cell.Cell{Queue: 9, Seq: 7}, 99)
+	tr.OnDeliver(pktbuf.Cell{Queue: 9, Seq: 7}, 99)
 	s := tr.Stats()
 	if s.Count != 3 || s.Min != 20 || s.Max != 40 || s.Mean != 30 || s.P50 != 30 {
 		t.Errorf("stats = %+v", s)
@@ -34,7 +37,7 @@ func TestLatencyTrackerBasics(t *testing.T) {
 }
 
 func TestLatencyStatsEmpty(t *testing.T) {
-	if got := NewLatencyTracker().Stats(); got.Count != 0 {
+	if got := sim.NewLatencyTracker().Stats(); got.Count != 0 {
 		t.Errorf("empty stats = %+v", got)
 	}
 }
@@ -42,14 +45,12 @@ func TestLatencyStatsEmpty(t *testing.T) {
 func TestRunWithLatencyPipelineFloor(t *testing.T) {
 	// Every delivery takes at least the request pipeline; under a
 	// steady drain the sojourn must be ≥ pipeline length and finite.
-	b, err := core.New(core.Config{Q: 4, B: 8, Bsmall: 2, Banks: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := uint64(b.Config().Lookahead + b.Config().LatencySlots)
-	arr, _ := NewRoundRobinArrivals(4, 1.0)
-	req, _ := NewRoundRobinDrain(4)
-	r := &Runner{Buffer: b, Arrivals: arr, Requests: req}
+	b := testbuf.New(t, core.Config{Q: 4, B: 8, Bsmall: 2, Banks: 16})
+	built := facade.CoreOf(b).Config()
+	pipe := uint64(built.Lookahead + built.LatencySlots)
+	arr, _ := sim.NewRoundRobinArrivals(4, 1.0)
+	req, _ := sim.NewRoundRobinDrain(4)
+	r := &sim.Runner{Buffer: b, Arrivals: arr, Requests: req}
 	res, lat, err := r.RunWithLatency(20000)
 	if err != nil {
 		t.Fatal(err)
@@ -77,13 +78,10 @@ func TestRunWithLatencyLookaheadTradeoff(t *testing.T) {
 	// a smaller delivery delay (at the cost of SRAM). Verify the mean
 	// sojourn drops when the lookahead shrinks.
 	run := func(lookahead int) float64 {
-		b, err := core.New(core.Config{Q: 4, B: 8, Bsmall: 2, Banks: 16, Lookahead: lookahead})
-		if err != nil {
-			t.Fatal(err)
-		}
-		arr, _ := NewRoundRobinArrivals(4, 1.0)
-		req, _ := NewRoundRobinDrain(4)
-		r := &Runner{Buffer: b, Arrivals: arr, Requests: req}
+		b := testbuf.New(t, core.Config{Q: 4, B: 8, Bsmall: 2, Banks: 16, Lookahead: lookahead})
+		arr, _ := sim.NewRoundRobinArrivals(4, 1.0)
+		req, _ := sim.NewRoundRobinDrain(4)
+		r := &sim.Runner{Buffer: b, Arrivals: arr, Requests: req}
 		_, lat, err := r.RunWithLatency(15000)
 		if err != nil {
 			t.Fatal(err)
@@ -98,12 +96,9 @@ func TestRunWithLatencyLookaheadTradeoff(t *testing.T) {
 }
 
 func TestRunWithLatencyRejectsAllowDrops(t *testing.T) {
-	b, err := core.New(core.Config{Q: 4, B: 8, Bsmall: 2, Banks: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, _ := NewRoundRobinArrivals(4, 1.0)
-	r := &Runner{Buffer: b, Arrivals: arr, Requests: NewIdleRequests(), AllowDrops: true}
+	b := testbuf.New(t, core.Config{Q: 4, B: 8, Bsmall: 2, Banks: 16})
+	arr, _ := sim.NewRoundRobinArrivals(4, 1.0)
+	r := &sim.Runner{Buffer: b, Arrivals: arr, Requests: sim.NewIdleRequests(), AllowDrops: true}
 	if _, _, err := r.RunWithLatency(10); err == nil {
 		t.Error("AllowDrops accepted")
 	}

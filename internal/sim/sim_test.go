@@ -1,21 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/cell"
 	"repro/internal/core"
 )
-
-func testBuffer(t *testing.T, q int) *core.Buffer {
-	t.Helper()
-	b, err := core.New(core.Config{Q: q, B: 8, Bsmall: 2, Banks: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
 
 // fixedView implements View for generator-only tests.
 type fixedView map[cell.QueueID]int
@@ -24,36 +16,46 @@ func (v fixedView) Requestable(q cell.QueueID) int { return v[q] }
 func (v fixedView) Len(q cell.QueueID) int         { return v[q] }
 
 func TestGeneratorValidation(t *testing.T) {
-	if _, err := NewUniformArrivals(0, 0.5, 1); err == nil {
-		t.Error("q=0 accepted")
+	// Every rejection wraps the configuration sentinel, so callers of
+	// the public constructors dispatch on pktbuf.ErrBadConfig.
+	check := func(err error, what string) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s accepted", what)
+		} else if !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("%s: %v does not wrap ErrBadConfig", what, err)
+		}
 	}
-	if _, err := NewUniformArrivals(4, 1.5, 1); err == nil {
-		t.Error("load>1 accepted")
-	}
-	if _, err := NewRoundRobinArrivals(0, 0.5); err == nil {
-		t.Error("q=0 accepted")
-	}
-	if _, err := NewRoundRobinArrivals(4, -0.1); err == nil {
-		t.Error("negative load accepted")
-	}
-	if _, err := NewHotspotArrivals(4, 0.5, 2, 1); err == nil {
-		t.Error("hotFrac>1 accepted")
-	}
-	if _, err := NewBurstyArrivals(4, 0.5, 3, 1); err == nil {
-		t.Error("meanOn<1 accepted")
-	}
-	if _, err := NewRoundRobinDrain(0); err == nil {
-		t.Error("q=0 accepted")
-	}
-	if _, err := NewUniformRequests(4, 2, 1); err == nil {
-		t.Error("rate>1 accepted")
-	}
-	if _, err := NewLongestFirst(0); err == nil {
-		t.Error("q=0 accepted")
-	}
-	if _, err := NewPermutationDrain(nil); err == nil {
-		t.Error("empty permutation accepted")
-	}
+	_, err := NewUniformArrivals(0, 0.5, 1)
+	check(err, "uniform q=0")
+	_, err = NewUniformArrivals(4, 1.5, 1)
+	check(err, "uniform load>1")
+	_, err = NewBernoulliArrivals(0, 0.5, 1)
+	check(err, "bernoulli q=0")
+	_, err = NewBernoulliArrivals(4, -0.5, 1)
+	check(err, "bernoulli negative load")
+	_, err = NewRoundRobinArrivals(0, 0.5)
+	check(err, "round-robin q=0")
+	_, err = NewRoundRobinArrivals(4, -0.1)
+	check(err, "round-robin negative load")
+	_, err = NewHotspotArrivals(0, 0.5, 0.5, 1)
+	check(err, "hotspot q=0")
+	_, err = NewHotspotArrivals(4, 0.5, 2, 1)
+	check(err, "hotspot hotFrac>1")
+	_, err = NewBurstyArrivals(0, 4, 4, 1)
+	check(err, "bursty q=0")
+	_, err = NewBurstyArrivals(4, 0.5, 3, 1)
+	check(err, "bursty meanOn<1")
+	_, err = NewRoundRobinDrain(0)
+	check(err, "round-robin drain q=0")
+	_, err = NewUniformRequests(0, 0.5, 1)
+	check(err, "uniform requests q=0")
+	_, err = NewUniformRequests(4, 2, 1)
+	check(err, "uniform requests rate>1")
+	_, err = NewLongestFirst(0)
+	check(err, "longest-first q=0")
+	_, err = NewPermutationDrain(nil)
+	check(err, "empty permutation")
 }
 
 func TestUniformArrivalsLoad(t *testing.T) {
@@ -169,158 +171,6 @@ func TestPermutationDrain(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("perm order = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestRunnerValidation(t *testing.T) {
-	r := &Runner{}
-	if _, err := r.Run(10); err == nil {
-		t.Error("empty runner ran")
-	}
-}
-
-func TestRunnerAdversarialClean(t *testing.T) {
-	b := testBuffer(t, 4)
-	arr, _ := NewRoundRobinArrivals(4, 1.0)
-	req, _ := NewRoundRobinDrain(4)
-	delivered := 0
-	r := &Runner{Buffer: b, Arrivals: arr, Requests: req,
-		OnDeliver: func(c cell.Cell, _ bool) { delivered++ }}
-	res, err := r.Run(20000)
-	if err != nil {
-		t.Fatalf("%v (stats %v)", err, res.Stats)
-	}
-	if !res.Clean() {
-		t.Fatalf("not clean: %v", res.Stats)
-	}
-	if delivered == 0 || uint64(delivered) != res.Stats.Deliveries {
-		t.Errorf("delivered %d, stats %d", delivered, res.Stats.Deliveries)
-	}
-	// Full-load arrivals with a lagging drain: deliveries should be
-	// a substantial fraction of arrivals.
-	if res.Stats.Deliveries < res.Stats.Arrivals/2 {
-		t.Errorf("only %d of %d delivered", res.Stats.Deliveries, res.Stats.Arrivals)
-	}
-}
-
-func TestRunnerAllWorkloadMatrixClean(t *testing.T) {
-	// Cross product of arrival processes and request policies on the
-	// small CFDS configuration: every combination must be invariant
-	// clean.
-	const Q = 4
-	arrivals := map[string]func() ArrivalProcess{
-		"uniform": func() ArrivalProcess { a, _ := NewUniformArrivals(Q, 0.9, 11); return a },
-		"rr":      func() ArrivalProcess { a, _ := NewRoundRobinArrivals(Q, 1.0); return a },
-		"hotspot": func() ArrivalProcess { a, _ := NewHotspotArrivals(Q, 0.95, 0.8, 5); return a },
-		"bursty":  func() ArrivalProcess { a, _ := NewBurstyArrivals(Q, 20, 4, 9); return a },
-		"single":  func() ArrivalProcess { return NewSingleQueueArrivals(1) },
-	}
-	requests := map[string]func() RequestPolicy{
-		"rrdrain": func() RequestPolicy { p, _ := NewRoundRobinDrain(Q); return p },
-		"uniform": func() RequestPolicy { p, _ := NewUniformRequests(Q, 0.95, 13); return p },
-		"longest": func() RequestPolicy { p, _ := NewLongestFirst(Q); return p },
-		"perm":    func() RequestPolicy { p, _ := NewPermutationDrain([]cell.QueueID{3, 1, 0, 2}); return p },
-	}
-	for an, af := range arrivals {
-		for rn, rf := range requests {
-			t.Run(an+"/"+rn, func(t *testing.T) {
-				r := &Runner{Buffer: testBuffer(t, Q), Arrivals: af(), Requests: rf()}
-				res, err := r.Run(8000)
-				if err != nil {
-					t.Fatalf("%v (stats %v)", err, res.Stats)
-				}
-				if !res.Clean() {
-					t.Fatalf("not clean: %v", res.Stats)
-				}
-			})
-		}
-	}
-}
-
-func TestRunnerDrain(t *testing.T) {
-	b := testBuffer(t, 4)
-	arr, _ := NewRoundRobinArrivals(4, 1.0)
-	req, _ := NewRoundRobinDrain(4)
-	r := &Runner{Buffer: b, Arrivals: arr, Requests: NewIdleRequests()}
-	if _, err := r.Run(400); err != nil {
-		t.Fatal(err)
-	}
-	r.Requests = req
-	n, _, err := r.Drain(100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 400 {
-		t.Errorf("drained %d, want 400", n)
-	}
-	for q := cell.QueueID(0); q < 4; q++ {
-		if b.Len(q) != 0 {
-			t.Errorf("Len(%d) = %d", q, b.Len(q))
-		}
-	}
-}
-
-func TestRunnerBoundedDRAMWithDropsAllowed(t *testing.T) {
-	b, err := core.New(core.Config{Q: 4, B: 8, Bsmall: 2, Banks: 16, BankCapacityBlocks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{
-		Buffer:     b,
-		Arrivals:   NewSingleQueueArrivals(0),
-		Requests:   NewIdleRequests(),
-		AllowDrops: true,
-	}
-	res, err := r.Run(4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Drops == 0 {
-		t.Error("expected drops under bounded DRAM flood")
-	}
-	if !res.Clean() {
-		t.Errorf("drops-allowed run not clean: %v", res.Stats)
-	}
-}
-
-func TestDrainTerminatesPromptly(t *testing.T) {
-	// Regression: Drain's early exit used to run only on fully idle
-	// slots, so a drain could burn all maxSlots after the buffer had
-	// emptied. It must now stop as soon as no request is issued and
-	// none is in flight.
-	b := testBuffer(t, 4)
-	req, _ := NewRoundRobinDrain(4)
-
-	// An empty buffer drains in one slot.
-	r := &Runner{Buffer: b, Arrivals: NewSingleQueueArrivals(0), Requests: req}
-	start := b.Now()
-	n, _, err := r.Drain(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("drained %d cells from empty buffer", n)
-	}
-	if used := uint64(b.Now() - start); used > 1 {
-		t.Errorf("empty drain used %d slots, want 1", used)
-	}
-
-	// A populated buffer drains in O(pipeline) slots, not maxSlots.
-	r.Requests = NewIdleRequests()
-	if _, err := r.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	r.Requests = req
-	start = b.Now()
-	n, _, err = r.Drain(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 100 {
-		t.Errorf("drained %d, want 100", n)
-	}
-	if used := uint64(b.Now() - start); used > 10000 {
-		t.Errorf("drain used %d slots for 100 cells", used)
 	}
 }
 

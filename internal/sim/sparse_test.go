@@ -1,186 +1,10 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cell"
-	"repro/internal/core"
 )
-
-// denseOnly hides a generator's batch and sparse fast paths, forcing
-// the Runner onto the per-slot reference loop.
-type denseOnly struct{ inner ArrivalProcess }
-
-func (d denseOnly) Next(slot cell.Slot) cell.QueueID { return d.inner.Next(slot) }
-
-// unstable hides a policy's IdleStable marker.
-type unstable struct{ inner RequestPolicy }
-
-func (u unstable) Next(slot cell.Slot, v View) cell.QueueID { return u.inner.Next(slot, v) }
-
-// deliveryLog records every delivery with its slot for sequence
-// comparison between runs.
-type deliveryLog struct {
-	buf     *core.Buffer
-	entries []string
-}
-
-func (l *deliveryLog) observe(c cell.Cell, bypassed bool) {
-	l.entries = append(l.entries,
-		fmt.Sprintf("%d:%d:%d:%v", l.buf.Now(), c.Queue, c.Seq, bypassed))
-}
-
-// sparseCfg keeps the request pipeline short so idle gaps at the
-// tested loads actually outlast it (a deliberately low-latency
-// dimensioning; the invariant checks still run and must stay clean).
-func sparseCfg(q int) core.Config {
-	return core.Config{Q: q, B: 32, Bsmall: 4, Banks: 64, Lookahead: 8, LatencySlots: 24}
-}
-
-// TestRunBatchSparseEquivalence pins the Runner's fast-forward fast
-// path to the per-slot reference loop: identical generators and seeds
-// must produce identical deliveries (slot, queue, seq, bypass),
-// identical statistics and an identical clock, across Bernoulli and
-// bursty on/off traffic and ≥1e5 slots. The sparse run must actually
-// skip slots, or the test guards nothing.
-func TestRunBatchSparseEquivalence(t *testing.T) {
-	const slots = 120000
-	makers := map[string]func(q int, seed int64) (ArrivalProcess, error){
-		"bernoulli0.01": func(q int, seed int64) (ArrivalProcess, error) { return NewBernoulliArrivals(q, 0.01, seed) },
-		"bernoulli0.2":  func(q int, seed int64) (ArrivalProcess, error) { return NewBernoulliArrivals(q, 0.2, seed) },
-		"bursty": func(q int, seed int64) (ArrivalProcess, error) {
-			return NewBurstyArrivals(q, 16, 400, seed)
-		},
-	}
-	for name, mk := range makers {
-		for _, batch := range []uint64{0, 1, 777} {
-			t.Run(fmt.Sprintf("%s/batch=%d", name, batch), func(t *testing.T) {
-				run := func(dense bool) (Result, []string, *core.Buffer) {
-					buf, err := core.New(sparseCfg(16))
-					if err != nil {
-						t.Fatal(err)
-					}
-					arr, err := mk(16, 42)
-					if err != nil {
-						t.Fatal(err)
-					}
-					req, _ := NewRoundRobinDrain(16)
-					var reqP RequestPolicy = req
-					if dense {
-						arr = denseOnly{arr}
-						reqP = unstable{req}
-					}
-					log := &deliveryLog{buf: buf}
-					r := &Runner{Buffer: buf, Arrivals: arr, Requests: reqP, OnDeliver: log.observe}
-					res, err := r.RunBatch(slots, batch)
-					if err != nil {
-						t.Fatalf("run (dense=%v): %v", dense, err)
-					}
-					return res, log.entries, buf
-				}
-				dres, dlog, dbuf := run(true)
-				sres, slog, sbuf := run(false)
-				if dbuf.Now() != sbuf.Now() {
-					t.Errorf("clock diverges: dense %d, sparse %d", dbuf.Now(), sbuf.Now())
-				}
-				ds, ss := dres.Stats, sres.Stats
-				if ss.FastForwardedSlots == 0 {
-					t.Error("sparse run never fast-forwarded")
-				}
-				ss.FastForwardedSlots, ds.FastForwardedSlots = 0, 0
-				if ds != ss {
-					t.Errorf("stats diverge:\ndense  %+v\nsparse %+v", ds, ss)
-				}
-				if len(dlog) != len(slog) {
-					t.Fatalf("delivery counts diverge: dense %d, sparse %d", len(dlog), len(slog))
-				}
-				for i := range dlog {
-					if dlog[i] != slog[i] {
-						t.Fatalf("delivery %d diverges: dense %s, sparse %s", i, dlog[i], slog[i])
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestRunBatchSparseZeroAlloc gates the sparse fast path at zero
-// allocations per RunBatch call once warm.
-func TestRunBatchSparseZeroAlloc(t *testing.T) {
-	buf, err := core.New(sparseCfg(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, _ := NewBernoulliArrivals(16, 0.05, 7)
-	req, _ := NewRoundRobinDrain(16)
-	r := &Runner{Buffer: buf, Arrivals: arr, Requests: req}
-	if _, err := r.RunBatch(5000, 0); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := r.RunBatch(5000, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("sparse RunBatch allocates %.1f times per call, want 0", allocs)
-	}
-	if buf.Stats().FastForwardedSlots == 0 {
-		t.Error("sparse run never fast-forwarded")
-	}
-}
-
-// TestDrainQuiescence pins the rewritten Drain: an empty buffer
-// drains in zero slots, a populated one stops at true quiescence (not
-// at an arbitrary polling bound), and the returned last-delivery slot
-// matches the final delivery observed by OnDeliver.
-func TestDrainQuiescence(t *testing.T) {
-	buf, err := core.New(sparseCfg(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, _ := NewRoundRobinDrain(8)
-	r := &Runner{Buffer: buf, Arrivals: NewSingleQueueArrivals(0), Requests: req}
-
-	// Empty buffer: O(1), zero slots spent, zero last-delivery slot.
-	start := buf.Now()
-	n, last, err := r.Drain(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 || last != 0 {
-		t.Errorf("empty drain: delivered %d, lastSlot %d; want 0, 0", n, last)
-	}
-	if buf.Now() != start {
-		t.Errorf("empty drain spent %d slots, want 0", buf.Now()-start)
-	}
-
-	// Fill, then drain: exact count, last slot cross-checked.
-	r.Requests = NewIdleRequests()
-	if _, err := r.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	var observedLast cell.Slot
-	r.OnDeliver = func(cell.Cell, bool) { observedLast = buf.Now() - 1 }
-	r.Requests = req
-	n, last, err = r.Drain(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 100 {
-		t.Errorf("drained %d, want 100", n)
-	}
-	if last != observedLast {
-		t.Errorf("lastSlot %d, observed %d", last, observedLast)
-	}
-	if !buf.Quiescent() {
-		t.Error("buffer not quiescent after drain")
-	}
-	if buf.PendingRequests() != 0 {
-		t.Error("requests still pending after drain")
-	}
-}
 
 // TestBernoulliMatchesPerSlot pins the generator itself: NextBatch and
 // NextArrival must be slot-for-slot equivalent to per-slot Next calls.

@@ -1,5 +1,5 @@
-// Package sim provides workload generators and a slot-loop runner for
-// the packet buffer. The generators model the traffic classes the
+// Package sim provides the workload generators behind repro/pktbuf/sim,
+// whose Runner drives them. They model the traffic classes the
 // paper's worst-case analysis must survive — most importantly the §3
 // adversarial round-robin drain ("the scheduler requests goes through
 // the queues in a round-robin manner removing one packet per queue"),
@@ -7,7 +7,8 @@
 // the average case.
 //
 // Arrival processes and request policies are deterministic given their
-// seed, so every experiment is reproducible.
+// seed, so every experiment is reproducible. Constructors reject bad
+// parameters with errors wrapping core.ErrBadConfig.
 package sim
 
 import (
@@ -16,6 +17,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cell"
+	"repro/internal/core"
 )
 
 // View is the read-only buffer state a request policy may consult.
@@ -35,7 +37,7 @@ type ArrivalProcess interface {
 	Next(slot cell.Slot) cell.QueueID
 }
 
-// BatchArrivalProcess is the optional fast path Runner.RunBatch uses
+// BatchArrivalProcess is the optional fast path the Runner's RunBatch uses
 // to hoist the per-slot interface dispatch out of the inner loop: one
 // NextBatch call generates the arrivals for len(out) consecutive
 // slots starting at start. Implementations must be equivalent to
@@ -93,10 +95,10 @@ type uniformArrivals struct {
 // load (cells per slot, 0..1) spread uniformly over q queues.
 func NewUniformArrivals(q int, load float64, seed int64) (ArrivalProcess, error) {
 	if q <= 0 {
-		return nil, fmt.Errorf("sim: queues must be positive, got %d", q)
+		return nil, fmt.Errorf("sim: queues must be positive, got %d: %w", q, core.ErrBadConfig)
 	}
 	if load < 0 || load > 1 {
-		return nil, fmt.Errorf("sim: load must be in [0,1], got %v", load)
+		return nil, fmt.Errorf("sim: load must be in [0,1], got %v: %w", load, core.ErrBadConfig)
 	}
 	return &uniformArrivals{q: q, load: load, rng: rand.New(rand.NewSource(seed))}, nil
 }
@@ -138,10 +140,10 @@ const noArrival = ^cell.Slot(0)
 // SparseArrivalProcess and idle spans cost nothing to generate.
 func NewBernoulliArrivals(q int, load float64, seed int64) (ArrivalProcess, error) {
 	if q <= 0 {
-		return nil, fmt.Errorf("sim: queues must be positive, got %d", q)
+		return nil, fmt.Errorf("sim: queues must be positive, got %d: %w", q, core.ErrBadConfig)
 	}
 	if load < 0 || load > 1 {
-		return nil, fmt.Errorf("sim: load must be in [0,1], got %v", load)
+		return nil, fmt.Errorf("sim: load must be in [0,1], got %v: %w", load, core.ErrBadConfig)
 	}
 	return &bernoulliArrivals{q: q, load: load, rng: rand.New(rand.NewSource(seed))}, nil
 }
@@ -219,10 +221,10 @@ type roundRobinArrivals struct {
 // process at the given load.
 func NewRoundRobinArrivals(q int, load float64) (ArrivalProcess, error) {
 	if q <= 0 {
-		return nil, fmt.Errorf("sim: queues must be positive, got %d", q)
+		return nil, fmt.Errorf("sim: queues must be positive, got %d: %w", q, core.ErrBadConfig)
 	}
 	if load < 0 || load > 1 {
-		return nil, fmt.Errorf("sim: load must be in [0,1], got %v", load)
+		return nil, fmt.Errorf("sim: load must be in [0,1], got %v: %w", load, core.ErrBadConfig)
 	}
 	return &roundRobinArrivals{q: q, load: load}, nil
 }
@@ -258,10 +260,10 @@ type hotspotArrivals struct {
 // hotFrac of cells target queue 0.
 func NewHotspotArrivals(q int, load, hotFrac float64, seed int64) (ArrivalProcess, error) {
 	if q <= 0 {
-		return nil, fmt.Errorf("sim: queues must be positive, got %d", q)
+		return nil, fmt.Errorf("sim: queues must be positive, got %d: %w", q, core.ErrBadConfig)
 	}
 	if load < 0 || load > 1 || hotFrac < 0 || hotFrac > 1 {
-		return nil, fmt.Errorf("sim: load/hotFrac must be in [0,1]")
+		return nil, fmt.Errorf("sim: load/hotFrac must be in [0,1]: %w", core.ErrBadConfig)
 	}
 	return &hotspotArrivals{q: q, load: load, hotFrac: hotFrac, rng: rand.New(rand.NewSource(seed))}, nil
 }
@@ -294,10 +296,10 @@ type burstyArrivals struct {
 // load is meanOn/(meanOn+meanOff).
 func NewBurstyArrivals(q int, meanOn, meanOff float64, seed int64) (ArrivalProcess, error) {
 	if q <= 0 {
-		return nil, fmt.Errorf("sim: queues must be positive, got %d", q)
+		return nil, fmt.Errorf("sim: queues must be positive, got %d: %w", q, core.ErrBadConfig)
 	}
 	if meanOn < 1 || meanOff < 0 {
-		return nil, fmt.Errorf("sim: meanOn must be ≥1 and meanOff ≥0")
+		return nil, fmt.Errorf("sim: meanOn must be ≥1 and meanOff ≥0: %w", core.ErrBadConfig)
 	}
 	return &burstyArrivals{q: q, meanOn: meanOn, meanOff: meanOff, rng: rand.New(rand.NewSource(seed))}, nil
 }
@@ -387,7 +389,7 @@ type roundRobinDrain struct {
 // NewRoundRobinDrain returns the §3 adversarial request policy.
 func NewRoundRobinDrain(q int) (RequestPolicy, error) {
 	if q <= 0 {
-		return nil, fmt.Errorf("sim: queues must be positive, got %d", q)
+		return nil, fmt.Errorf("sim: queues must be positive, got %d: %w", q, core.ErrBadConfig)
 	}
 	return &roundRobinDrain{q: q}, nil
 }
@@ -419,10 +421,10 @@ type uniformRequests struct {
 // at the given rate.
 func NewUniformRequests(q int, rate float64, seed int64) (RequestPolicy, error) {
 	if q <= 0 {
-		return nil, fmt.Errorf("sim: queues must be positive, got %d", q)
+		return nil, fmt.Errorf("sim: queues must be positive, got %d: %w", q, core.ErrBadConfig)
 	}
 	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("sim: rate must be in [0,1], got %v", rate)
+		return nil, fmt.Errorf("sim: rate must be in [0,1], got %v: %w", rate, core.ErrBadConfig)
 	}
 	return &uniformRequests{q: q, rate: rate, rng: rand.New(rand.NewSource(seed))}, nil
 }
@@ -456,7 +458,7 @@ type longestFirst struct{ q int }
 // most requestable cells.
 func NewLongestFirst(q int) (RequestPolicy, error) {
 	if q <= 0 {
-		return nil, fmt.Errorf("sim: queues must be positive, got %d", q)
+		return nil, fmt.Errorf("sim: queues must be positive, got %d: %w", q, core.ErrBadConfig)
 	}
 	return &longestFirst{q: q}, nil
 }
@@ -484,7 +486,7 @@ type permutationDrain struct {
 // NewPermutationDrain cycles over the given queue permutation.
 func NewPermutationDrain(perm []cell.QueueID) (RequestPolicy, error) {
 	if len(perm) == 0 {
-		return nil, fmt.Errorf("sim: permutation must be non-empty")
+		return nil, fmt.Errorf("sim: permutation must be non-empty: %w", core.ErrBadConfig)
 	}
 	p := make([]cell.QueueID, len(perm))
 	copy(p, perm)

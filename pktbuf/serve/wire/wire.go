@@ -135,7 +135,9 @@ type Writer struct {
 	w   *bufio.Writer
 	hdr [headerLen]byte
 	// enc and tr are reused across WriteCells calls so steady-state
-	// framing costs no allocation beyond bufio's buffer.
+	// framing costs no allocation beyond the trace encoder's bufio
+	// writer (queue ids of 256 and up also box one value per record
+	// in fmt; TestWriteCellsAllocs pins both).
 	enc bytes.Buffer
 	tr  trace.Trace
 	kv  []byte

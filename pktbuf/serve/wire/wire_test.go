@@ -245,3 +245,44 @@ func TestWriterReuseNoGrowth(t *testing.T) {
 		}
 	}
 }
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestWriteCellsAllocs pins the Writer's allocation claim: a warmed
+// WriteCells of a 64-cell frame allocates only the trace encoder's
+// bufio writer and its buffer. Queue ids of 256 and up additionally
+// box one value per record inside fmt; that per-record cost is pinned
+// separately so a codec that removes it can tighten the bound.
+func TestWriteCellsAllocs(t *testing.T) {
+	if raceEnabled {
+		// The race detector makes sync.Pool drop entries at random, so
+		// fmt's printer pool allocates and the counts mean nothing.
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, tc := range []struct {
+		base int
+		max  float64
+	}{
+		{0, 2},
+		{1 << 20, 2 + 64},
+	} {
+		w := NewWriter(io.Discard)
+		qs := make([]pktbuf.Queue, 64)
+		for i := range qs {
+			qs[i] = pktbuf.Queue(tc.base + i)
+		}
+		if err := w.WriteCells(TSubmit, Arrivals, qs); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := w.WriteCells(TSubmit, Arrivals, qs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("ids from %d: WriteCells allocates %.1f times per 64-cell frame, want ≤ %.0f",
+				tc.base, allocs, tc.max)
+		}
+	}
+}

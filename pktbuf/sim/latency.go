@@ -2,9 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/cell"
-	isim "repro/internal/sim"
 	"repro/pktbuf"
 )
 
@@ -33,12 +32,22 @@ func (l LatencyStats) String() string {
 // seed it with SeedNextSeq (see Runner.RunWithLatency, which does so
 // automatically).
 type LatencyTracker struct {
-	inner *isim.LatencyTracker
+	arrivals map[pktbuf.Queue]uint64 // next seq per queue
+	inFlight map[trackKey]uint64     // arrival slot per cell
+	samples  []uint64
+}
+
+type trackKey struct {
+	q   pktbuf.Queue
+	seq uint64
 }
 
 // NewLatencyTracker returns an empty tracker.
 func NewLatencyTracker() *LatencyTracker {
-	return &LatencyTracker{inner: isim.NewLatencyTracker()}
+	return &LatencyTracker{
+		arrivals: make(map[pktbuf.Queue]uint64),
+		inFlight: make(map[trackKey]uint64),
+	}
 }
 
 // SeedNextSeq aligns the tracker with a buffer that already carries
@@ -46,28 +55,48 @@ func NewLatencyTracker() *LatencyTracker {
 // sequence number (Buffer.ArrivedSeq). Deliveries of older, untracked
 // cells are then skipped instead of mispairing with measured arrivals.
 func (t *LatencyTracker) SeedNextSeq(q pktbuf.Queue, seq uint64) {
-	t.inner.SeedNextSeq(cell.QueueID(q), seq)
+	t.arrivals[q] = seq
 }
 
 // OnArrival records a cell entering the buffer at slot now.
 func (t *LatencyTracker) OnArrival(q pktbuf.Queue, now uint64) {
-	t.inner.OnArrival(cell.QueueID(q), cell.Slot(now))
+	seq := t.arrivals[q]
+	t.arrivals[q] = seq + 1
+	t.inFlight[trackKey{q, seq}] = now
 }
 
 // OnDeliver records a delivery and accumulates its sojourn.
 func (t *LatencyTracker) OnDeliver(c pktbuf.Cell, now uint64) {
-	t.inner.OnDeliver(cell.Cell{Queue: cell.QueueID(c.Queue), Seq: c.Seq}, cell.Slot(now))
+	k := trackKey{c.Queue, c.Seq}
+	if at, ok := t.inFlight[k]; ok {
+		t.samples = append(t.samples, now-at)
+		delete(t.inFlight, k)
+	}
 }
 
 // InFlight returns the number of cells arrived but not yet delivered.
-func (t *LatencyTracker) InFlight() int { return t.inner.InFlight() }
+func (t *LatencyTracker) InFlight() int { return len(t.inFlight) }
 
 // Stats summarizes the collected samples.
 func (t *LatencyTracker) Stats() LatencyStats {
-	s := t.inner.Stats()
+	if len(t.samples) == 0 {
+		return LatencyStats{}
+	}
+	s := slices.Clone(t.samples)
+	slices.Sort(s)
+	var sum float64
+	for _, v := range s {
+		sum += float64(v)
+	}
+	pct := func(p float64) uint64 { return s[int(p*float64(len(s)-1))] }
 	return LatencyStats{
-		Count: s.Count, Min: s.Min, Max: s.Max, Mean: s.Mean,
-		P50: s.P50, P95: s.P95, P99: s.P99,
+		Count: uint64(len(s)),
+		Min:   s[0],
+		Max:   s[len(s)-1],
+		Mean:  sum / float64(len(s)),
+		P50:   pct(0.50),
+		P95:   pct(0.95),
+		P99:   pct(0.99),
 	}
 }
 

@@ -5,11 +5,11 @@
 // bursty on/off, hotspot and single-queue patterns for the average
 // case.
 //
-// It is a thin, allocation-free layer over the internal driver,
-// expressed entirely in the public pktbuf types: a Runner drives a
-// *pktbuf.Buffer with an ArrivalProcess and a RequestPolicy, one slot
-// at a time. Generators are deterministic given their seed, so every
-// experiment is reproducible.
+// A Runner drives a *pktbuf.Buffer with an ArrivalProcess and a
+// RequestPolicy, one slot at a time; it is the only slot-loop driver
+// in the module. The generators re-export the internal workload suite
+// through allocation-free adapters and are deterministic given their
+// seed, so every experiment is reproducible.
 package sim
 
 import (
@@ -107,13 +107,6 @@ func (r Result) Clean() bool {
 
 // Runner drives a pktbuf.Buffer with an arrival process and a request
 // policy, one slot at a time.
-//
-// The slot loop deliberately mirrors internal/sim.Runner rather than
-// delegating to it: the public hot path must call pktbuf.Buffer.Tick
-// directly (an adapter layer between the two runners would pay
-// interface dispatch per slot and break the 0 allocs/op gate).
-// Behavioural changes to either loop must be applied to both;
-// TestRunBatchMatchesRun and the façade benchmarks guard the pairing.
 type Runner struct {
 	// Buffer is the system under test.
 	Buffer *pktbuf.Buffer

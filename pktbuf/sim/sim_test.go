@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/pktbuf"
@@ -181,33 +182,41 @@ func TestRunWithLatencySeesBacklog(t *testing.T) {
 }
 
 func TestGeneratorValidation(t *testing.T) {
-	if _, err := sim.NewUniformArrivals(0, 0.5, 1); err == nil {
-		t.Error("zero queues accepted")
+	// Every rejection, from a constructor or the Runner, wraps
+	// pktbuf.ErrBadConfig.
+	check := func(err error, what string) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s accepted", what)
+		} else if !errors.Is(err, pktbuf.ErrBadConfig) {
+			t.Errorf("%s: %v does not wrap pktbuf.ErrBadConfig", what, err)
+		}
 	}
-	if _, err := sim.NewRoundRobinArrivals(4, 1.5); err == nil {
-		t.Error("load > 1 accepted")
-	}
-	if _, err := sim.NewHotspotArrivals(4, 0.5, -0.1, 1); err == nil {
-		t.Error("negative hotFrac accepted")
-	}
-	if _, err := sim.NewBurstyArrivals(4, 0.5, 8, 1); err == nil {
-		t.Error("meanOn < 1 accepted")
-	}
-	if _, err := sim.NewRoundRobinDrain(-2); err == nil {
-		t.Error("negative queues accepted")
-	}
-	if _, err := sim.NewUniformRequests(4, 2, 1); err == nil {
-		t.Error("rate > 1 accepted")
-	}
-	if _, err := sim.NewLongestFirst(0); err == nil {
-		t.Error("zero queues accepted")
-	}
-	if _, err := sim.NewPermutationDrain(nil); err == nil {
-		t.Error("empty permutation accepted")
-	}
-	if _, err := (&sim.Runner{}).Run(10); err == nil {
-		t.Error("runner without buffer/generators accepted")
-	}
+	_, err := sim.NewUniformArrivals(0, 0.5, 1)
+	check(err, "zero queues")
+	_, err = sim.NewRoundRobinArrivals(4, 1.5)
+	check(err, "load > 1")
+	_, err = sim.NewHotspotArrivals(4, 0.5, -0.1, 1)
+	check(err, "negative hotFrac")
+	_, err = sim.NewBurstyArrivals(4, 0.5, 8, 1)
+	check(err, "meanOn < 1")
+	_, err = sim.NewBurstyArrivals(4, 0, 5, 1)
+	check(err, "meanOn 0")
+	_, err = sim.NewBernoulliArrivals(4, 1.5, 1)
+	check(err, "Bernoulli load > 1")
+	_, err = sim.NewRoundRobinDrain(-2)
+	check(err, "negative queues")
+	_, err = sim.NewUniformRequests(4, 2, 1)
+	check(err, "rate > 1")
+	_, err = sim.NewLongestFirst(0)
+	check(err, "zero queues")
+	_, err = sim.NewPermutationDrain(nil)
+	check(err, "empty permutation")
+	_, err = (&sim.Runner{}).Run(10)
+	check(err, "runner without buffer/generators")
+	_, _, err = (&sim.Runner{Buffer: newBuffer(t, 4), Arrivals: sim.NewSingleQueueArrivals(0),
+		Requests: sim.NewIdleRequests(), AllowDrops: true}).RunWithLatency(10)
+	check(err, "latency run with AllowDrops")
 }
 
 // TestBatchArrivalEquivalence: every generator's NextBatch must be

@@ -5,8 +5,7 @@
 // exact per-slot stimulus once, replay it against any buffer
 // configuration or implementation revision.
 //
-// The format is line-oriented text, one slot per line (shared with
-// the internal tooling):
+// The format is line-oriented text, one slot per line:
 //
 //	# comment / header
 //	a3 r7     arrival for queue 3, request for queue 7
@@ -18,10 +17,13 @@
 package trace
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
-	"repro/internal/cell"
-	itrace "repro/internal/trace"
 	"repro/pktbuf"
 	"repro/pktbuf/sim"
 )
@@ -38,33 +40,71 @@ type Trace struct {
 }
 
 // ErrFormat reports a malformed trace line.
-var ErrFormat = itrace.ErrFormat
+var ErrFormat = errors.New("trace: malformed line")
 
 // Write serializes the trace.
 func (t *Trace) Write(w io.Writer) error {
-	events := make([]itrace.Event, len(t.Events))
-	for i, e := range t.Events {
-		events[i] = itrace.Event{
-			Arrival: cell.QueueID(e.Arrival),
-			Request: cell.QueueID(e.Request),
+	// bufio.Writer errors are sticky: a failed write turns every later
+	// one into a no-op and resurfaces at Flush.
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# pktbuf slot trace, %d slots\n", len(t.Events))
+	for _, e := range t.Events {
+		switch {
+		case e.Arrival == pktbuf.None && e.Request == pktbuf.None:
+			bw.WriteString(".\n")
+		case e.Request == pktbuf.None:
+			fmt.Fprintf(bw, "a%d\n", e.Arrival)
+		case e.Arrival == pktbuf.None:
+			fmt.Fprintf(bw, "r%d\n", e.Request)
+		default:
+			fmt.Fprintf(bw, "a%d r%d\n", e.Arrival, e.Request)
 		}
 	}
-	inner := itrace.Trace{Events: events}
-	return inner.Write(w)
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("trace: write: %w", err)
+	}
+	return nil
 }
 
-// Read parses a trace.
+// Read parses a trace. A malformed line fails with ErrFormat; a read
+// error, or a line longer than bufio.MaxScanTokenSize, fails with that
+// error wrapped.
 func Read(r io.Reader) (*Trace, error) {
-	inner, err := itrace.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Events: make([]Event, len(inner.Events))}
-	for i, e := range inner.Events {
-		t.Events[i] = Event{
-			Arrival: pktbuf.Queue(e.Arrival),
-			Request: pktbuf.Queue(e.Request),
+	t := &Trace{}
+	sc := bufio.NewScanner(r)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
 		}
+		e := Event{Arrival: pktbuf.None, Request: pktbuf.None}
+		if text != "." {
+			for _, tok := range strings.Fields(text) {
+				if len(tok) < 2 {
+					return nil, fmt.Errorf("%w %d: %q", ErrFormat, line, text)
+				}
+				// Queue ids are int32 on the datapath: a wider id must
+				// not wrap into some other queue.
+				n, err := strconv.ParseInt(tok[1:], 10, 32)
+				if err != nil || n < 0 {
+					return nil, fmt.Errorf("%w %d: %q", ErrFormat, line, text)
+				}
+				switch tok[0] {
+				case 'a':
+					e.Arrival = pktbuf.Queue(n)
+				case 'r':
+					e.Request = pktbuf.Queue(n)
+				default:
+					return nil, fmt.Errorf("%w %d: %q", ErrFormat, line, text)
+				}
+			}
+		}
+		t.Events = append(t.Events, e)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("trace: read: %w", err)
 	}
 	return t, nil
 }

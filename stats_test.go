@@ -3,9 +3,11 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/cell"
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/facade"
+	"repro/internal/testbuf"
+	"repro/pktbuf"
+	"repro/pktbuf/sim"
 )
 
 // TestHighWaterBounds drives the buffer through the §3 adversarial
@@ -21,12 +23,9 @@ func TestHighWaterBounds(t *testing.T) {
 		slots  = 100000
 	)
 	for _, bsmall := range []int{1, 2, 4, 32} {
-		cfg := core.Config{Q: queues, B: 32, Bsmall: bsmall, Banks: 256}
-		buf, err := core.New(cfg)
-		if err != nil {
-			t.Fatalf("b=%d: %v", bsmall, err)
-		}
-		final := buf.Config()
+		buf := testbuf.New(t, core.Config{Q: queues, B: 32, Bsmall: bsmall, Banks: 256})
+		inner := facade.CoreOf(buf)
+		final := inner.Config()
 		arr, _ := sim.NewRoundRobinArrivals(queues, 1.0)
 		req, _ := sim.NewRoundRobinDrain(queues)
 		warm := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: sim.NewIdleRequests()}
@@ -38,7 +37,7 @@ func TestHighWaterBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("b=%d: %v (stats %v)", bsmall, err, res.Stats)
 		}
-		s := res.Stats
+		s := inner.Stats()
 		if !s.Clean() {
 			t.Errorf("b=%d: run not clean: %v", bsmall, s)
 		}
@@ -71,11 +70,7 @@ func TestRandomizedFIFOEquivalence(t *testing.T) {
 		slots  = 100000
 		seed   = 42
 	)
-	cfg := core.Config{Q: queues, B: 32, Bsmall: 4, Banks: 256}
-	buf, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := testbuf.New(t, core.Config{Q: queues, B: 32, Bsmall: 4, Banks: 256})
 	arr, err := sim.NewUniformArrivals(queues, 0.9, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +85,7 @@ func TestRandomizedFIFOEquivalence(t *testing.T) {
 		Buffer:   buf,
 		Arrivals: arr,
 		Requests: req,
-		OnDeliver: func(c cell.Cell, _ bool) {
+		OnDeliver: func(c pktbuf.Cell, _ bool) {
 			if c.Seq != next[c.Queue] {
 				t.Fatalf("queue %d delivered seq %d, want %d", c.Queue, c.Seq, next[c.Queue])
 			}
@@ -118,7 +113,7 @@ func TestRandomizedFIFOEquivalence(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	for q := 0; q < queues; q++ {
-		if got := buf.Len(cell.QueueID(q)); got != 0 {
+		if got := buf.Len(pktbuf.Queue(q)); got != 0 {
 			t.Errorf("queue %d still holds %d cells after drain", q, got)
 		}
 	}
@@ -129,18 +124,15 @@ func TestRandomizedFIFOEquivalence(t *testing.T) {
 func TestRunBatchMatchesRun(t *testing.T) {
 	run := func(batch uint64) core.Stats {
 		t.Helper()
-		buf, err := core.New(core.Config{Q: 8, B: 8, Bsmall: 2, Banks: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
+		buf := testbuf.New(t, core.Config{Q: 8, B: 8, Bsmall: 2, Banks: 64})
+		inner := facade.CoreOf(buf)
 		arr, _ := sim.NewRoundRobinArrivals(8, 0.7)
 		req, _ := sim.NewRoundRobinDrain(8)
 		r := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: req}
-		res, err := r.RunBatch(20000, batch)
-		if err != nil {
+		if _, err := r.RunBatch(20000, batch); err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}
-		return res.Stats
+		return inner.Stats()
 	}
 	perSlot := run(1)
 	for _, batch := range []uint64{0, 7, 4096} {
