@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/facade"
-	"repro/internal/sim"
 	"repro/internal/testbuf"
 	"repro/pktbuf"
 )
@@ -246,53 +245,36 @@ func BenchmarkTick(b *testing.B) {
 // BENCH_baseline.json.
 // ------------------------------------------------------------------
 
-// coreArrivals and coreRequests hand internal generators to the
-// public Runner: the Tick benchmarks warm a buffer through the Runner
-// and then time core.Buffer.Tick driven by the same generator
-// instances, with no public adapter inside the timed loop.
-type coreArrivals struct{ inner sim.ArrivalProcess }
-
-func (a coreArrivals) Next(slot uint64) pktbuf.Queue {
-	return pktbuf.Queue(a.inner.Next(cell.Slot(slot)))
-}
-
-type coreRequests struct {
-	inner sim.RequestPolicy
-	buf   *core.Buffer
-}
-
-func (r coreRequests) Next(slot uint64, _ psim.View) pktbuf.Queue {
-	return pktbuf.Queue(r.inner.Next(cell.Slot(slot), r.buf))
-}
-
 // warmCore builds the buffer dimensioned as cfg and runs it through
 // the public Runner: warmSlots of round-robin arrivals with no
 // requests, then steadySlots under the §3 round-robin drain. It
-// returns the core buffer and the generators, positioned to go on.
-func warmCore(tb testing.TB, cfg core.Config, queues int, warmSlots, steadySlots uint64) (*core.Buffer, sim.ArrivalProcess, sim.RequestPolicy) {
+// returns the public buffer, the core buffer behind it and the
+// generators, positioned to go on; the timed loops tick the core
+// buffer directly, with the policy probing the public one.
+func warmCore(tb testing.TB, cfg core.Config, queues int, warmSlots, steadySlots uint64) (*pktbuf.Buffer, *core.Buffer, psim.ArrivalProcess, psim.RequestPolicy) {
 	tb.Helper()
 	pub := testbuf.New(tb, cfg)
-	buf := facade.CoreOf(pub)
-	arr, _ := sim.NewRoundRobinArrivals(queues, 1.0)
-	req, _ := sim.NewRoundRobinDrain(queues)
-	warm := &psim.Runner{Buffer: pub, Arrivals: coreArrivals{arr}, Requests: coreRequests{sim.NewIdleRequests(), buf}}
+	arr, _ := psim.NewRoundRobinArrivals(queues, 1.0)
+	req, _ := psim.NewRoundRobinDrain(queues)
+	warm := &psim.Runner{Buffer: pub, Arrivals: arr, Requests: psim.NewIdleRequests()}
 	if _, err := warm.Run(warmSlots); err != nil {
 		tb.Fatal(err)
 	}
-	steady := &psim.Runner{Buffer: pub, Arrivals: coreArrivals{arr}, Requests: coreRequests{req, buf}}
+	steady := &psim.Runner{Buffer: pub, Arrivals: arr, Requests: req}
 	if _, err := steady.Run(steadySlots); err != nil {
 		tb.Fatal(err)
 	}
-	return buf, arr, req
+	return pub, facade.CoreOf(pub), arr, req
 }
 
 func benchTickSteadyState(b *testing.B, cfg core.Config, queues int) {
 	b.Helper()
-	buf, arr, req := warmCore(b, cfg, queues, uint64(queues*cfg.B*4), uint64(queues*cfg.B*8))
+	pub, buf, arr, req := warmCore(b, cfg, queues, uint64(queues*cfg.B*4), uint64(queues*cfg.B*8))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := core.TickInput{Arrival: arr.Next(buf.Now()), Request: req.Next(buf.Now(), buf)}
+		now := uint64(buf.Now())
+		in := core.TickInput{Arrival: cell.QueueID(arr.Next(now)), Request: cell.QueueID(req.Next(now, pub))}
 		if _, err := buf.Tick(in); err != nil {
 			b.Fatal(err)
 		}
@@ -425,12 +407,13 @@ func BenchmarkTickQueueScaling(b *testing.B) {
 	for _, m := range []core.MMAKind{core.ECQF, core.MDQF} {
 		for _, queues := range []int{64, 1024, 16384, 65536} {
 			b.Run(fmt.Sprintf("%s/Q=%d", m, queues), func(b *testing.B) {
-				buf, arr, req := warmCore(b, core.Config{Q: queues, B: 32, Bsmall: 4, Banks: 256, MMA: m},
+				pub, buf, arr, req := warmCore(b, core.Config{Q: queues, B: 32, Bsmall: 4, Banks: 256, MMA: m},
 					queues, uint64(queues*4), uint64(queues*2))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					in := core.TickInput{Arrival: arr.Next(buf.Now()), Request: req.Next(buf.Now(), buf)}
+					now := uint64(buf.Now())
+					in := core.TickInput{Arrival: cell.QueueID(arr.Next(now)), Request: cell.QueueID(req.Next(now, pub))}
 					if _, err := buf.Tick(in); err != nil {
 						b.Fatal(err)
 					}

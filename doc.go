@@ -57,10 +57,10 @@
 // (experiments.ValidateGuarantees) and the root tests all run it.
 // Runner.RunBatch(slots, batch) is the long-run fast path: it chunks
 // the slot loop, generates arrivals a chunk at a time for
-// sim.BatchArrivalProcess implementations, lets the re-exported
-// request policies probe the core buffer directly, resolves the
-// delivery-callback and drop-tolerance branches per batch, and
-// snapshots statistics once per run. cmd/pktbufsim exposes it as
+// sim.BatchArrivalProcess implementations (every generator the
+// package constructs), resolves the delivery-callback and
+// drop-tolerance branches per batch, and snapshots statistics once
+// per run. cmd/pktbufsim exposes it as
 // -batch; Runner.Run is the batch-size-1 special case. For
 // precomputed stimulus, pktbuf.Buffer.TickBatch is the batch entry
 // point. BenchmarkPktbuf* in facade_bench_test.go holds both within

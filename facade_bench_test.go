@@ -12,7 +12,7 @@ import (
 // the internal BenchmarkTick* suite, driven entirely through the
 // public API. The façade is required to be the fast path: steady
 // state must report 0 allocs/op (Output has value semantics, the
-// runner and generator adapters are allocation-free) and land within
+// runner and the generators are allocation-free) and land within
 // ~10% of the equivalent internal numbers. Baselines live in
 // BENCH_baseline.json.
 // ------------------------------------------------------------------

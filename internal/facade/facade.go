@@ -1,13 +1,11 @@
-// Package facade bridges the public pktbuf façade to its sibling
-// public packages: it lets pktbuf/sim unwrap a *pktbuf.Buffer to the
-// *core.Buffer behind it (so re-exported request policies consult the
-// buffer state directly instead of through two stacked interface
-// adapters per probe), and it lets pktbuf/router translate the public
-// buffer configuration and statistics without duplicating the
-// façade's mapping logic. The hooks are installed by package pktbuf
-// at init time; arguments and results are typed any where pktbuf
-// types are involved, because pktbuf cannot be imported from here
-// without a cycle.
+// Package facade bridges the public pktbuf façade to the packages
+// that need what is behind it: it lets pktbuf/router translate the
+// public buffer configuration and statistics without duplicating the
+// façade's mapping logic, and it lets the §5 validation and tests
+// unwrap a *pktbuf.Buffer to the *core.Buffer behind it. The hooks
+// are installed by package pktbuf at init time; arguments and
+// results are typed any where pktbuf types are involved, because
+// pktbuf cannot be imported from here without a cycle.
 package facade
 
 import "repro/internal/core"

@@ -136,8 +136,7 @@ type Writer struct {
 	hdr [headerLen]byte
 	// enc and tr are reused across WriteCells calls so steady-state
 	// framing costs no allocation beyond the trace encoder's bufio
-	// writer (queue ids of 256 and up also box one value per record
-	// in fmt; TestWriteCellsAllocs pins both).
+	// writer, for queue ids of any magnitude (TestWriteCellsAllocs).
 	enc bytes.Buffer
 	tr  trace.Trace
 	kv  []byte

@@ -7,18 +7,15 @@
 //
 // A Runner drives a *pktbuf.Buffer with an ArrivalProcess and a
 // RequestPolicy, one slot at a time; it is the only slot-loop driver
-// in the module. The generators re-export the internal workload suite
-// through allocation-free adapters and are deterministic given their
-// seed, so every experiment is reproducible.
+// in the module. The generators are deterministic given their seed,
+// so every experiment is reproducible, and their constructors reject
+// bad parameters with errors wrapping pktbuf.ErrBadConfig.
 package sim
 
 import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cell"
-	"repro/internal/facade"
-	isim "repro/internal/sim"
 	"repro/pktbuf"
 )
 
@@ -157,26 +154,7 @@ func (r *Runner) RunBatch(slots, batch uint64) (Result, error) {
 	res := Result{DropsAllowed: r.AllowDrops}
 	buf := r.Buffer
 	onDeliver := r.OnDeliver
-	// Policies re-exported by this package can probe the core buffer
-	// directly: the view they would otherwise see through the public
-	// adapter is the buffer itself, so the adapter stack is pure
-	// overhead on the per-slot path.
-	reqAdapter, direct := r.Requests.(*requests)
-	var coreView isim.View
-	if direct {
-		coreView = facade.CoreOf(buf)
-	}
-	// Sparse fast path: generators re-exported by this package carry
-	// their inner sparse process (no per-call adapter conversions);
-	// external implementations are used through the public interface.
-	var sparseInner isim.SparseArrivalProcess
-	var sparsePub SparseArrivalProcess
-	if a, ok := r.Arrivals.(*arrivals); ok {
-		sparseInner = a.sparse
-	} else if s, ok := r.Arrivals.(SparseArrivalProcess); ok {
-		sparsePub = s
-	}
-	sparse := sparseInner != nil || sparsePub != nil
+	sparseArr, sparse := r.Arrivals.(SparseArrivalProcess)
 	if sp, ok := r.Requests.(StableRequestPolicy); !ok || !sp.IdleStable() {
 		sparse = false
 	}
@@ -206,19 +184,9 @@ func (r *Runner) RunBatch(slots, batch uint64) (Result, error) {
 				// does not change across a fast-forward). The dense path
 				// below keeps the arrival-first call order the trace
 				// recorder's slot pairing relies on.
-				if direct {
-					in.Request = reqAdapter.nextDirect(now, coreView)
-				} else {
-					in.Request = r.Requests.Next(now, buf)
-				}
+				in.Request = r.Requests.Next(now, buf)
 				if in.Request == pktbuf.None && buf.Quiescent() {
-					var next uint64
-					if sparseInner != nil {
-						next = uint64(sparseInner.NextArrival(cell.Slot(now), cell.Slot(now+n-i)))
-					} else {
-						next = sparsePub.NextArrival(now, now+n-i)
-					}
-					if next > now {
+					if next := sparseArr.NextArrival(now, now+n-i); next > now {
 						i += buf.FastForward(next - now)
 						continue
 					}
@@ -230,11 +198,7 @@ func (r *Runner) RunBatch(slots, batch uint64) (Result, error) {
 				} else {
 					in.Arrival = r.Arrivals.Next(now)
 				}
-				if direct {
-					in.Request = reqAdapter.nextDirect(now, coreView)
-				} else {
-					in.Request = r.Requests.Next(now, buf)
-				}
+				in.Request = r.Requests.Next(now, buf)
 			}
 			out, err := buf.Tick(in)
 			if err != nil && !(r.AllowDrops && errors.Is(err, pktbuf.ErrBufferFull)) {

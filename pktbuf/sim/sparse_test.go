@@ -22,17 +22,6 @@ func sparseBuffer(t testing.TB, queues int) *pktbuf.Buffer {
 	return buf
 }
 
-// densePublicArr hides the public generator's fast paths so the
-// Runner takes the per-slot reference loop.
-type densePublicArr struct{ inner sim.ArrivalProcess }
-
-func (d densePublicArr) Next(slot uint64) pktbuf.Queue { return d.inner.Next(slot) }
-
-// unstablePublicReq hides the policy's IdleStable marker.
-type unstablePublicReq struct{ inner sim.RequestPolicy }
-
-func (u unstablePublicReq) Next(slot uint64, v sim.View) pktbuf.Queue { return u.inner.Next(slot, v) }
-
 // TestPublicRunnerSparseEquivalence pins the public Runner's
 // fast-forward path to its per-slot reference loop: identical
 // Bernoulli workloads must yield identical deliveries, statistics and
@@ -50,8 +39,8 @@ func TestPublicRunnerSparseEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if dense {
-			arr = densePublicArr{arr}
-			req = unstablePublicReq{req}
+			arr = denseOnly{arr}
+			req = unstable{req}
 		}
 		var log []string
 		r := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: req,

@@ -42,23 +42,35 @@ type Trace struct {
 // ErrFormat reports a malformed trace line.
 var ErrFormat = errors.New("trace: malformed line")
 
-// Write serializes the trace.
+// maxRecord bounds one encoded record: "a-2147483648 r-2147483648\n".
+const maxRecord = 26
+
+// Write serializes the trace. Records are appended in place into the
+// writer's buffer, so encoding allocates nothing per record.
 func (t *Trace) Write(w io.Writer) error {
 	// bufio.Writer errors are sticky: a failed write turns every later
 	// one into a no-op and resurfaces at Flush.
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# pktbuf slot trace, %d slots\n", len(t.Events))
+	b := append(bw.AvailableBuffer(), "# pktbuf slot trace, "...)
+	b = strconv.AppendInt(b, int64(len(t.Events)), 10)
+	bw.Write(append(b, " slots\n"...))
 	for _, e := range t.Events {
+		if bw.Available() < maxRecord {
+			bw.Flush()
+		}
+		b := bw.AvailableBuffer()
 		switch {
 		case e.Arrival == pktbuf.None && e.Request == pktbuf.None:
-			bw.WriteString(".\n")
+			b = append(b, '.')
 		case e.Request == pktbuf.None:
-			fmt.Fprintf(bw, "a%d\n", e.Arrival)
+			b = strconv.AppendInt(append(b, 'a'), int64(e.Arrival), 10)
 		case e.Arrival == pktbuf.None:
-			fmt.Fprintf(bw, "r%d\n", e.Request)
+			b = strconv.AppendInt(append(b, 'r'), int64(e.Request), 10)
 		default:
-			fmt.Fprintf(bw, "a%d r%d\n", e.Arrival, e.Request)
+			b = strconv.AppendInt(append(b, 'a'), int64(e.Arrival), 10)
+			b = strconv.AppendInt(append(b, " r"...), int64(e.Request), 10)
 		}
+		bw.Write(append(b, '\n'))
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("trace: write: %w", err)
