@@ -1,18 +1,22 @@
+// Package router holds the input-queued router's fabric scheduler:
+// iterative round-robin request-grant-accept (iSLIP) over bitmasks.
+// The router engine itself, whose line cards raise and drop the
+// requests, is repro/pktbuf/router.
 package router
 
 import "math/bits"
 
-// islip is the fabric scheduler: iterative round-robin
+// ISLIP is the fabric scheduler: iterative round-robin
 // request-grant-accept (iSLIP) over bitmasks. Requests live in one
-// mask of inputs per output, kept current by set as VOQs fill and
+// mask of inputs per output, kept current by Set as VOQs fill and
 // drain; a slot's grant and accept phases are then a masked
 // find-first-set from each round-robin pointer instead of a scan of
 // the P×P request matrix. Port sets wider than 64 span several words.
-type islip struct {
+type ISLIP struct {
 	ports, words, iters int
 	grant               []int // per output: input the next grant search starts from
 	accept              []int // per input: output the next accept search starts from
-	matched             []int // per input: output matched this slot, or -1
+	Matched             []int // per input: output matched this slot, or -1
 
 	req []uint64 // [output×words] inputs requesting the output
 	// Per-slot scratch.
@@ -21,13 +25,15 @@ type islip struct {
 	grants          []uint64 // [input×words] outputs granting the input
 }
 
-func newISLIP(ports, iters int) *islip {
+// NewISLIP returns a scheduler for ports×ports with iters iterations
+// per slot.
+func NewISLIP(ports, iters int) *ISLIP {
 	words := (ports + 63) / 64
-	return &islip{
+	return &ISLIP{
 		ports: ports, words: words, iters: iters,
 		grant:   make([]int, ports),
 		accept:  make([]int, ports),
-		matched: make([]int, ports),
+		Matched: make([]int, ports),
 		req:     make([]uint64, ports*words),
 		freeIn:  make([]uint64, words),
 		freeOut: make([]uint64, words),
@@ -36,8 +42,8 @@ func newISLIP(ports, iters int) *islip {
 	}
 }
 
-// set records whether input can serve a cell to output.
-func (s *islip) set(input, output int, on bool) {
+// Set records whether input can serve a cell to output.
+func (s *ISLIP) Set(input, output int, on bool) {
 	w, bit := output*s.words+input>>6, uint64(1)<<(input&63)
 	if on {
 		s.req[w] |= bit
@@ -46,9 +52,15 @@ func (s *islip) set(input, output int, on bool) {
 	}
 }
 
-// idle reports that no input requests any output: schedule would match
+// Requested reports whether input requests output, as Set last
+// recorded.
+func (s *ISLIP) Requested(input, output int) bool {
+	return s.req[output*s.words+input>>6]>>(input&63)&1 == 1
+}
+
+// Idle reports that no input requests any output: Schedule would match
 // nothing and move no pointer.
-func (s *islip) idle() bool {
+func (s *ISLIP) Idle() bool {
 	for _, m := range s.req {
 		if m != 0 {
 			return false
@@ -79,15 +91,15 @@ func firstFrom(a, b []uint64, from int) int {
 	return -1
 }
 
-// schedule computes one slot's matching into matched and returns the
+// Schedule computes one slot's matching into Matched and returns the
 // number of matches made. Grant and accept pointers advance only on
 // first-iteration accepts (the iSLIP desynchronization rule).
 //
 //pktbuf:hotpath
-func (s *islip) schedule() int {
+func (s *ISLIP) Schedule() int {
 	P, W := s.ports, s.words
-	for i := range s.matched {
-		s.matched[i] = -1
+	for i := range s.Matched {
+		s.Matched[i] = -1
 	}
 	for w := range s.freeIn {
 		all := ^uint64(0)
@@ -125,7 +137,7 @@ func (s *islip) schedule() int {
 				g := s.grants[i*W : i*W+W]
 				o := firstFrom(g, g, s.accept[i])
 				clear(g)
-				s.matched[i] = o
+				s.Matched[i] = o
 				s.freeIn[i>>6] &^= 1 << (i & 63)
 				s.freeOut[o>>6] &^= 1 << (o & 63)
 				matches++

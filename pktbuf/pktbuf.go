@@ -58,9 +58,9 @@ import (
 )
 
 func init() {
-	// Install the bridges that let the sibling public packages
-	// (repro/pktbuf/sim, repro/pktbuf/router) reach the core layer
-	// without widening the public API surface.
+	// Install the bridges that let repro/pktbuf/router, the §5
+	// validation and the tests reach the core layer without widening
+	// the public API surface.
 	facade.CoreOf = func(b any) *core.Buffer { return b.(*Buffer).inner }
 	facade.CoreConfig = func(cfg any) (core.Config, error) { return coreConfig(cfg.(Config)) }
 	facade.PublicStats = func(s core.Stats) any { return statsFromCore(s) }

@@ -5,18 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/packet"
+	"repro/pktbuf/packet"
 )
 
-// BenchmarkRouterStep measures the per-slot cost of the whole router
-// (segmentation + 4 buffers + iSLIP + reassembly) under ~full load.
-func BenchmarkRouterStep(b *testing.B) {
+// BenchmarkRouterStepQuarterLoad measures the per-slot cost of the
+// whole router (segmentation + 4 buffers + iSLIP + reassembly) with one
+// 300-byte packet offered every 4 slots, built over an exact
+// core.Config and ticking every slot (no quiescence probe).
+func BenchmarkRouterStepQuarterLoad(b *testing.B) {
 	b.ReportAllocs()
-	r, err := New(Config{
-		Ports:   4,
-		Classes: 2,
-		Buffer:  core.Config{B: 32, Bsmall: 4, Banks: 256},
-	})
+	r, err := newEngine(Config{Ports: 4, Classes: 2}, core.Config{B: 32, Bsmall: 4, Banks: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,7 +27,7 @@ func BenchmarkRouterStep(b *testing.B) {
 			p := packet.Packet{Flow: r.VOQ(rng.Intn(4), rng.Intn(2)), Payload: payload}
 			_ = r.Offer(in, p)
 		}
-		if _, err := r.Step(); err != nil {
+		if _, err := denseStep(r); err != nil {
 			b.Fatal(err)
 		}
 	}

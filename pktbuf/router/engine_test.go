@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/core"
-	"repro/internal/packet"
+	"repro/pktbuf/packet"
 )
 
 // slotRecord is a comparable snapshot of one egress packet (payload
@@ -30,6 +30,16 @@ func recordEgress(eg []Egress, dst *[]slotRecord) {
 	}
 }
 
+// denseStep is the differentials' reference step: it ticks the slot
+// even when e is quiescent, never taking StepBatch's fast-forward, so
+// the subject's fast-forward is pinned against dense ticking.
+func denseStep(e *Engine) ([]Egress, error) {
+	e.egArena = e.egArena[:0]
+	out, err := e.stepSlot(e.egScratch[:0])
+	e.egScratch = out
+	return out, err
+}
+
 func sameEgress(a, b []slotRecord) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("egress diverges: %d packets vs %d", len(a), len(b))
@@ -47,7 +57,7 @@ func sameEgress(a, b []slotRecord) error {
 // vector and scheduler bits it maintains incrementally equal a
 // recompute over all of the port's VOQs. Safe to fire off the test
 // goroutine: it reports once and disarms.
-func auditRequests(t *testing.T, r *Router) {
+func auditRequests(t *testing.T, r *Engine) {
 	r.tickHook = func(port int) {
 		in, C := r.inputs[port], r.cfg.Classes
 		for o := range in.reqVec {
@@ -58,7 +68,7 @@ func auditRequests(t *testing.T, r *Router) {
 					break
 				}
 			}
-			bit := r.sched.req[o*r.sched.words+port>>6]>>(port&63)&1 == 1
+			bit := r.sched.Requested(port, o)
 			if in.reqVec[o] != want || bit != (want != cell.NoQueue) {
 				t.Errorf("slot %d port %d output %d: incremental request %d (bit %v), recompute %d",
 					r.stats.Slots, port, o, in.reqVec[o], bit, want)
@@ -70,19 +80,19 @@ func auditRequests(t *testing.T, r *Router) {
 }
 
 // differential steps one seeded bursty workload through two routers of
-// cfg — the subject in StepBatch calls of lengths drawn from
-// 1..2·span+2 (with the request audit on), the reference slot by slot
-// through Step — and requires identical egress bytes and order,
-// identical Stats, and identical per-port buffer stats apart from
-// FastForwardedSlots. It reports through t.Errorf only, so it may run
-// off the test goroutine.
-func differential(t *testing.T, cfg Config, span, slots int, seed int64, wantRetry bool) {
-	ref, err := New(cfg)
+// cfg over line cards of buf — the subject in StepBatch calls of
+// lengths drawn from 1..2·span+2 (with the request audit on), the
+// reference slot by slot through denseStep — and requires identical
+// egress bytes and order, identical Stats, and identical per-port
+// buffer stats apart from FastForwardedSlots. It reports through
+// t.Errorf only, so it may run off the test goroutine.
+func differential(t *testing.T, cfg Config, buf core.Config, span, slots int, seed int64, wantRetry bool) {
+	ref, err := newEngine(cfg, buf)
 	if err != nil {
 		t.Error(err)
 		return
 	}
-	sub, err := New(cfg)
+	sub, err := newEngine(cfg, buf)
 	if err != nil {
 		t.Error(err)
 		return
@@ -109,7 +119,7 @@ func differential(t *testing.T, cfg Config, span, slots int, seed int64, wantRet
 		}
 		n := min(1+rng.Intn(2*span+2), slots-done)
 		for s := 0; s < n; s++ {
-			eg, err := ref.Step()
+			eg, err := denseStep(ref)
 			if err != nil {
 				t.Error(err)
 				return
@@ -136,7 +146,7 @@ func differential(t *testing.T, cfg Config, span, slots int, seed int64, wantRet
 // to agree on egress, router stats and per-port buffer stats (apart
 // from FastForwardedSlots), and returns the subject's fast-forwarded
 // port-slots and refused arrivals.
-func sameOutcome(t *testing.T, ref, sub *Router, refOut, subOut []slotRecord, wantClean bool) (skipped, drops uint64) {
+func sameOutcome(t *testing.T, ref, sub *Engine, refOut, subOut []slotRecord, wantClean bool) (skipped, drops uint64) {
 	if err := sameEgress(refOut, subOut); err != nil {
 		t.Error(err)
 	}
@@ -144,7 +154,7 @@ func sameOutcome(t *testing.T, ref, sub *Router, refOut, subOut []slotRecord, wa
 		t.Errorf("router stats diverge:\nstep  %+v\nbatch %+v", ref.Stats(), sub.Stats())
 	}
 	for p := range sub.inputs {
-		rs, ss := ref.BufferStats(p), sub.BufferStats(p)
+		rs, ss := ref.inputs[p].buf.Stats(), sub.inputs[p].buf.Stats()
 		skipped += ss.FastForwardedSlots
 		drops += ss.Drops
 		rs.FastForwardedSlots, ss.FastForwardedSlots = 0, 0
@@ -192,14 +202,14 @@ func differentialMatrix(t *testing.T, shapes []struct{ ports, classes int }, spa
 			for _, workers := range []int{1, 0} {
 				name := fmt.Sprintf("ports=%d/classes=%d/K=%d/workers=%d", pc.ports, pc.classes, K, workers)
 				t.Run(name, func(t *testing.T) {
-					cfg := Config{Ports: pc.ports, Classes: pc.classes, Buffer: bufCfg, SchedulerIterations: 2}
+					cfg := Config{Ports: pc.ports, Classes: pc.classes, SchedulerIterations: 2}
 					seed := int64(1000*pc.ports + 100*pc.classes + K)
 					slots := 4000
 					if workers != 1 {
 						slots = 1500 // per engine
 					}
 					onEngines(workers, pc.ports, func(e int) {
-						differential(t, cfg, K, slots, seed+int64(7919*e), wantRetry)
+						differential(t, cfg, bufCfg, K, slots, seed+int64(7919*e), wantRetry)
 					})
 				})
 			}
@@ -229,28 +239,28 @@ func TestEpochRepairBoundaries(t *testing.T) {
 // same order, the same Stats and the same per-port buffer stats whether
 // it is stepped in batches or slot by slot.
 func TestEngineMatchesSerialRouter(t *testing.T) {
-	cfg := Config{Ports: 4, Classes: 2, Buffer: core.Config{B: 8, Bsmall: 2, Banks: 16}, SchedulerIterations: 2}
+	cfg := Config{Ports: 4, Classes: 2, SchedulerIterations: 2}
 	for _, span := range []int{1, 7, 64} {
-		differential(t, cfg, span, 8000, 42, false)
+		differential(t, cfg, core.Config{B: 8, Bsmall: 2, Banks: 16}, span, 8000, 42, false)
 	}
 }
 
 // TestEngineStepBatch: StepBatch(slots) is slot-for-slot identical to
 // repeated Step, and appends into the caller's slice.
 func TestEngineStepBatch(t *testing.T) {
-	cfg := Config{Ports: 2, Classes: 1, Buffer: core.Config{B: 8, Bsmall: 2, Banks: 16}}
-	a, err := New(cfg)
+	cfg, buf := Config{Ports: 2, Classes: 1}, core.Config{B: 8, Bsmall: 2, Banks: 16}
+	a, err := newEngine(cfg, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(cfg)
+	b, err := newEngine(cfg, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{3}, 2*packet.CellPayload)
 	for port := 0; port < 2; port++ {
 		for k := 0; k < 5; k++ {
-			for _, r := range []*Router{a, b} {
+			for _, r := range []*Engine{a, b} {
 				if err := r.Offer(port, packet.Packet{Flow: r.VOQ(1-port, 0), Payload: payload}); err != nil {
 					t.Fatal(err)
 				}
@@ -289,11 +299,7 @@ func TestEngineStepBatch(t *testing.T) {
 
 // TestEngineOfferBatch: partial acceptance stops at ErrIngressFull.
 func TestEngineOfferBatch(t *testing.T) {
-	e, err := New(Config{
-		Ports: 2, Classes: 1,
-		Buffer:     core.Config{B: 8, Bsmall: 2, Banks: 16},
-		IngressCap: 4,
-	})
+	e, err := newEngine(Config{Ports: 2, Classes: 1, IngressCap: 4}, core.Config{B: 8, Bsmall: 2, Banks: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +322,7 @@ func TestEngineOfferBatch(t *testing.T) {
 // TestEngineClose: a closed router rejects further use and Close is
 // idempotent.
 func TestEngineClose(t *testing.T) {
-	e, err := New(Config{Ports: 2, Classes: 1, Buffer: core.Config{B: 8, Bsmall: 2, Banks: 16}})
+	e, err := newEngine(Config{Ports: 2, Classes: 1}, core.Config{B: 8, Bsmall: 2, Banks: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,12 +355,15 @@ func TestConfigErrorsWrapBadConfig(t *testing.T) {
 		{Ports: 0},
 		{Ports: -3},
 		{Ports: 2, Classes: -1},
-		{Ports: 2, Buffer: core.Config{B: 8, Bsmall: 3, Banks: 16}}, // b does not divide B
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); !errors.Is(err, core.ErrBadConfig) {
 			t.Errorf("case %d: New err = %v, want ErrBadConfig", i, err)
 		}
+	}
+	// b does not divide B.
+	if _, err := newEngine(Config{Ports: 2, Classes: 1}, core.Config{B: 8, Bsmall: 3, Banks: 16}); !errors.Is(err, core.ErrBadConfig) {
+		t.Errorf("case %d: New err = %v, want ErrBadConfig", len(cases), err)
 	}
 }
 
@@ -364,10 +373,7 @@ func TestConfigErrorsWrapBadConfig(t *testing.T) {
 func TestEngineZeroAllocSteadyState(t *testing.T) {
 	for _, epoch := range []int{1, 16} {
 		t.Run(fmt.Sprintf("epoch=%d", epoch), func(t *testing.T) {
-			e, err := New(Config{
-				Ports: 4, Classes: 2,
-				Buffer: core.Config{B: 8, Bsmall: 2, Banks: 64},
-			})
+			e, err := newEngine(Config{Ports: 4, Classes: 2}, core.Config{B: 8, Bsmall: 2, Banks: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -433,13 +439,13 @@ func fastForwardMatrix(t *testing.T, span int) {
 // between them; like differential it reports through t.Errorf only.
 func fastForwardDifferential(t *testing.T, ports, span int, seed int64) {
 	const classes, burstSlots = 2, 5000
-	cfg := Config{Ports: ports, Classes: classes, Buffer: core.Config{B: 8, Bsmall: 2, Banks: 16}, SchedulerIterations: 2}
-	ref, err := New(cfg)
+	cfg, buf := Config{Ports: ports, Classes: classes, SchedulerIterations: 2}, core.Config{B: 8, Bsmall: 2, Banks: 16}
+	ref, err := newEngine(cfg, buf)
 	if err != nil {
 		t.Error(err)
 		return
 	}
-	sub, err := New(cfg)
+	sub, err := newEngine(cfg, buf)
 	if err != nil {
 		t.Error(err)
 		return
@@ -452,7 +458,7 @@ func fastForwardDifferential(t *testing.T, ports, span int, seed int64) {
 			in, out, class := rng.Intn(ports), rng.Intn(ports), rng.Intn(classes)
 			payload := make([]byte, 1+rng.Intn(3*packet.CellPayload))
 			rng.Read(payload)
-			for _, r := range []*Router{ref, sub} {
+			for _, r := range []*Engine{ref, sub} {
 				if err := r.Offer(in, packet.Packet{Flow: r.VOQ(out, class), Payload: payload}); err != nil {
 					t.Error(err)
 					return
@@ -460,7 +466,7 @@ func fastForwardDifferential(t *testing.T, ports, span int, seed int64) {
 			}
 		}
 		for s := 0; s < burstSlots; s++ {
-			eg, err := ref.Step()
+			eg, err := denseStep(ref)
 			if err != nil {
 				t.Error(err)
 				return
@@ -491,8 +497,8 @@ func fastForwardDifferential(t *testing.T, ports, span int, seed int64) {
 // arrival must be admitted exactly once, the delivery consumed, and
 // the line card's sequence counters must equal the buffer's afterwards.
 func TestTickErrorKeepsLineCardInSync(t *testing.T) {
-	mk := func() *Router {
-		r, err := New(Config{Ports: 2, Classes: 2, Buffer: core.Config{B: 8, Bsmall: 2, Banks: 16}})
+	mk := func() *Engine {
+		r, err := newEngine(Config{Ports: 2, Classes: 2}, core.Config{B: 8, Bsmall: 2, Banks: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,7 +510,7 @@ func TestTickErrorKeepsLineCardInSync(t *testing.T) {
 		}
 		return r
 	}
-	step := func(r *Router) []Egress {
+	step := func(r *Engine) []Egress {
 		t.Helper()
 		eg, err := r.Step()
 		if err != nil {
@@ -543,7 +549,7 @@ func TestTickErrorKeepsLineCardInSync(t *testing.T) {
 	// output 1, whose VOQs are empty.
 	badTick := func() []Egress {
 		t.Helper()
-		in.reqVec[1] = r.VOQ(1, 0)
+		in.reqVec[1] = cell.QueueID(r.VOQ(1, 0))
 		out, err := r.tickPort(0, 1, nil)
 		if !errors.Is(err, core.ErrBadRequest) {
 			t.Fatalf("tick error = %v, want ErrBadRequest", err)

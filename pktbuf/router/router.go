@@ -1,20 +1,33 @@
 // Package router is the public router engine: the paper's system
 // context (Figure 1) promoted to the API surface. An Engine is an
 // input-queued router in which every input line card carries its own
-// VOQ packet buffer (a pktbuf.Buffer), fed by the cell segmentation
-// layer (repro/pktbuf/packet) and drained by an iSLIP-style
-// request-grant-accept fabric scheduler; output ports reassemble cells
-// into packets.
+// VOQ packet buffer (the buffer pktbuf.New builds from Config.Buffer),
+// fed by the cell segmentation layer (repro/pktbuf/packet) and drained
+// by an iSLIP-style request-grant-accept fabric scheduler
+// (repro/internal/router); output
+// ports reassemble cells into packets.
 //
-// The engine is serial: every slot — one scheduler exchange, then each
-// port's ingress, buffer tick and output reassembly in input order —
-// runs on the caller's goroutine, and the engine starts none of its
-// own. A line card's work between two scheduler exchanges is a few
-// hundred nanoseconds, far below the cost of handing it to another
-// goroutine; every sharded variant this package used to offer
-// measured slower than the serial one (see the README's "Why the
-// engine is serial"). Multi-core throughput comes from running
-// independent engines, one per goroutine.
+// The router is the "example application" the paper motivates — it is
+// also the harshest client of the buffer's guarantees: the fabric
+// scheduler's per-slot requests form exactly the adversarial patterns
+// (§3) the buffer must absorb, and any miss, conflict or reorder
+// surfaces as a corrupted packet at an output port.
+//
+// The engine is serial: every slot — one scheduler exchange
+// (ISLIP.Schedule), then tickPort for each port in input order: its
+// ingress, its buffer tick and the delivered cell's fabric crossing
+// and output reassembly — runs on the caller's goroutine, and the
+// engine starts none of its own. A line card's work between two
+// scheduler exchanges is a few hundred nanoseconds, far below the cost
+// of handing it to another goroutine; every sharded variant this
+// package used to offer measured slower than the serial one (see the
+// README's "Why the engine is serial"). Multi-core throughput comes
+// from running independent engines, one per goroutine.
+//
+// All per-cell metadata lives in dense slice-indexed arenas: per-VOQ
+// compacting deques keyed by the delivery sequence order the buffer
+// guarantees, so the steady-state Step path performs no hashing and no
+// allocation.
 //
 // A minimal session:
 //
@@ -31,12 +44,14 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cell"
+	"repro/internal/core"
 	"repro/internal/facade"
 	ipacket "repro/internal/packet"
-	irouter "repro/internal/router"
+	fabric "repro/internal/router"
 	"repro/pktbuf"
 	"repro/pktbuf/packet"
 )
@@ -46,13 +61,13 @@ import (
 var (
 	// ErrIngressFull reports that an Offer would exceed the port's
 	// pre-segmentation cell backlog (Config.IngressCap).
-	ErrIngressFull = irouter.ErrIngressFull
+	ErrIngressFull = errors.New("router: ingress backlog full")
 	// ErrBadPort reports a port index outside [0, Config.Ports).
-	ErrBadPort = irouter.ErrBadPort
+	ErrBadPort = errors.New("router: port out of range")
 	// ErrBadFlow reports a packet flow outside [0, Ports×Classes).
-	ErrBadFlow = irouter.ErrBadFlow
+	ErrBadFlow = errors.New("router: packet flow out of range")
 	// ErrClosed reports use of an engine after Close.
-	ErrClosed = irouter.ErrClosed
+	ErrClosed = errors.New("router: engine closed")
 )
 
 // Config describes the router engine.
@@ -107,13 +122,88 @@ type Stats struct {
 	Slots uint64
 }
 
+// segRing is a compacting deque of segmented cells: push appends,
+// popFront advances a start cursor, and the backing array is compacted
+// in place when it fills, so steady-state operation does not allocate.
+type segRing struct {
+	cells []ipacket.SegCell
+	start int
+}
+
+func (q *segRing) len() int { return len(q.cells) - q.start }
+
+// ensure compacts so that n appends fit without growing, when the
+// slack at the front allows it.
+func (q *segRing) ensure(n int) {
+	if q.start > 0 && len(q.cells)+n > cap(q.cells) {
+		m := copy(q.cells, q.cells[q.start:])
+		q.cells = q.cells[:m]
+		q.start = 0
+	}
+}
+
+func (q *segRing) push(c ipacket.SegCell) {
+	q.ensure(1)
+	q.cells = append(q.cells, c)
+}
+
+func (q *segRing) front() ipacket.SegCell { return q.cells[q.start] }
+
+func (q *segRing) popFront() ipacket.SegCell {
+	c := q.cells[q.start]
+	q.cells[q.start] = ipacket.SegCell{} // drop the payload reference
+	q.start++
+	if q.start == len(q.cells) {
+		q.cells, q.start = q.cells[:0], 0
+	}
+	return c
+}
+
+// lineCard is one ingress port: its VOQ buffer plus the dense
+// per-VOQ metadata arenas.
+type lineCard struct {
+	buf *core.Buffer
+	seg ipacket.Segmenter
+	// pending serializes segmented cells onto the line (1 per slot).
+	pending segRing
+	// arrivals[voq] counts cells admitted, assigning the sequence
+	// numbers the buffer will deliver back; delivered[voq] counts
+	// deliveries consumed, verifying the buffer's FIFO guarantee.
+	arrivals  []uint64
+	delivered []uint64
+	// meta[voq] holds the admitted cells' payloads and headers in
+	// arrival order; per-VOQ FIFO delivery makes the front cell the
+	// one the buffer hands back next.
+	meta []segRing
+	// reqVec[output] is the highest-priority requestable VOQ addressed
+	// to output (cell.NoQueue = none): what the port requests when the
+	// scheduler matches it to output. refreshReq keeps it, and the
+	// scheduler's request bit for (port, output), current.
+	reqVec []cell.QueueID
+}
+
 // Engine is the composed router.
 type Engine struct {
-	inner     *irouter.Router
-	cfg       Config
-	scratch   []irouter.Egress
-	egOut     []Egress
-	obScratch []ipacket.Packet
+	cfg    Config
+	inputs []*lineCard
+	// reasm[output] reassembles the Ports×Classes (input, class)
+	// streams that can reach output.
+	reasm  []*ipacket.DenseReassembler
+	sched  *fabric.ISLIP
+	stats  Stats
+	voqs   int
+	closed bool
+
+	egScratch []Egress
+	// egArena backs the payloads of returned Egress packets. It is
+	// reset at the start of every Step / StepBatch call, so egress
+	// stays valid for the whole batch: a mid-batch grow moves new
+	// payloads to a fresh block while already-returned slices keep the
+	// old one alive and untouched.
+	egArena []byte
+	// tickHook, when set, runs after every port tick (tests audit the
+	// incrementally maintained request state against a full recompute).
+	tickHook func(port int)
 }
 
 // New builds an engine. Rejected configurations (including buffer
@@ -128,35 +218,60 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Classes == 0 {
 		cfg.Classes = 1
 	}
-	buf := cfg.Buffer
-	buf.Queues = cfg.Ports * cfg.Classes
-	cc, err := facade.CoreConfig(buf)
+	cfg.Buffer.Queues = cfg.Ports * cfg.Classes
+	buf, err := facade.CoreConfig(cfg.Buffer)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := irouter.New(irouter.Config{
-		Ports:               cfg.Ports,
-		Classes:             cfg.Classes,
-		Buffer:              cc,
-		SchedulerIterations: cfg.SchedulerIterations,
-		IngressCap:          cfg.IngressCap,
-	})
-	if err != nil {
-		return nil, err
+	return newEngine(cfg, buf)
+}
+
+// newEngine builds the engine for cfg, whose Ports and Classes are
+// already validated and defaulted, with every line card's buffer
+// built from buf (its Q overwritten with Ports×Classes).
+func newEngine(cfg Config, buf core.Config) (*Engine, error) {
+	if cfg.SchedulerIterations <= 0 {
+		cfg.SchedulerIterations = 1
 	}
-	norm := inner.Config()
-	cfg.SchedulerIterations = norm.SchedulerIterations
-	cfg.IngressCap = norm.IngressCap
-	return &Engine{inner: inner, cfg: cfg}, nil
+	if cfg.IngressCap <= 0 {
+		cfg.IngressCap = 4096
+	}
+	voqs := cfg.Ports * cfg.Classes
+	buf.Q = voqs
+
+	e := &Engine{
+		cfg:   cfg,
+		sched: fabric.NewISLIP(cfg.Ports, cfg.SchedulerIterations),
+		voqs:  voqs,
+	}
+	for i := 0; i < cfg.Ports; i++ {
+		b, err := core.New(buf)
+		if err != nil {
+			return nil, fmt.Errorf("router: input %d buffer: %w", i, err)
+		}
+		e.inputs = append(e.inputs, &lineCard{
+			buf:       b,
+			arrivals:  make([]uint64, voqs),
+			delivered: make([]uint64, voqs),
+			meta:      make([]segRing, voqs),
+			reqVec:    newNoQueueVec(cfg.Ports),
+		})
+		e.reasm = append(e.reasm, ipacket.NewDenseReassembler(voqs))
+	}
+	return e, nil
+}
+
+func newNoQueueVec(n int) []cell.QueueID {
+	v := make([]cell.QueueID, n)
+	for i := range v {
+		v[i] = cell.NoQueue
+	}
+	return v
 }
 
 // Config returns the normalized configuration (defaults resolved; the
 // Buffer field is the template as passed, with Queues overwritten).
-func (e *Engine) Config() Config {
-	cfg := e.cfg
-	cfg.Buffer.Queues = cfg.Ports * cfg.Classes
-	return cfg
-}
+func (e *Engine) Config() Config { return e.cfg }
 
 // VOQ maps (output, class) to the flow id used when offering packets.
 // Out-of-range arguments return pktbuf.None, which Offer rejects with
@@ -174,89 +289,282 @@ func (e *Engine) VOQ(output, class int) pktbuf.Queue {
 // segmented cells until the packet leaves the router. Offer must not
 // be called concurrently with Step or StepBatch.
 func (e *Engine) Offer(port int, p packet.Packet) error {
-	return e.inner.Offer(port, ipacket.Packet{Flow: cell.QueueID(p.Flow), Payload: p.Payload})
+	if e.closed {
+		return ErrClosed
+	}
+	if port < 0 || port >= e.cfg.Ports {
+		return fmt.Errorf("%w: %d", ErrBadPort, port)
+	}
+	if p.Flow < 0 || int(p.Flow) >= e.voqs {
+		return fmt.Errorf("%w: %d", ErrBadFlow, p.Flow)
+	}
+	in := e.inputs[port]
+	n := ipacket.CellCount(len(p.Payload))
+	if in.pending.len()+n > e.cfg.IngressCap {
+		return fmt.Errorf("%w: port %d", ErrIngressFull, port)
+	}
+	in.pending.ensure(n)
+	in.pending.cells = in.seg.SegmentAppend(in.pending.cells, ipacket.Packet{Flow: cell.QueueID(p.Flow), Payload: p.Payload})
+	e.stats.OfferedPackets++
+	return nil
 }
 
 // OfferBatch enqueues packets at an input port in one validated pass:
-// the port is checked once, the accepted prefix is
-// sized against the ingress budget up front, and its cells are
-// segmented in a single run. It returns the number of packets
-// accepted and the error that stopped the run (ErrIngressFull when
-// the backlog fills, ErrBadFlow on an invalid flow id); the remaining
-// packets are not offered.
+// the port is checked once, the accepted prefix is sized against the
+// ingress budget up front, and its cells are segmented in a single run
+// with one ring compaction. It returns the number of packets accepted
+// and the error that stopped the run (ErrIngressFull when the backlog
+// fills, ErrBadFlow on an invalid flow id); the remaining packets are
+// not offered.
 func (e *Engine) OfferBatch(port int, ps []packet.Packet) (int, error) {
-	e.obScratch = e.obScratch[:0]
+	if e.closed {
+		return 0, ErrClosed
+	}
+	if port < 0 || port >= e.cfg.Ports {
+		return 0, fmt.Errorf("%w: %d", ErrBadPort, port)
+	}
+	in := e.inputs[port]
+	budget := e.cfg.IngressCap - in.pending.len()
+	n, cells := 0, 0
+	var stop error
 	for k := range ps {
-		e.obScratch = append(e.obScratch, ipacket.Packet{Flow: cell.QueueID(ps[k].Flow), Payload: ps[k].Payload})
+		if ps[k].Flow < 0 || int(ps[k].Flow) >= e.voqs {
+			stop = fmt.Errorf("%w: %d", ErrBadFlow, ps[k].Flow)
+			break
+		}
+		c := ipacket.CellCount(len(ps[k].Payload))
+		if cells+c > budget {
+			stop = fmt.Errorf("%w: port %d", ErrIngressFull, port)
+			break
+		}
+		n++
+		cells += c
 	}
-	n, err := e.inner.OfferBatch(port, e.obScratch)
-	for k := range e.obScratch {
-		e.obScratch[k] = ipacket.Packet{} // drop payload references
+	in.pending.ensure(cells)
+	for _, p := range ps[:n] {
+		in.pending.cells = in.seg.SegmentAppend(in.pending.cells, ipacket.Packet{Flow: cell.QueueID(p.Flow), Payload: p.Payload})
 	}
-	return n, err
+	e.stats.OfferedPackets += uint64(n)
+	return n, stop
 }
 
 // Step advances the engine one slot: one iSLIP matching, then per
 // port one ingress cell, one buffer tick and output reassembly, in
-// input order. It returns the packets completed this
-// slot; the slice and the packet payloads are valid until the next
-// Step or StepBatch call (see Egress).
+// input order. It returns the packets completed this slot; the slice
+// and the packet payloads are valid until the next Step or StepBatch
+// call (see Egress).
 func (e *Engine) Step() ([]Egress, error) {
-	out, err := e.StepBatch(1, e.egOut[:0])
-	e.egOut = out
+	out, err := e.StepBatch(1, e.egScratch[:0])
+	e.egScratch = out
 	return out, err
 }
 
 // StepBatch advances up to slots slots, appending every completed
-// packet to out and returning the extended slice: with enough
-// capacity in out it allocates nothing. Egress payloads from the whole batch stay valid
-// until the next Step or StepBatch call. On a slot error it stops
-// after the offending slot (whose egress is already appended) and
-// returns the error.
+// packet to out and returning the extended slice: with enough capacity
+// in out it allocates nothing. Egress payloads from the whole batch
+// stay valid until the next Step or StepBatch call. On a slot error it
+// stops after the offending slot (whose egress is already appended)
+// and returns the error. When the engine goes quiescent the remaining
+// slots are skipped in one fast-forward of every buffer — bit-identical
+// to stepping them apart from the buffers' FastForwardedSlots — so a
+// batch that outlives its traffic costs O(events), not O(slots).
 func (e *Engine) StepBatch(slots int, out []Egress) ([]Egress, error) {
-	var stepErr error
-	e.scratch, stepErr = e.inner.StepBatch(slots, e.scratch[:0])
-	for _, g := range e.scratch {
-		out = append(out, Egress{
-			Output: g.Output,
-			Input:  g.Input,
-			Packet: packet.Packet{Flow: pktbuf.Queue(g.Packet.Flow), Payload: g.Packet.Payload},
-		})
+	if e.closed {
+		return out, ErrClosed
 	}
-	return out, stepErr
+	e.egArena = e.egArena[:0]
+	for s := 0; s < slots; s++ {
+		if e.Quiescent() {
+			e.fastForward(uint64(slots - s))
+			break
+		}
+		var err error
+		if out, err = e.stepSlot(out); err != nil {
+			return out, fmt.Errorf("slot %d of batch: %w", s, err)
+		}
+	}
+	return out, nil
+}
+
+// stepSlot advances one slot without resetting the egress arena. On a
+// tick error the slot still completes on every port; the first error
+// in input-port order is returned.
+func (e *Engine) stepSlot(out []Egress) ([]Egress, error) {
+	e.stats.Matches += uint64(e.sched.Schedule())
+	var firstErr error
+	for i, matchedOut := range e.sched.Matched {
+		var err error
+		if out, err = e.tickPort(i, matchedOut, out); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	e.stats.Slots++
+	return out, firstErr
+}
+
+// fastForward advances every port by n slots; the caller has
+// established Quiescent. It is bit-identical to n slots of a quiescent
+// engine: every buffer fast-forwards (which is exact per
+// core.Buffer.FastForward), no skipped tick would change a request
+// vector, and the only engine-level state a quiescent slot touches is
+// the slot counter.
+func (e *Engine) fastForward(n uint64) {
+	for _, in := range e.inputs {
+		in.buf.FastForward(n)
+	}
+	e.stats.Slots += n
+}
+
+// refreshReq re-derives port i's request toward the output that owns
+// VOQ q — the lowest requestable class — and publishes it to the
+// scheduler. A tick moves Requestable only on its arrival VOQ (+1 when
+// admitted) and its request VOQ (-1 when admitted); a delivery retires
+// a cell and its pending request together, net zero. So refreshing
+// these two after a tick keeps the whole vector equal to a recompute
+// over all Ports×Classes VOQs.
+func (e *Engine) refreshReq(i int, in *lineCard, q cell.QueueID) {
+	if q == cell.NoQueue {
+		return
+	}
+	C := e.cfg.Classes
+	o := int(q) / C
+	best := cell.NoQueue
+	for v, end := cell.QueueID(o*C), cell.QueueID(o*C+C); v < end; v++ {
+		if in.buf.Requestable(v) > 0 {
+			best = v
+			break
+		}
+	}
+	in.reqVec[o] = best
+	e.sched.Set(i, o, best != cell.NoQueue)
+}
+
+// tickPort advances port i one slot: admit one pending ingress cell,
+// tick the buffer with the fabric request for the matched output, and
+// move the delivered cell across the fabric to its output reassembler,
+// appending any completed packet to out. Ports run in input order, so
+// egress order is deterministic.
+//
+//pktbuf:hotpath
+func (e *Engine) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
+	in := e.inputs[i]
+	tick := core.TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
+	if in.pending.len() > 0 {
+		tick.Arrival = in.pending.front().Flow
+	}
+	// The scheduler only matches ports whose request vector names a VOQ.
+	if matchedOut >= 0 {
+		tick.Request = in.reqVec[matchedOut]
+	}
+	res, err := in.buf.Tick(tick)
+	if err != nil {
+		if errors.Is(err, core.ErrBufferFull) {
+			err = nil // the cell stays pending and retries next slot
+		} else {
+			err = fmt.Errorf("router: input %d: %w", i, err) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
+		}
+	}
+	// The buffer completes the slot whatever it reports, so the line
+	// card commits what the buffer did, not what the tick asked for: the
+	// arrival was admitted iff the buffer assigned it a sequence number.
+	if a := tick.Arrival; a != cell.NoQueue && in.buf.ArrivedSeq(a) > in.arrivals[a] {
+		in.arrivals[a]++
+		in.meta[a].push(in.pending.popFront())
+	}
+	if dc := res.Delivered; dc != nil {
+		// Per-VOQ FIFO delivery makes the front of meta the cell's
+		// payload and header.
+		q := dc.Queue
+		if mq := &in.meta[q]; mq.len() > 0 && in.delivered[q] == dc.Seq {
+			in.delivered[q]++
+			var ferr error
+			if out, ferr = e.cross(i, q, mq.popFront(), out); err == nil {
+				err = ferr
+			}
+		} else if err == nil {
+			err = fmt.Errorf("router: input %d delivered unknown cell %v", i, *dc) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
+		}
+	}
+	e.refreshReq(i, in, tick.Arrival)
+	e.refreshReq(i, in, tick.Request)
+	if e.tickHook != nil {
+		e.tickHook(i)
+	}
+	return out, err
+}
+
+// cross moves a cell delivered by input i's VOQ q across the fabric to
+// its output reassembler, appending a completed packet to out.
+//
+//pktbuf:hotpath
+func (e *Engine) cross(i int, q cell.QueueID, sc ipacket.SegCell, out []Egress) ([]Egress, error) {
+	e.stats.SwitchedCells++
+	C := e.cfg.Classes
+	output := int(q) / C
+	// Reassemble per (input, class) stream so same-flow cells of
+	// different inputs never interleave.
+	sc.Flow = cell.QueueID(i*C + int(q) - output*C)
+	p, ok, err := e.reasm[output].Push(sc)
+	if err != nil {
+		return out, fmt.Errorf("router: output %d: %w", output, err) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
+	}
+	if ok {
+		// Copy the payload out of the reassembler's per-flow buffer
+		// (overwritten by the stream's next packet) into the egress
+		// arena (stable until the next step call).
+		off := len(e.egArena)
+		e.egArena = append(e.egArena, p.Payload...) //pktbuf:allow hotpath-noalloc egress arena append: amortized, capacity reused across steps
+		pkt := packet.Packet{Flow: pktbuf.Queue(q), Payload: e.egArena[off:len(e.egArena):len(e.egArena)]}
+		out = append(out, Egress{Output: output, Input: i, Packet: pkt}) //pktbuf:allow hotpath-noalloc appends into the caller's reused backing array; grows only on the first steps
+		e.stats.DeliveredPackets++
+	}
+	return out, nil
 }
 
 // IngressBacklog returns the number of segmented cells waiting to
 // enter port's buffer.
-func (e *Engine) IngressBacklog(port int) int { return e.inner.IngressBacklog(port) }
+func (e *Engine) IngressBacklog(port int) int { return e.inputs[port].pending.len() }
 
 // BufferStats exposes an input port's buffer statistics — the same
 // snapshot pktbuf.Buffer.Stats reports, including the worst-case
 // invariant counters (Clean()).
 func (e *Engine) BufferStats(port int) pktbuf.Stats {
-	return facade.PublicStats(e.inner.BufferStats(port)).(pktbuf.Stats)
+	return facade.PublicStats(e.inputs[port].buf.Stats()).(pktbuf.Stats)
 }
 
 // Stats returns the router-level counters.
-func (e *Engine) Stats() Stats {
-	s := e.inner.Stats()
-	return Stats{
-		OfferedPackets:   s.OfferedPackets,
-		DeliveredPackets: s.DeliveredPackets,
-		SwitchedCells:    s.SwitchedCells,
-		Matches:          s.Matches,
-		Slots:            s.Slots,
-	}
-}
+func (e *Engine) Stats() Stats { return e.stats }
 
 // Quiescent reports whether every port is idle end to end: no ingress
-// cell waiting, no requestable VOQ anywhere, and every buffer with no
-// internal work in flight. A quiescent engine's StepBatch
+// cell waiting, no port able to serve any output (so the iSLIP
+// exchange makes no match and moves no pointer), and every buffer with
+// no internal work in flight. A quiescent engine's StepBatch
 // fast-forwards every buffer instead of stepping slot by slot
 // (bit-identical, but O(1) per batch), so batches that outlive their
-// traffic cost nothing per slot.
-func (e *Engine) Quiescent() bool { return e.inner.Quiescent() }
+// traffic cost nothing per slot. The checks run cheapest-first and
+// bail on the first busy port, so a loaded engine pays almost nothing
+// for the probe.
+func (e *Engine) Quiescent() bool {
+	for _, in := range e.inputs {
+		if in.pending.len() > 0 {
+			return false
+		}
+	}
+	if !e.sched.Idle() {
+		return false
+	}
+	for _, in := range e.inputs {
+		if !in.buf.Quiescent() {
+			return false
+		}
+	}
+	return true
+}
 
 // Close marks the engine closed: it rejects further Offer and Step
-// calls with ErrClosed. Close is idempotent.
-func (e *Engine) Close() error { return e.inner.Close() }
+// calls with ErrClosed. It holds no goroutine or other resource; Close
+// is idempotent.
+func (e *Engine) Close() error {
+	e.closed = true
+	return nil
+}

@@ -6,18 +6,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cell"
 	"repro/internal/core"
-	"repro/internal/packet"
+	"repro/pktbuf"
+	"repro/pktbuf/packet"
 )
 
-func testRouter(t *testing.T, ports, classes int) *Router {
+func testRouter(t *testing.T, ports, classes int) *Engine {
 	t.Helper()
-	r, err := New(Config{
-		Ports:   ports,
-		Classes: classes,
-		Buffer:  core.Config{B: 8, Bsmall: 2, Banks: 16},
-	})
+	r, err := newEngine(Config{Ports: ports, Classes: classes}, core.Config{B: 8, Bsmall: 2, Banks: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +25,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("zero ports accepted")
 	}
 	// Bad buffer geometry propagates.
-	if _, err := New(Config{Ports: 2, Buffer: core.Config{B: 8, Bsmall: 3, Banks: 16}}); err == nil {
+	if _, err := newEngine(Config{Ports: 2, Classes: 1}, core.Config{B: 8, Bsmall: 3, Banks: 16}); err == nil {
 		t.Error("bad buffer config accepted")
 	}
 	r := testRouter(t, 4, 2)
@@ -52,11 +48,7 @@ func TestOfferValidation(t *testing.T) {
 }
 
 func TestIngressCap(t *testing.T) {
-	r, err := New(Config{
-		Ports: 2, Classes: 1,
-		Buffer:     core.Config{B: 8, Bsmall: 2, Banks: 16},
-		IngressCap: 4,
-	})
+	r, err := newEngine(Config{Ports: 2, Classes: 1, IngressCap: 4}, core.Config{B: 8, Bsmall: 2, Banks: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +64,7 @@ func TestIngressCap(t *testing.T) {
 	}
 }
 
-func TestSinglePacketAcrossFabric(t *testing.T) {
+func TestSinglePacketCrossesFabric(t *testing.T) {
 	r := testRouter(t, 2, 1)
 	payload := bytes.Repeat([]byte{0x5A}, 2*packet.CellPayload+7)
 	if err := r.Offer(0, packet.Packet{Flow: r.VOQ(1, 0), Payload: payload}); err != nil {
@@ -262,11 +254,7 @@ func TestISLIPDesynchronization(t *testing.T) {
 // matching.
 func TestMultiIterationScheduler(t *testing.T) {
 	for _, iters := range []int{1, 2, 4} {
-		r, err := New(Config{
-			Ports: 4, Classes: 1,
-			Buffer:              core.Config{B: 8, Bsmall: 2, Banks: 16},
-			SchedulerIterations: iters,
-		})
+		r, err := newEngine(Config{Ports: 4, Classes: 1, SchedulerIterations: iters}, core.Config{B: 8, Bsmall: 2, Banks: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,18 +281,14 @@ func TestMultiIterationScheduler(t *testing.T) {
 // does not, and a bad flow mid-run stops with ErrBadFlow. Mirrors
 // Offer's per-packet semantics exactly.
 func TestOfferBatchPartialAccept(t *testing.T) {
-	mk := func() *Router {
-		e, err := New(Config{
-			Ports: 2, Classes: 1,
-			Buffer:     core.Config{B: 8, Bsmall: 2, Banks: 16},
-			IngressCap: 5,
-		})
+	mk := func() *Engine {
+		e, err := newEngine(Config{Ports: 2, Classes: 1, IngressCap: 5}, core.Config{B: 8, Bsmall: 2, Banks: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	pkt := func(flow cell.QueueID, cells int) packet.Packet {
+	pkt := func(flow pktbuf.Queue, cells int) packet.Packet {
 		return packet.Packet{Flow: flow, Payload: bytes.Repeat([]byte{1}, cells*packet.CellPayload)}
 	}
 

@@ -2,7 +2,10 @@ package router_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -338,5 +341,92 @@ func TestStepBatchAppends(t *testing.T) {
 	}
 	if len(out) != 2 || out[0].Output != -1 {
 		t.Fatalf("StepBatch egress = %+v", out)
+	}
+}
+
+// TestEngineStreamFingerprint pins everything the engine lets a caller
+// observe: an FNV-64 over every egress record (slot, output, input,
+// flow, payload bytes), the final Stats and each port's BufferStats,
+// for a seeded bursty workload stepped slot by slot, whose quiet spells
+// let Step fast-forward. The constants were recorded on the tree before
+// the engine's implementation moved into this package and before each
+// output's reassembler was narrowed to the streams that can reach it;
+// both changes leave them untouched.
+func TestEngineStreamFingerprint(t *testing.T) {
+	want := map[string]uint64{
+		"2x1": 0x7aca704b0ad26103,
+		"4x2": 0xdb108ff887b0c8b6,
+		"8x2": 0xa5cf01cf43526543,
+	}
+	for _, sh := range []struct{ ports, classes int }{{2, 1}, {4, 2}, {8, 2}} {
+		name := fmt.Sprintf("%dx%d", sh.ports, sh.classes)
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(sh.ports, sh.classes, 1)
+			cfg.SchedulerIterations = 2
+			e := mustEngine(t, cfg)
+			rng := rand.New(rand.NewSource(int64(100*sh.ports + sh.classes)))
+			h := fnv.New64a()
+			put := func(vs ...uint64) {
+				var w [8]byte
+				for _, v := range vs {
+					binary.LittleEndian.PutUint64(w[:], v)
+					h.Write(w[:])
+				}
+			}
+			for slot := 0; slot < 12000; slot++ {
+				// Bursts in two of every three 1000-slot spells.
+				if (slot/1000)%3 != 2 && rng.Intn(6) == 0 {
+					for n := 1 + rng.Intn(2*sh.ports); n > 0; n-- {
+						payload := make([]byte, rng.Intn(4*packet.CellPayload))
+						rng.Read(payload)
+						p := packet.Packet{Flow: e.VOQ(rng.Intn(sh.ports), rng.Intn(sh.classes)), Payload: payload}
+						if err := e.Offer(rng.Intn(sh.ports), p); err != nil && !errors.Is(err, router.ErrIngressFull) {
+							t.Fatal(err)
+						}
+					}
+				}
+				eg, err := e.Step()
+				if err != nil {
+					t.Fatalf("slot %d: %v", slot, err)
+				}
+				for _, g := range eg {
+					put(uint64(slot), uint64(g.Output), uint64(g.Input), uint64(g.Packet.Flow), uint64(len(g.Packet.Payload)))
+					h.Write(g.Packet.Payload)
+				}
+			}
+			st := e.Stats()
+			if st.DeliveredPackets == 0 {
+				t.Fatal("nothing delivered")
+			}
+			fmt.Fprintf(h, "%+v", st)
+			for p := 0; p < sh.ports; p++ {
+				fmt.Fprintf(h, "%+v", e.BufferStats(p))
+			}
+			if got := h.Sum64(); got != want[name] {
+				t.Errorf("stream fingerprint %#x, want %#x (stats %+v)", got, want[name], st)
+			}
+		})
+	}
+}
+
+// TestNewMemoryQuadraticInPorts: only the Ports×Classes (input, class)
+// streams addressed to an output can reach its reassembler, so New's
+// allocation grows as Ports² (each port's Ports×Classes VOQs), not
+// Ports³. At 64 ports × 2 classes on OC-3072 with b = 4 New allocates
+// about 4 MB; reassemblers sized for the whole router's flow space
+// took about 29 MB.
+func TestNewMemoryQuadraticInPorts(t *testing.T) {
+	cfg := router.Config{Ports: 64, Classes: 2, Buffer: pktbuf.Config{
+		LineRate: pktbuf.OC3072, Granularity: 4, Banks: 256}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := router.New(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8e6 {
+		t.Errorf("New at 64 ports × 2 classes allocated %.1f MB, want ≤ 8 MB", float64(got)/1e6)
 	}
 }
