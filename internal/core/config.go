@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cell"
 	"repro/internal/dimension"
 )
 
@@ -212,19 +211,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: oversubscription must be ≥ 1, got %d", ErrBadConfig, c.Oversub)
 	}
 	return nil
-}
-
-// FromLineRate returns a defaulted configuration for a line rate using
-// the paper's assumptions: 48 ns DRAM access, M banks, granularity b.
-func FromLineRate(rate cell.LineRate, q, b, banks int, renaming bool) (Config, error) {
-	cfg := Config{
-		Q:        q,
-		B:        rate.Granularity(cell.DefaultDRAMAccessNS),
-		Bsmall:   b,
-		Banks:    banks,
-		Renaming: renaming,
-	}
-	return cfg.ApplyDefaults()
 }
 
 // accessSlots returns the bank random access time T_RC in slots: B/2

@@ -1,9 +1,9 @@
 // Package faultnet wraps net.Listener/net.Conn with deterministic
 // fault injection for crash-safety tests: cut every connection at
 // once (a process crash seen from the network), truncate a write
-// mid-frame and then hang (a crash mid-flush), add per-write latency,
-// or black-hole traffic without closing sockets (a silent peer, which
-// keepalive probing must detect).
+// mid-frame and then hang (a crash mid-flush), or black-hole traffic
+// without closing sockets (a silent peer, which keepalive probing must
+// detect).
 //
 // The wrappers are transport-faithful: a cut surfaces to both sides
 // as an abrupt connection error, exactly like a killed process, so a
@@ -24,10 +24,7 @@ type Network struct {
 	mu    sync.Mutex
 	conns map[*Conn]struct{}
 
-	latency   atomic.Int64 // per-write delay, nanoseconds
 	blackhole atomic.Bool
-
-	cuts atomic.Uint64
 }
 
 // New returns an empty fault-injection network.
@@ -73,11 +70,7 @@ func (n *Network) CutAll() {
 	for _, c := range conns {
 		c.cut()
 	}
-	n.cuts.Add(uint64(len(conns)))
 }
-
-// Cuts returns the total number of connections cut so far.
-func (n *Network) Cuts() uint64 { return n.cuts.Load() }
 
 // Conns returns the current number of tracked (un-cut, un-closed)
 // connections.
@@ -86,9 +79,6 @@ func (n *Network) Conns() int {
 	defer n.mu.Unlock()
 	return len(n.conns)
 }
-
-// SetLatency delays every subsequent write by d.
-func (n *Network) SetLatency(d time.Duration) { n.latency.Store(int64(d)) }
 
 // Blackhole makes writes block (without erroring and without closing
 // sockets) until cleared or the connection is cut — a silent peer.
@@ -155,16 +145,9 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// Write applies latency, blackhole, and partial-write faults, then
-// forwards to the underlying connection.
+// Write applies blackhole and partial-write faults, then forwards to
+// the underlying connection.
 func (c *Conn) Write(p []byte) (int, error) {
-	if d := c.n.latency.Load(); d > 0 {
-		select {
-		case <-time.After(time.Duration(d)):
-		case <-c.done:
-			return 0, net.ErrClosed
-		}
-	}
 	for c.n.blackhole.Load() {
 		select {
 		case <-time.After(time.Millisecond):

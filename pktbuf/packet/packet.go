@@ -1,8 +1,8 @@
-// Package packet is the public segmentation and reassembly layer of
-// the paper's §2: "packets in the router are internally fragmented
-// into fixed-length 64 byte units that we call cells. Cells are
-// handled as independent units, although they are reassembled at the
-// output port before packet transmission."
+// Package packet is the segmentation and reassembly layer of the
+// paper's §2: "packets in the router are internally fragmented into
+// fixed-length 64 byte units that we call cells. Cells are handled as
+// independent units, although they are reassembled at the output port
+// before packet transmission."
 //
 // A Segmenter slices variable-length packets into cells tagged with
 // the packet's flow (the VOQ); a Reassembler collects in-order cells
@@ -11,33 +11,33 @@
 // numbers beyond a per-packet cell count carried in the first cell's
 // header — exactly the discipline real line cards use.
 //
-// The package is a thin value-converting façade over the internal
-// implementation the router engine (repro/pktbuf/router) uses, so a
-// caller composing its own fabric gets the same segmentation the
+// The router engine (repro/pktbuf/router) segments with this package,
+// so a caller composing its own fabric gets the same segmentation the
 // engine applies. SegmentAppend is the zero-allocation path; errors
 // are typed sentinels matched with errors.Is.
 package packet
 
 import (
-	"repro/internal/cell"
-	ipacket "repro/internal/packet"
+	"errors"
+	"fmt"
+
 	"repro/pktbuf"
 )
 
 // CellPayload is the number of packet bytes one 64-byte cell carries
 // after the internal header (flow id, cell count, length). The
 // paper's cell is 64 bytes; the model reserves an 8-byte header.
-const CellPayload = ipacket.CellPayload
+const CellPayload = pktbuf.CellSize - 8
 
 // Errors returned by the reassembler, matched with errors.Is.
 var (
 	// ErrInterleaved reports a head cell arriving while the same flow
 	// still had a partially reassembled packet — within one flow,
 	// packets must not interleave.
-	ErrInterleaved = ipacket.ErrInterleaved
+	ErrInterleaved = errors.New("packet: cells of two packets interleaved within one flow")
 	// ErrOrphanCell reports a continuation cell for a flow with no
 	// packet head in progress.
-	ErrOrphanCell = ipacket.ErrOrphanCell
+	ErrOrphanCell = errors.New("packet: continuation cell without a packet head")
 )
 
 // Packet is a variable-length unit entering or leaving the router.
@@ -65,12 +65,14 @@ type Cell struct {
 // CellCount returns how many cells Segment produces for a packet of
 // the given byte length (at least one: zero-length packets still
 // occupy a head cell, as on real hardware).
-func CellCount(bytes int) int { return ipacket.CellCount(bytes) }
+func CellCount(bytes int) int {
+	if bytes <= 0 {
+		return 1
+	}
+	return (bytes + CellPayload - 1) / CellPayload
+}
 
-// Segmenter slices packets into cells. It applies the same
-// fragmentation rule as the internal layer (same CellPayload, same
-// head-cell header), so cells it produces reassemble interchangeably
-// with the engine's.
+// Segmenter slices packets into cells.
 type Segmenter struct {
 	segmented uint64
 }
@@ -107,38 +109,54 @@ func (s *Segmenter) SegmentAppend(dst []Cell, p Packet) []Cell {
 // Segmented returns the number of cells produced so far.
 func (s *Segmenter) Segmented() uint64 { return s.segmented }
 
+// flowState is a partially reassembled packet.
+type flowState struct {
+	want, have int
+	payload    []byte
+}
+
 // Reassembler rebuilds packets from per-flow in-order cell streams
 // (one Reassembler per output port). Flows may interleave with each
 // other arbitrarily; within a flow, cells must arrive in order — the
 // packet buffer guarantees exactly that.
 type Reassembler struct {
-	inner *ipacket.Reassembler
+	flows map[pktbuf.Queue]*flowState
+	done  uint64
 }
 
 // NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
-	return &Reassembler{inner: ipacket.NewReassembler()}
+	return &Reassembler{flows: make(map[pktbuf.Queue]*flowState)}
 }
 
 // Push accepts the next cell of a flow. When the cell completes a
 // packet it returns the packet and ok=true. The returned payload is
 // freshly assembled and owned by the caller.
 func (r *Reassembler) Push(c Cell) (Packet, bool, error) {
-	p, err := r.inner.Push(ipacket.SegCell{
-		Flow:    cell.QueueID(c.Flow),
-		Head:    c.Head,
-		Cells:   c.Cells,
-		Payload: c.Payload,
-	})
-	if err != nil || p == nil {
-		return Packet{}, false, err
+	st := r.flows[c.Flow]
+	if c.Head {
+		if st != nil {
+			return Packet{}, false, fmt.Errorf("%w: flow %d (packet of %d cells had %d/%d)",
+				ErrInterleaved, c.Flow, c.Cells, st.have, st.want)
+		}
+		st = &flowState{want: c.Cells}
+		r.flows[c.Flow] = st
+	} else if st == nil {
+		return Packet{}, false, fmt.Errorf("%w: flow %d", ErrOrphanCell, c.Flow)
 	}
-	return Packet{Flow: pktbuf.Queue(p.Flow), Payload: p.Payload}, true, nil
+	st.payload = append(st.payload, c.Payload...)
+	st.have++
+	if st.have < st.want {
+		return Packet{}, false, nil
+	}
+	delete(r.flows, c.Flow)
+	r.done++
+	return Packet{Flow: c.Flow, Payload: st.payload}, true, nil
 }
 
 // Pending returns the number of flows with a partially reassembled
 // packet.
-func (r *Reassembler) Pending() int { return r.inner.Pending() }
+func (r *Reassembler) Pending() int { return len(r.flows) }
 
 // Completed returns the number of packets emitted.
-func (r *Reassembler) Completed() uint64 { return r.inner.Completed() }
+func (r *Reassembler) Completed() uint64 { return r.done }

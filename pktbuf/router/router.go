@@ -50,7 +50,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/facade"
-	ipacket "repro/internal/packet"
 	fabric "repro/internal/router"
 	"repro/pktbuf"
 	"repro/pktbuf/packet"
@@ -126,7 +125,7 @@ type Stats struct {
 // popFront advances a start cursor, and the backing array is compacted
 // in place when it fills, so steady-state operation does not allocate.
 type segRing struct {
-	cells []ipacket.SegCell
+	cells []packet.Cell
 	start int
 }
 
@@ -142,16 +141,16 @@ func (q *segRing) ensure(n int) {
 	}
 }
 
-func (q *segRing) push(c ipacket.SegCell) {
+func (q *segRing) push(c packet.Cell) {
 	q.ensure(1)
 	q.cells = append(q.cells, c)
 }
 
-func (q *segRing) front() ipacket.SegCell { return q.cells[q.start] }
+func (q *segRing) front() packet.Cell { return q.cells[q.start] }
 
-func (q *segRing) popFront() ipacket.SegCell {
+func (q *segRing) popFront() packet.Cell {
 	c := q.cells[q.start]
-	q.cells[q.start] = ipacket.SegCell{} // drop the payload reference
+	q.cells[q.start] = packet.Cell{} // drop the payload reference
 	q.start++
 	if q.start == len(q.cells) {
 		q.cells, q.start = q.cells[:0], 0
@@ -163,7 +162,7 @@ func (q *segRing) popFront() ipacket.SegCell {
 // per-VOQ metadata arenas.
 type lineCard struct {
 	buf *core.Buffer
-	seg ipacket.Segmenter
+	seg packet.Segmenter
 	// pending serializes segmented cells onto the line (1 per slot).
 	pending segRing
 	// arrivals[voq] counts cells admitted, assigning the sequence
@@ -188,7 +187,7 @@ type Engine struct {
 	inputs []*lineCard
 	// reasm[output] reassembles the Ports×Classes (input, class)
 	// streams that can reach output.
-	reasm  []*ipacket.DenseReassembler
+	reasm  []*denseReassembler
 	sched  *fabric.ISLIP
 	stats  Stats
 	voqs   int
@@ -256,7 +255,7 @@ func newEngine(cfg Config, buf core.Config) (*Engine, error) {
 			meta:      make([]segRing, voqs),
 			reqVec:    newNoQueueVec(cfg.Ports),
 		})
-		e.reasm = append(e.reasm, ipacket.NewDenseReassembler(voqs))
+		e.reasm = append(e.reasm, newDenseReassembler(voqs))
 	}
 	return e, nil
 }
@@ -299,12 +298,12 @@ func (e *Engine) Offer(port int, p packet.Packet) error {
 		return fmt.Errorf("%w: %d", ErrBadFlow, p.Flow)
 	}
 	in := e.inputs[port]
-	n := ipacket.CellCount(len(p.Payload))
+	n := packet.CellCount(len(p.Payload))
 	if in.pending.len()+n > e.cfg.IngressCap {
 		return fmt.Errorf("%w: port %d", ErrIngressFull, port)
 	}
 	in.pending.ensure(n)
-	in.pending.cells = in.seg.SegmentAppend(in.pending.cells, ipacket.Packet{Flow: cell.QueueID(p.Flow), Payload: p.Payload})
+	in.pending.cells = in.seg.SegmentAppend(in.pending.cells, p)
 	e.stats.OfferedPackets++
 	return nil
 }
@@ -332,7 +331,7 @@ func (e *Engine) OfferBatch(port int, ps []packet.Packet) (int, error) {
 			stop = fmt.Errorf("%w: %d", ErrBadFlow, ps[k].Flow)
 			break
 		}
-		c := ipacket.CellCount(len(ps[k].Payload))
+		c := packet.CellCount(len(ps[k].Payload))
 		if cells+c > budget {
 			stop = fmt.Errorf("%w: port %d", ErrIngressFull, port)
 			break
@@ -342,7 +341,7 @@ func (e *Engine) OfferBatch(port int, ps []packet.Packet) (int, error) {
 	}
 	in.pending.ensure(cells)
 	for _, p := range ps[:n] {
-		in.pending.cells = in.seg.SegmentAppend(in.pending.cells, ipacket.Packet{Flow: cell.QueueID(p.Flow), Payload: p.Payload})
+		in.pending.cells = in.seg.SegmentAppend(in.pending.cells, p)
 	}
 	e.stats.OfferedPackets += uint64(n)
 	return n, stop
@@ -450,7 +449,7 @@ func (e *Engine) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
 	in := e.inputs[i]
 	tick := core.TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
 	if in.pending.len() > 0 {
-		tick.Arrival = in.pending.front().Flow
+		tick.Arrival = cell.QueueID(in.pending.front().Flow)
 	}
 	// The scheduler only matches ports whose request vector names a VOQ.
 	if matchedOut >= 0 {
@@ -497,14 +496,14 @@ func (e *Engine) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
 // its output reassembler, appending a completed packet to out.
 //
 //pktbuf:hotpath
-func (e *Engine) cross(i int, q cell.QueueID, sc ipacket.SegCell, out []Egress) ([]Egress, error) {
+func (e *Engine) cross(i int, q cell.QueueID, sc packet.Cell, out []Egress) ([]Egress, error) {
 	e.stats.SwitchedCells++
 	C := e.cfg.Classes
 	output := int(q) / C
 	// Reassemble per (input, class) stream so same-flow cells of
 	// different inputs never interleave.
-	sc.Flow = cell.QueueID(i*C + int(q) - output*C)
-	p, ok, err := e.reasm[output].Push(sc)
+	sc.Flow = pktbuf.Queue(i*C + int(q) - output*C)
+	p, ok, err := e.reasm[output].push(sc)
 	if err != nil {
 		return out, fmt.Errorf("router: output %d: %w", output, err) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 	}
