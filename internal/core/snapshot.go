@@ -185,7 +185,7 @@ func (b *Buffer) Snapshot(w io.Writer) error {
 		s.Snapshot(fw)
 	}
 	b.dram.Snapshot(fw)
-	b.sched.Snapshot(fw)
+	b.sched.Snapshot(fw, b.now)
 	fw.Begin("end")
 	return fw.Flush()
 }
@@ -440,7 +440,7 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 	if err := b.dram.Restore(fr); err != nil {
 		return nil, err
 	}
-	if err := b.sched.Restore(fr); err != nil {
+	if err := b.sched.Restore(fr, b.cfg.Banks); err != nil {
 		return nil, err
 	}
 	if err := fr.Expect("end"); err != nil {

@@ -116,17 +116,15 @@ type Scheduler struct {
 	capacity int
 	policy   Policy
 	rr       []Request // age-ordered: rr[0] is the oldest
-	orr      []lock
+	// until is the ORR as a per-bank lock-expiry table: bank k is
+	// locked at slot now iff now < until[k]. A bank holds at most one
+	// live lock (a locked bank cannot issue), so one slot per bank is
+	// the whole register; banks past the end were never locked.
+	until []cell.Slot
 	// issued is the reusable result buffer handed back by Cycle, so
 	// the per-cycle selection does not allocate.
 	issued []Request
 	stats  Stats
-}
-
-// lock is one ORR entry: a bank and the slot its access completes.
-type lock struct {
-	bank  dram.BankID
-	until cell.Slot
 }
 
 // New returns a Scheduler whose RR holds capacity requests. A zero
@@ -168,8 +166,8 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 // fast-forward path while the RR was empty. It keeps the statistics
 // bit-identical to running Cycle n times on an empty register: each
 // such Cycle would count exactly one EmptyCycle and do nothing else
-// observable (expired ORR locks are pruned lazily by the next real
-// Cycle and never lock a bank once their slot has passed).
+// observable (an ORR lock stops locking its bank once its slot has
+// passed, whether or not a Cycle runs).
 func (s *Scheduler) SkipIdleCycles(n uint64) { s.stats.EmptyCycles += n }
 
 // Enqueue appends a request at the RR tail (the MMA issues one request
@@ -188,32 +186,25 @@ func (s *Scheduler) Enqueue(r Request) error {
 
 // locked reports whether bank b is in the ORR at slot now.
 func (s *Scheduler) locked(b dram.BankID, now cell.Slot) bool {
-	for _, l := range s.orr {
-		if l.bank == b && now < l.until {
-			return true
-		}
-	}
-	return false
+	return int(b) < len(s.until) && now < s.until[b]
 }
 
-// pruneORR drops expired locks. The ORR size is bounded by
-// issuesPerCycle·(B/b − 1) live entries, matching §5.3's "size of the
+// lock registers bank b in the ORR until slot until (never shortening
+// a lock the bank already holds).
+func (s *Scheduler) lock(b dram.BankID, until cell.Slot) {
+	if int(b) >= len(s.until) {
+		s.until = append(s.until, make([]cell.Slot, int(b)+1-len(s.until))...)
+	}
+	s.until[b] = max(s.until[b], until)
+}
+
+// ORRLen returns the number of live ORR entries at slot now. It is
+// bounded by issuesPerCycle·(B/b − 1), matching §5.3's "size of the
 // ORR is hence (B/b)−1" for the single-issue case.
-func (s *Scheduler) pruneORR(now cell.Slot) {
-	kept := s.orr[:0]
-	for _, l := range s.orr {
-		if now < l.until {
-			kept = append(kept, l)
-		}
-	}
-	s.orr = kept
-}
-
-// ORRLen returns the number of live ORR entries at slot now.
 func (s *Scheduler) ORRLen(now cell.Slot) int {
 	n := 0
-	for _, l := range s.orr {
-		if now < l.until {
+	for _, until := range s.until {
+		if now < until {
 			n++
 		}
 	}
@@ -232,7 +223,6 @@ func (s *Scheduler) ORRLen(now cell.Slot) int {
 // The returned slice is owned by the Scheduler and valid only until
 // the next Cycle call; callers must consume it before cycling again.
 func (s *Scheduler) Cycle(now cell.Slot, budget, accessSlots int) []Request {
-	s.pruneORR(now)
 	if len(s.rr) == 0 {
 		s.stats.EmptyCycles++
 		return nil
@@ -240,8 +230,8 @@ func (s *Scheduler) Cycle(now cell.Slot, budget, accessSlots int) []Request {
 	issued := s.issued[:0]
 	// cursor is where the oldest-ready scan resumes within this cycle:
 	// entries before it were already probed and found bank-locked, and
-	// locks only accumulate during a cycle (pruning happens once, at
-	// entry), so they stay unselectable until the next cycle. This
+	// locks only accumulate during a cycle (none expires before the next
+	// one), so they stay unselectable until the next cycle. This
 	// folds the per-issue rescan of the register into one rotating
 	// pass: at most len(rr)+budget probes per cycle in total.
 	cursor := 0
@@ -279,7 +269,7 @@ func (s *Scheduler) Cycle(now cell.Slot, budget, accessSlots int) []Request {
 		// position: everything before it stays locked this cycle.
 		s.rr = append(s.rr[:idx], s.rr[idx+1:]...)
 		cursor = idx
-		s.orr = append(s.orr, lock{bank: req.Bank, until: now + cell.Slot(accessSlots)})
+		s.lock(req.Bank, now+cell.Slot(accessSlots))
 		if req.Skips > s.stats.MaxSkips {
 			s.stats.MaxSkips = req.Skips
 		}

@@ -10,12 +10,13 @@ import (
 
 // Snapshot serializes the scheduler through the trace frame codec: the
 // age-ordered Requests Register verbatim (including staged write
-// payloads), the live ORR bank locks, and the accumulated statistics.
-// The reusable issue buffer is scratch and is not framed.
-func (s *Scheduler) Snapshot(w *frame.Writer) {
+// payloads), the ORR bank locks live at slot now (no later Cycle may
+// run before now, so expired ones are dropped), and the accumulated
+// statistics. The reusable issue buffer is scratch and is not framed.
+func (s *Scheduler) Snapshot(w *frame.Writer, now cell.Slot) {
 	w.Begin("dss")
 	w.Attr("rr", int64(len(s.rr)))
-	w.Attr("orr", int64(len(s.orr)))
+	w.Attr("orr", int64(s.ORRLen(now)))
 	w.Attr("enqueued", int64(s.stats.Enqueued))
 	w.Attr("issued", int64(s.stats.Issued))
 	w.Attr("maxocc", int64(s.stats.MaxOccupancy))
@@ -34,14 +35,19 @@ func (s *Scheduler) Snapshot(w *frame.Writer) {
 		w.Row(row...)
 	}
 	w.Begin("dss-orr")
-	for _, l := range s.orr {
-		w.Row(int64(l.bank), int64(l.until))
+	for bank, until := range s.until {
+		if now < until {
+			w.Row(int64(bank), int64(until))
+		}
 	}
 }
 
 // Restore loads a snapshot written by Snapshot into a freshly
-// constructed scheduler of the same capacity and policy.
-func (s *Scheduler) Restore(r *frame.Reader) error {
+// constructed scheduler of the same capacity and policy, scheduling a
+// DRAM of banks banks. It also accepts the ORR rows of older snapshots,
+// which may hold expired locks and several per bank: a bank keeps its
+// latest.
+func (s *Scheduler) Restore(r *frame.Reader, banks int) error {
 	if err := r.Expect("dss"); err != nil {
 		return err
 	}
@@ -114,7 +120,10 @@ func (s *Scheduler) Restore(r *frame.Reader) error {
 		if err != nil {
 			return err
 		}
-		s.orr = append(s.orr, lock{bank: dram.BankID(row[0]), until: cell.Slot(row[1])})
+		if row[0] < 0 || row[0] >= int64(banks) {
+			return fmt.Errorf("%w: dss orr bank %d out of range", frame.ErrFrame, row[0])
+		}
+		s.lock(dram.BankID(row[0]), cell.Slot(row[1]))
 	}
 	return nil
 }

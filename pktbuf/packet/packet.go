@@ -11,10 +11,10 @@
 // numbers beyond a per-packet cell count carried in the first cell's
 // header — exactly the discipline real line cards use.
 //
-// The router engine (repro/pktbuf/router) segments with this package,
-// so a caller composing its own fabric gets the same segmentation the
-// engine applies. SegmentAppend is the zero-allocation path; errors
-// are typed sentinels matched with errors.Is.
+// The router engine (repro/pktbuf/router) sizes packets with CellCount,
+// so a caller composing its own fabric from a Segmenter gets the cells
+// the engine switches. SegmentAppend is the zero-allocation path;
+// errors are typed sentinels matched with errors.Is.
 package packet
 
 import (
@@ -115,38 +115,46 @@ type flowState struct {
 	payload    []byte
 }
 
+// maxPresizeCells caps the payload capacity Push reserves from a head
+// cell's Cells (14 336 bytes, above a 9 000-byte jumbo frame), so a
+// corrupt or hostile count cannot force a large allocation; a longer
+// packet grows by append past it.
+const maxPresizeCells = 256
+
 // Reassembler rebuilds packets from per-flow in-order cell streams
 // (one Reassembler per output port). Flows may interleave with each
 // other arbitrarily; within a flow, cells must arrive in order — the
 // packet buffer guarantees exactly that.
 type Reassembler struct {
-	flows map[pktbuf.Queue]*flowState
+	flows map[pktbuf.Queue]flowState
 	done  uint64
 }
 
 // NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
-	return &Reassembler{flows: make(map[pktbuf.Queue]*flowState)}
+	return &Reassembler{flows: make(map[pktbuf.Queue]flowState)}
 }
 
 // Push accepts the next cell of a flow. When the cell completes a
 // packet it returns the packet and ok=true. The returned payload is
-// freshly assembled and owned by the caller.
+// freshly assembled and owned by the caller; it is sized from the head
+// cell's Cells, so a packet costs one allocation.
 func (r *Reassembler) Push(c Cell) (Packet, bool, error) {
-	st := r.flows[c.Flow]
+	st, active := r.flows[c.Flow]
 	if c.Head {
-		if st != nil {
+		if active {
 			return Packet{}, false, fmt.Errorf("%w: flow %d (packet of %d cells had %d/%d)",
 				ErrInterleaved, c.Flow, c.Cells, st.have, st.want)
 		}
-		st = &flowState{want: c.Cells}
-		r.flows[c.Flow] = st
-	} else if st == nil {
+		n := max(1, min(c.Cells, maxPresizeCells))
+		st = flowState{want: c.Cells, payload: make([]byte, 0, n*CellPayload)}
+	} else if !active {
 		return Packet{}, false, fmt.Errorf("%w: flow %d", ErrOrphanCell, c.Flow)
 	}
 	st.payload = append(st.payload, c.Payload...)
 	st.have++
 	if st.have < st.want {
+		r.flows[c.Flow] = st
 		return Packet{}, false, nil
 	}
 	delete(r.flows, c.Flow)

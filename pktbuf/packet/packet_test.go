@@ -3,7 +3,9 @@ package packet_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -356,5 +358,48 @@ func TestPropertySegmentReassembleIsIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReassemblerOneAllocPerPacket pins Push's cost: the caller-owned
+// payload, sized from the head cell's Cells, is the only allocation a
+// packet makes — no per-packet flow state, no append growth.
+func TestReassemblerOneAllocPerPacket(t *testing.T) {
+	var s packet.Segmenter
+	for _, size := range []int{40, 300, 1500} {
+		cells := s.Segment(packet.Packet{Flow: 3, Payload: make([]byte, size)})
+		r := packet.NewReassembler()
+		allocs := testing.AllocsPerRun(200, func() {
+			for _, c := range cells {
+				if _, _, err := r.Push(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%d B packet: %.1f allocations, want ≤ 1", size, allocs)
+		}
+	}
+}
+
+// TestReassemblerHostileCellCount feeds head cells whose Cells no
+// segmenter produces: a huge count must not reserve a huge payload,
+// and a non-positive one completes the packet without a panic.
+func TestReassemblerHostileCellCount(t *testing.T) {
+	r := packet.NewReassembler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, ok, err := r.Push(packet.Cell{Flow: 1, Head: true, Cells: math.MaxInt, Payload: []byte{1}}); ok || err != nil {
+		t.Fatalf("ok=%v err=%v, want a pending packet", ok, err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Errorf("a head cell claiming math.MaxInt cells allocated %d bytes", grew)
+	}
+	for _, cells := range []int{0, -1, math.MinInt} {
+		p, ok, err := r.Push(packet.Cell{Flow: 2, Head: true, Cells: cells, Payload: []byte{7}})
+		if !ok || err != nil || !bytes.Equal(p.Payload, []byte{7}) {
+			t.Errorf("Cells=%d: %+v ok=%v err=%v, want the one-cell packet", cells, p, ok, err)
+		}
 	}
 }

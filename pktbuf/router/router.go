@@ -2,10 +2,10 @@
 // context (Figure 1) promoted to the API surface. An Engine is an
 // input-queued router in which every input line card carries its own
 // VOQ packet buffer (the buffer pktbuf.New builds from Config.Buffer),
-// fed by the cell segmentation layer (repro/pktbuf/packet) and drained
-// by an iSLIP-style request-grant-accept fabric scheduler
-// (repro/internal/router); output
-// ports reassemble cells into packets.
+// fed one 64-byte cell per slot (packet.CellCount cells per packet) and
+// drained by an iSLIP-style request-grant-accept fabric scheduler
+// (repro/internal/router); a packet leaves its output port once its
+// last cell has crossed the fabric.
 //
 // The router is the "example application" the paper motivates — it is
 // also the harshest client of the buffer's guarantees: the fabric
@@ -15,19 +15,22 @@
 //
 // The engine is serial: every slot — one scheduler exchange
 // (ISLIP.Schedule), then tickPort for each port in input order: its
-// ingress, its buffer tick and the delivered cell's fabric crossing
-// and output reassembly — runs on the caller's goroutine, and the
-// engine starts none of its own. A line card's work between two
-// scheduler exchanges is a few hundred nanoseconds, far below the cost
-// of handing it to another goroutine; every sharded variant this
-// package used to offer measured slower than the serial one (see the
-// README's "Why the engine is serial"). Multi-core throughput comes
-// from running independent engines, one per goroutine.
+// ingress, its buffer tick and the delivered cell's fabric crossing —
+// runs on the caller's goroutine, and the engine starts none of its
+// own. A line card's work between two scheduler exchanges is a few
+// hundred nanoseconds, far below the cost of handing it to another
+// goroutine; every sharded variant this package used to offer
+// measured slower than the serial one (see the README's "Why the
+// engine is serial"). Multi-core throughput comes from running
+// independent engines, one per goroutine.
 //
-// All per-cell metadata lives in dense slice-indexed arenas: per-VOQ
-// compacting deques keyed by the delivery sequence order the buffer
-// guarantees, so the steady-state Step path performs no hashing and no
-// allocation.
+// Line cards carry packets, not cells: the ingress queue and each VOQ
+// hold one run per packet (its payload, cell count and a cell cursor)
+// in compacting deques, and the buffer's per-VOQ FIFO delivery order
+// lets a delivered cell advance the front run's cursor, so the
+// steady-state Step path performs no hashing and no allocation, and a
+// packet's payload is copied once, into the egress arena, when its last
+// cell crosses.
 //
 // A minimal session:
 //
@@ -121,59 +124,72 @@ type Stats struct {
 	Slots uint64
 }
 
-// segRing is a compacting deque of segmented cells: push appends,
-// popFront advances a start cursor, and the backing array is compacted
-// in place when it fills, so steady-state operation does not allocate.
-type segRing struct {
-	cells []packet.Cell
+// run is one packet on a line card, carried whole: payload aliases the
+// offered packet's bytes until the packet leaves the router, and done
+// is a cursor over its cells — on the ingress ring the cells the buffer
+// has admitted, on a VOQ's ring the cells that have crossed the fabric.
+type run struct {
+	payload     []byte
+	flow        cell.QueueID
+	cells, done int
+}
+
+// runRing is a compacting deque of packet runs: push appends, pop
+// advances a start cursor, and the backing array is compacted in place
+// when it fills, so steady-state operation does not allocate.
+type runRing struct {
+	runs  []run
 	start int
 }
 
-func (q *segRing) len() int { return len(q.cells) - q.start }
+func (q *runRing) len() int { return len(q.runs) - q.start }
 
 // ensure compacts so that n appends fit without growing, when the
 // slack at the front allows it.
-func (q *segRing) ensure(n int) {
-	if q.start > 0 && len(q.cells)+n > cap(q.cells) {
-		m := copy(q.cells, q.cells[q.start:])
-		q.cells = q.cells[:m]
+func (q *runRing) ensure(n int) {
+	if q.start > 0 && len(q.runs)+n > cap(q.runs) {
+		m := copy(q.runs, q.runs[q.start:])
+		clear(q.runs[m:])
+		q.runs = q.runs[:m]
 		q.start = 0
 	}
 }
 
-func (q *segRing) push(c packet.Cell) {
+func (q *runRing) push(r run) {
 	q.ensure(1)
-	q.cells = append(q.cells, c)
+	q.runs = append(q.runs, r)
 }
 
-func (q *segRing) front() packet.Cell { return q.cells[q.start] }
+func (q *runRing) front() *run { return &q.runs[q.start] }
 
-func (q *segRing) popFront() packet.Cell {
-	c := q.cells[q.start]
-	q.cells[q.start] = packet.Cell{} // drop the payload reference
+func (q *runRing) pop() {
+	q.runs[q.start] = run{} // drop the payload reference
 	q.start++
-	if q.start == len(q.cells) {
-		q.cells, q.start = q.cells[:0], 0
+	if q.start == len(q.runs) {
+		q.runs, q.start = q.runs[:0], 0
 	}
-	return c
 }
 
 // lineCard is one ingress port: its VOQ buffer plus the dense
-// per-VOQ metadata arenas.
+// per-VOQ packet rings.
 type lineCard struct {
 	buf *core.Buffer
-	seg packet.Segmenter
-	// pending serializes segmented cells onto the line (1 per slot).
-	pending segRing
+	// pending serializes offered packets onto the line, one cell per
+	// slot; pendingCells counts their cells the buffer has not admitted.
+	pending      runRing
+	pendingCells int
 	// arrivals[voq] counts cells admitted, assigning the sequence
 	// numbers the buffer will deliver back; delivered[voq] counts
 	// deliveries consumed, verifying the buffer's FIFO guarantee.
 	arrivals  []uint64
 	delivered []uint64
-	// meta[voq] holds the admitted cells' payloads and headers in
-	// arrival order; per-VOQ FIFO delivery makes the front cell the
-	// one the buffer hands back next.
-	meta []segRing
+	// meta[voq] holds the VOQ's packets in arrival order, from the
+	// admission of a packet's first cell until its last cell crosses;
+	// per-VOQ FIFO delivery makes the front run the packet of the next
+	// cell the buffer hands back. Each (input, class) stream reaching
+	// an output is exactly one VOQ, so its cursor is the reassembly
+	// state.
+	meta []runRing
 	// reqVec[output] is the highest-priority requestable VOQ addressed
 	// to output (cell.NoQueue = none): what the port requests when the
 	// scheduler matches it to output. refreshReq keeps it, and the
@@ -185,9 +201,6 @@ type lineCard struct {
 type Engine struct {
 	cfg    Config
 	inputs []*lineCard
-	// reasm[output] reassembles the Ports×Classes (input, class)
-	// streams that can reach output.
-	reasm  []*denseReassembler
 	sched  *fabric.ISLIP
 	stats  Stats
 	voqs   int
@@ -252,10 +265,9 @@ func newEngine(cfg Config, buf core.Config) (*Engine, error) {
 			buf:       b,
 			arrivals:  make([]uint64, voqs),
 			delivered: make([]uint64, voqs),
-			meta:      make([]segRing, voqs),
+			meta:      make([]runRing, voqs),
 			reqVec:    newNoQueueVec(cfg.Ports),
 		})
-		e.reasm = append(e.reasm, newDenseReassembler(voqs))
 	}
 	return e, nil
 }
@@ -284,8 +296,9 @@ func (e *Engine) VOQ(output, class int) pktbuf.Queue {
 }
 
 // Offer enqueues a packet at an input port. The packet's Flow must be
-// a valid VOQ id (use VOQ to build it); its payload is aliased by the
-// segmented cells until the packet leaves the router. Offer must not
+// a valid VOQ id (use VOQ to build it); the engine carries its payload
+// by reference, without copying it, until the packet leaves the
+// router, so the caller must not modify it before then. Offer must not
 // be called concurrently with Step or StepBatch.
 func (e *Engine) Offer(port int, p packet.Packet) error {
 	if e.closed {
@@ -294,24 +307,28 @@ func (e *Engine) Offer(port int, p packet.Packet) error {
 	if port < 0 || port >= e.cfg.Ports {
 		return fmt.Errorf("%w: %d", ErrBadPort, port)
 	}
+	return e.offer(port, p)
+}
+
+// offer validates p's flow and the port's cell budget, then queues p as
+// one run.
+func (e *Engine) offer(port int, p packet.Packet) error {
 	if p.Flow < 0 || int(p.Flow) >= e.voqs {
 		return fmt.Errorf("%w: %d", ErrBadFlow, p.Flow)
 	}
 	in := e.inputs[port]
 	n := packet.CellCount(len(p.Payload))
-	if in.pending.len()+n > e.cfg.IngressCap {
+	if in.pendingCells+n > e.cfg.IngressCap {
 		return fmt.Errorf("%w: port %d", ErrIngressFull, port)
 	}
-	in.pending.ensure(n)
-	in.pending.cells = in.seg.SegmentAppend(in.pending.cells, p)
+	in.pending.push(run{payload: p.Payload, flow: cell.QueueID(p.Flow), cells: n})
+	in.pendingCells += n
 	e.stats.OfferedPackets++
 	return nil
 }
 
-// OfferBatch enqueues packets at an input port in one validated pass:
-// the port is checked once, the accepted prefix is sized against the
-// ingress budget up front, and its cells are segmented in a single run
-// with one ring compaction. It returns the number of packets accepted
+// OfferBatch enqueues packets at an input port in order, checking the
+// port once and each packet as Offer does. It returns the number of packets accepted
 // and the error that stopped the run (ErrIngressFull when the backlog
 // fills, ErrBadFlow on an invalid flow id); the remaining packets are
 // not offered.
@@ -322,36 +339,19 @@ func (e *Engine) OfferBatch(port int, ps []packet.Packet) (int, error) {
 	if port < 0 || port >= e.cfg.Ports {
 		return 0, fmt.Errorf("%w: %d", ErrBadPort, port)
 	}
-	in := e.inputs[port]
-	budget := e.cfg.IngressCap - in.pending.len()
-	n, cells := 0, 0
-	var stop error
-	for k := range ps {
-		if ps[k].Flow < 0 || int(ps[k].Flow) >= e.voqs {
-			stop = fmt.Errorf("%w: %d", ErrBadFlow, ps[k].Flow)
-			break
+	for k, p := range ps {
+		if err := e.offer(port, p); err != nil {
+			return k, err
 		}
-		c := packet.CellCount(len(ps[k].Payload))
-		if cells+c > budget {
-			stop = fmt.Errorf("%w: port %d", ErrIngressFull, port)
-			break
-		}
-		n++
-		cells += c
 	}
-	in.pending.ensure(cells)
-	for _, p := range ps[:n] {
-		in.pending.cells = in.seg.SegmentAppend(in.pending.cells, p)
-	}
-	e.stats.OfferedPackets += uint64(n)
-	return n, stop
+	return len(ps), nil
 }
 
 // Step advances the engine one slot: one iSLIP matching, then per
-// port one ingress cell, one buffer tick and output reassembly, in
-// input order. It returns the packets completed this slot; the slice
-// and the packet payloads are valid until the next Step or StepBatch
-// call (see Egress).
+// port one ingress cell, one buffer tick and the delivered cell's
+// fabric crossing, in input order. It returns the packets completed
+// this slot; the slice and the packet payloads are valid until the
+// next Step or StepBatch call (see Egress).
 func (e *Engine) Step() ([]Egress, error) {
 	out, err := e.StepBatch(1, e.egScratch[:0])
 	e.egScratch = out
@@ -438,9 +438,9 @@ func (e *Engine) refreshReq(i int, in *lineCard, q cell.QueueID) {
 	e.sched.Set(i, o, best != cell.NoQueue)
 }
 
-// tickPort advances port i one slot: admit one pending ingress cell,
-// tick the buffer with the fabric request for the matched output, and
-// move the delivered cell across the fabric to its output reassembler,
+// tickPort advances port i one slot: offer the next cell of the front
+// ingress packet, tick the buffer with the fabric request for the
+// matched output, and move the delivered cell across the fabric,
 // appending any completed packet to out. Ports run in input order, so
 // egress order is deterministic.
 //
@@ -448,8 +448,10 @@ func (e *Engine) refreshReq(i int, in *lineCard, q cell.QueueID) {
 func (e *Engine) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
 	in := e.inputs[i]
 	tick := core.TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
+	var r *run
 	if in.pending.len() > 0 {
-		tick.Arrival = cell.QueueID(in.pending.front().Flow)
+		r = in.pending.front()
+		tick.Arrival = r.flow
 	}
 	// The scheduler only matches ports whose request vector names a VOQ.
 	if matchedOut >= 0 {
@@ -468,18 +470,20 @@ func (e *Engine) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
 	// arrival was admitted iff the buffer assigned it a sequence number.
 	if a := tick.Arrival; a != cell.NoQueue && in.buf.ArrivedSeq(a) > in.arrivals[a] {
 		in.arrivals[a]++
-		in.meta[a].push(in.pending.popFront())
+		in.pendingCells--
+		if r.done == 0 {
+			in.meta[a].push(run{payload: r.payload, flow: a, cells: r.cells})
+		}
+		if r.done++; r.done == r.cells {
+			in.pending.pop()
+		}
 	}
 	if dc := res.Delivered; dc != nil {
-		// Per-VOQ FIFO delivery makes the front of meta the cell's
-		// payload and header.
+		// A delivery is known iff it is the VOQ's next admitted cell.
 		q := dc.Queue
-		if mq := &in.meta[q]; mq.len() > 0 && in.delivered[q] == dc.Seq {
+		if in.delivered[q] < in.arrivals[q] && in.delivered[q] == dc.Seq {
 			in.delivered[q]++
-			var ferr error
-			if out, ferr = e.cross(i, q, mq.popFront(), out); err == nil {
-				err = ferr
-			}
+			out = e.cross(i, q, &in.meta[q], out)
 		} else if err == nil {
 			err = fmt.Errorf("router: input %d delivered unknown cell %v", i, *dc) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 		}
@@ -492,37 +496,30 @@ func (e *Engine) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
 	return out, err
 }
 
-// cross moves a cell delivered by input i's VOQ q across the fabric to
-// its output reassembler, appending a completed packet to out.
+// cross moves the cell delivered by input i's VOQ q across the fabric:
+// it advances the cursor of the VOQ's front packet (mq = &meta[q]) and,
+// when the packet's last cell has crossed, copies its payload into the
+// egress arena — the one copy a packet costs — and appends it to out.
 //
 //pktbuf:hotpath
-func (e *Engine) cross(i int, q cell.QueueID, sc packet.Cell, out []Egress) ([]Egress, error) {
+func (e *Engine) cross(i int, q cell.QueueID, mq *runRing, out []Egress) []Egress {
 	e.stats.SwitchedCells++
-	C := e.cfg.Classes
-	output := int(q) / C
-	// Reassemble per (input, class) stream so same-flow cells of
-	// different inputs never interleave.
-	sc.Flow = pktbuf.Queue(i*C + int(q) - output*C)
-	p, ok, err := e.reasm[output].push(sc)
-	if err != nil {
-		return out, fmt.Errorf("router: output %d: %w", output, err) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
+	r := mq.front()
+	if r.done++; r.done < r.cells {
+		return out
 	}
-	if ok {
-		// Copy the payload out of the reassembler's per-flow buffer
-		// (overwritten by the stream's next packet) into the egress
-		// arena (stable until the next step call).
-		off := len(e.egArena)
-		e.egArena = append(e.egArena, p.Payload...) //pktbuf:allow hotpath-noalloc egress arena append: amortized, capacity reused across steps
-		pkt := packet.Packet{Flow: pktbuf.Queue(q), Payload: e.egArena[off:len(e.egArena):len(e.egArena)]}
-		out = append(out, Egress{Output: output, Input: i, Packet: pkt}) //pktbuf:allow hotpath-noalloc appends into the caller's reused backing array; grows only on the first steps
-		e.stats.DeliveredPackets++
-	}
-	return out, nil
+	off := len(e.egArena)
+	e.egArena = append(e.egArena, r.payload...) //pktbuf:allow hotpath-noalloc egress arena append: amortized, capacity reused across steps
+	pkt := packet.Packet{Flow: pktbuf.Queue(q), Payload: e.egArena[off:len(e.egArena):len(e.egArena)]}
+	out = append(out, Egress{Output: int(q) / e.cfg.Classes, Input: i, Packet: pkt}) //pktbuf:allow hotpath-noalloc appends into the caller's reused backing array; grows only on the first steps
+	e.stats.DeliveredPackets++
+	mq.pop()
+	return out
 }
 
-// IngressBacklog returns the number of segmented cells waiting to
-// enter port's buffer.
-func (e *Engine) IngressBacklog(port int) int { return e.inputs[port].pending.len() }
+// IngressBacklog returns the number of cells of offered packets still
+// waiting to enter port's buffer.
+func (e *Engine) IngressBacklog(port int) int { return e.inputs[port].pendingCells }
 
 // BufferStats exposes an input port's buffer statistics — the same
 // snapshot pktbuf.Buffer.Stats reports, including the worst-case
@@ -545,7 +542,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 // for the probe.
 func (e *Engine) Quiescent() bool {
 	for _, in := range e.inputs {
-		if in.pending.len() > 0 {
+		if in.pendingCells > 0 {
 			return false
 		}
 	}

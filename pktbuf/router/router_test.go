@@ -409,12 +409,11 @@ func TestEngineStreamFingerprint(t *testing.T) {
 	}
 }
 
-// TestNewMemoryQuadraticInPorts: only the Ports×Classes (input, class)
-// streams addressed to an output can reach its reassembler, so New's
-// allocation grows as Ports² (each port's Ports×Classes VOQs), not
-// Ports³. At 64 ports × 2 classes on OC-3072 with b = 4 New allocates
-// about 4 MB; reassemblers sized for the whole router's flow space
-// took about 29 MB.
+// TestNewMemoryQuadraticInPorts: New's allocation grows as Ports²
+// (each port's Ports×Classes VOQs), not Ports³. At 64 ports × 2
+// classes on OC-3072 with b = 4 New allocates about 4 MB; per-output
+// reassembly state sized for the whole router's flow space once took
+// about 29 MB.
 func TestNewMemoryQuadraticInPorts(t *testing.T) {
 	cfg := router.Config{Ports: 64, Classes: 2, Buffer: pktbuf.Config{
 		LineRate: pktbuf.OC3072, Granularity: 4, Banks: 256}}
