@@ -35,6 +35,19 @@ const NoPhysQueue PhysQueueID = -1
 // Slot is a discrete time slot index since simulation start.
 type Slot uint64
 
+// AdvanceCursor moves a slot-indexed ring cursor i (in [0, size)) n
+// slots on. A jump shorter than the ring, the common idle gap, costs
+// one compare; only longer ones pay the division.
+func AdvanceCursor(i int, n uint64, size int) int {
+	if n < uint64(size) {
+		if i += int(n); i >= size {
+			i -= size
+		}
+		return i
+	}
+	return int((uint64(i) + n) % uint64(size))
+}
+
 // Cell is one 64-byte unit moving through the buffer. The simulator
 // does not carry payload bytes; Queue and Seq identify the cell and
 // let tests verify end-to-end FIFO delivery per logical queue.

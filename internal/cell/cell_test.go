@@ -117,3 +117,17 @@ func TestLineRateString(t *testing.T) {
 		t.Errorf("unknown rate string = %q", LineRate(7).String())
 	}
 }
+
+// TestAdvanceCursorIsModulo: the wrap-compare fast path and the long
+// jump agree with (i+n) mod size everywhere around the ring boundary.
+func TestAdvanceCursorIsModulo(t *testing.T) {
+	for size := 1; size <= 9; size++ {
+		for i := 0; i < size; i++ {
+			for _, n := range []uint64{0, 1, uint64(size) - 1, uint64(size), uint64(size) + 1, 3*uint64(size) + 2, math.MaxUint32} {
+				if got, want := AdvanceCursor(i, n, size), int((uint64(i)+n)%uint64(size)); got != want {
+					t.Errorf("AdvanceCursor(%d, %d, %d) = %d, want %d", i, n, size, got, want)
+				}
+			}
+		}
+	}
+}

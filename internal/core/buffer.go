@@ -138,11 +138,12 @@ func newKernelState(queues int) kernelState {
 }
 
 // completion is a DRAM→SRAM block transfer scheduled to land at a
-// future slot.
+// future slot. blk is the block BeginReadAt handed back; it returns to
+// the DRAM's slab when its cells land.
 type completion struct {
-	phys    cell.PhysQueueID
 	ordinal uint64
-	cells   []cell.Cell
+	phys    cell.PhysQueueID
+	blk     dram.Block
 }
 
 // pipeEntry pairs the physical name stored in the lookahead with the
@@ -172,9 +173,10 @@ type Buffer struct {
 
 	// compIdx (now mod len(compRing)) and phase (now mod Bsmall) are,
 	// like logHead (now mod len(logical)), slot-indexed cursors Tick
-	// advances by wrap-compare, so the slot body runs no division;
-	// fastForward and RestoreBuffer re-derive all three from now
-	// (deriveCursors). compIdx and phase are not serialised.
+	// and fastForward advance by wrap-compare (cell.AdvanceCursor), so
+	// neither runs a division on a short step; RestoreBuffer re-derives
+	// all three from now (deriveCursors). compIdx and phase are not
+	// serialised.
 	compIdx int
 	phase   int
 
@@ -437,13 +439,13 @@ func (b *Buffer) Tick(in TickInput) (TickOutput, error) {
 	if pending := b.compRing[b.compIdx]; len(pending) > 0 {
 		for _, c := range pending {
 			base := c.ordinal * uint64(b.cfg.Bsmall)
-			for i, cl := range c.cells {
+			for i, cl := range b.dram.Cells(c.blk) {
 				if err := b.head.Insert(c.phys, base+uint64(i), cl); err != nil {
 					b.stats.HeadOverflows++
 					recordErr(&firstErr, fmt.Errorf("head SRAM insert: %w", err))
 				}
 			}
-			b.dram.ReleaseBlock(c.cells)
+			b.dram.ReleaseBlock(c.blk)
 		}
 		b.compPending -= len(pending)
 		b.compRing[b.compIdx] = pending[:0]
@@ -563,7 +565,9 @@ func (b *Buffer) fastForward(n uint64) {
 	b.sched.SkipIdleCycles(dsaCyclesIn(uint64(b.phase), n, b.cfg.Bsmall))
 	b.look.FastForward(n)
 	b.now += cell.Slot(n)
-	b.deriveCursors()
+	b.logHead = cell.AdvanceCursor(b.logHead, n, len(b.logical))
+	b.compIdx = cell.AdvanceCursor(b.compIdx, n, len(b.compRing))
+	b.phase = cell.AdvanceCursor(b.phase, n, b.cfg.Bsmall)
 	b.stats.FastForwardedSlots += n
 }
 
@@ -584,8 +588,11 @@ func dsaCyclesIn(phase, n uint64, bs int) uint64 {
 		return n
 	}
 	m := uint64(bs)
-	tail := n % m
-	return 2*(n/m) + phaseIn(phase, tail, m, m-1) + phaseIn(phase, tail, m, m/2-1)
+	whole, tail := uint64(0), n
+	if n >= m {
+		whole, tail = n/m, n%m
+	}
+	return 2*whole + phaseIn(phase, tail, m, m-1) + phaseIn(phase, tail, m, m/2-1)
 }
 
 // phaseIn reports (as 0 or 1) whether the span of tail < m slots
@@ -725,11 +732,11 @@ func (b *Buffer) tailCycle() error {
 		return err
 	}
 	blk := b.dram.AcquireBlock()
-	b.tails[q].extractBlock(b.cfg.Bsmall, blk)
+	b.tails[q].extractBlock(b.cfg.Bsmall, b.dram.Cells(blk))
 	b.tmma.OnTransfer(q)
 	return b.sched.Enqueue(dss.Request{
 		Queue: p, Dir: dss.Write, Ordinal: ordinal, Bank: bank,
-		Cells: blk, Enqueued: b.now,
+		Block: blk, Enqueued: b.now,
 	})
 }
 
@@ -762,15 +769,15 @@ func (b *Buffer) dsaCycle(budget int) error {
 	for _, r := range b.sched.Cycle(b.now, budget, access) {
 		switch r.Dir {
 		case dss.Write:
-			if _, err := b.dram.BeginWriteAt(r.Queue, r.Ordinal, r.Cells, b.now); err != nil {
+			if _, err := b.dram.BeginWriteAt(r.Queue, r.Ordinal, r.Block, b.now); err != nil {
+				b.dram.ReleaseBlock(r.Block)
 				return fmt.Errorf("core: DSA write issue: %w", err)
 			}
-			// The block physically leaves the tail SRAM on the bus; its
-			// staging storage goes back to the pool.
-			b.tailTotal -= len(r.Cells)
-			b.dram.ReleaseBlock(r.Cells)
+			// The block physically leaves the tail SRAM on the bus: the
+			// DRAM now owns its staged handle.
+			b.tailTotal -= b.cfg.Bsmall
 		case dss.Read:
-			_, cells, err := b.dram.BeginReadAt(r.Queue, r.Ordinal, b.now)
+			_, blk, err := b.dram.BeginReadAt(r.Queue, r.Ordinal, b.now)
 			if err != nil {
 				return fmt.Errorf("core: DSA read issue: %w", err)
 			}
@@ -779,7 +786,7 @@ func (b *Buffer) dsaCycle(budget int) error {
 				at -= len(b.compRing)
 			}
 			b.compRing[at] = append(b.compRing[at], completion{
-				phys: r.Queue, ordinal: r.Ordinal, cells: cells,
+				phys: r.Queue, ordinal: r.Ordinal, blk: blk,
 			})
 			b.compPending++
 		}

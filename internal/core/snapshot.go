@@ -34,7 +34,8 @@ const snapshotVersion = 1
 // statistics for any subsequent stimulus.
 //
 // Scratch that the next slot cannot observe (delivery scratch cells,
-// the block recycling pool) is not serialized; derived indices
+// the DRAM block slab's layout and free list) is not serialized: blocks
+// in flight are framed by their cells; derived indices
 // (bitsets, critical-slot rings, bucketed max-trackers) are rebuilt on
 // restore from the authoritative state.
 func (b *Buffer) Snapshot(w io.Writer) error {
@@ -139,12 +140,9 @@ func (b *Buffer) Snapshot(w io.Writer) error {
 		fw.Attr("i", int64(i))
 		fw.Attr("n", int64(len(bucket)))
 		for _, c := range bucket {
-			row := make([]int64, 2, 2+2*len(c.cells))
+			row := make([]int64, 2, 2+2*b.cfg.Bsmall)
 			row[0], row[1] = int64(c.phys), int64(c.ordinal)
-			for _, cl := range c.cells {
-				row = append(row, int64(cl.Queue), int64(cl.Seq))
-			}
-			fw.Row(row...)
+			fw.Row(b.dram.AppendCells(row, c.blk)...)
 		}
 	}
 
@@ -185,7 +183,7 @@ func (b *Buffer) Snapshot(w io.Writer) error {
 		s.Snapshot(fw)
 	}
 	b.dram.Snapshot(fw)
-	b.sched.Snapshot(fw, b.now)
+	b.sched.Snapshot(fw, b.now, b.dram)
 	fw.Begin("end")
 	return fw.Flush()
 }
@@ -378,12 +376,8 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 			if err != nil {
 				return nil, err
 			}
-			blk := b.dram.AcquireBlock()
-			for k := range blk {
-				blk[k] = cell.Cell{Queue: cell.QueueID(row[2+2*k]), Seq: uint64(row[3+2*k])}
-			}
 			b.compRing[slot] = append(b.compRing[slot], completion{
-				phys: cell.PhysQueueID(row[0]), ordinal: uint64(row[1]), cells: blk,
+				phys: cell.PhysQueueID(row[0]), ordinal: uint64(row[1]), blk: b.dram.RestoreBlock(row[2:]),
 			})
 		}
 	}
@@ -440,7 +434,7 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 	if err := b.dram.Restore(fr); err != nil {
 		return nil, err
 	}
-	if err := b.sched.Restore(fr, b.cfg.Banks); err != nil {
+	if err := b.sched.Restore(fr, b.dram); err != nil {
 		return nil, err
 	}
 	if err := fr.Expect("end"); err != nil {

@@ -77,7 +77,7 @@ func TestMapperAgreesWithDRAM(t *testing.T) {
 	for p := cell.PhysQueueID(0); p < 8; p++ {
 		for k := uint64(0); k < 6; k++ {
 			want := m.Map(p, k).Bank
-			got, err := d.BeginWrite(p, mkBlock(cell.QueueID(p), 2*k, 2), now)
+			got, err := writeNext(d, p, mkBlock(d, cell.QueueID(p), 2*k), now)
 			if err != nil {
 				t.Fatal(err)
 			}

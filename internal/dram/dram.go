@@ -8,9 +8,18 @@
 // including two requests of the *same* queue — accesses are split into
 // a reservation step (performed in MMA order, which fixes the block
 // ordinal and hence the bank under the block-cyclic interleave) and an
-// issue step (performed in DSA order, addressed by ordinal). The
-// convenience wrappers BeginWrite/BeginRead combine both for in-order
-// callers such as the RADS baseline.
+// issue step (performed in DSA order, addressed by ordinal).
+//
+// Blocks move by descriptor, as in the paper's Requests Register: every
+// b-cell block lives in one chunked cell slab per DRAM and is named by
+// an int32 Block handle. A writer stages cells in a block from
+// AcquireBlock, BeginWriteAt takes ownership of the handle, BeginReadAt
+// hands it back, and ReleaseBlock recycles it once its cells have
+// landed. Slab chunks are allocated whole and never move, so a block's
+// cells stay put for as long as it is live, and released handles are
+// reused through a free list: the steady-state datapath neither copies
+// a block nor allocates. Each queue's ordinal ring stores 4-byte
+// handles.
 //
 // The model is storage-accurate (it holds the actual cells, so tests
 // can verify end-to-end FIFO delivery) and timing-accurate at slot
@@ -43,7 +52,7 @@ var (
 	ErrBankConflict = errors.New("dram: bank accessed within its random access time")
 	ErrGroupFull    = errors.New("dram: bank group out of capacity")
 	ErrQueueEmpty   = errors.New("dram: queue has no readable blocks in DRAM")
-	ErrBadBlockSize = errors.New("dram: block must contain exactly b cells")
+	ErrBadBlock     = errors.New("dram: not a block handle of this DRAM")
 	ErrBadOrdinal   = errors.New("dram: ordinal not reserved or already used")
 )
 
@@ -93,6 +102,20 @@ func (c Config) Validate() error {
 // Groups returns G, the number of bank groups.
 func (c Config) Groups() int { return c.Banks / c.BanksPerGroup }
 
+// Block is a handle to one b-cell block in a DRAM's slab (see the
+// package documentation). NoBlock, the zero value, names no block.
+type Block int32
+
+// NoBlock is the sentinel for "no block".
+const NoBlock Block = 0
+
+// A slab chunk holds chunkBlocks = 2^chunkShift blocks, so a handle
+// splits into chunk and offset by shift and mask.
+const (
+	chunkShift  = 5
+	chunkBlocks = 1 << chunkShift
+)
+
 // queueState tracks one physical queue's stored blocks plus the
 // reservation cursors. The stored blocks live in an ordinal-indexed
 // ring window (see blockRing) instead of a hash map: block ordinals
@@ -111,23 +134,24 @@ type queueState struct {
 	readsDone uint64
 }
 
-// blockRing is a power-of-two ring of issued-but-unread blocks indexed
-// by block ordinal. base is the lowest ordinal the window may still
-// address; slots[ordinal&mask] is nil when the ordinal is absent
-// (consumed, or its write not yet issued). The window only needs to
-// cover [base, writeReserved); base advances lazily over consumed
-// ordinals (nil slots below readReserved), so steady-state operation
-// re-uses the same few slots and the ring grows — geometrically, off
-// the steady-state path — only when a genuine block backlog builds up.
+// blockRing is a power-of-two ring of issued-but-unread block handles
+// indexed by block ordinal. base is the lowest ordinal the window may
+// still address; slots[ordinal&mask] is NoBlock when the ordinal is
+// absent (consumed, or its write not yet issued). The window only
+// needs to cover [base, writeReserved); base advances lazily over
+// consumed ordinals (empty slots below readReserved), so steady-state
+// operation re-uses the same few slots and the ring grows —
+// geometrically, off the steady-state path — only when a genuine block
+// backlog builds up.
 type blockRing struct {
-	slots [][]cell.Cell
+	slots []Block
 	base  uint64
 }
 
-// get returns the block stored at ordinal, or nil.
-func (r *blockRing) get(ordinal uint64) []cell.Cell {
+// get returns the block stored at ordinal, or NoBlock.
+func (r *blockRing) get(ordinal uint64) Block {
 	if ordinal < r.base || ordinal-r.base >= uint64(len(r.slots)) {
-		return nil
+		return NoBlock
 	}
 	return r.slots[ordinal&uint64(len(r.slots)-1)]
 }
@@ -137,14 +161,14 @@ func (r *blockRing) del(ordinal uint64) {
 	if ordinal < r.base || ordinal-r.base >= uint64(len(r.slots)) {
 		return
 	}
-	r.slots[ordinal&uint64(len(r.slots)-1)] = nil
+	r.slots[ordinal&uint64(len(r.slots)-1)] = NoBlock
 }
 
 // put stores blk at ordinal, growing the window as needed. consumedLim
-// is the caller's readReserved cursor: every nil slot below it is a
+// is the caller's readReserved cursor: every empty slot below it is a
 // consumed ordinal the base may slide past to make room without
 // growing.
-func (r *blockRing) put(ordinal uint64, blk []cell.Cell, consumedLim uint64) {
+func (r *blockRing) put(ordinal uint64, blk Block, consumedLim uint64) {
 	if ordinal < r.base {
 		// Cannot happen with the DRAM's cursor discipline (writes land
 		// at ordinals ≥ readReserved ≥ base); guard for safety.
@@ -160,7 +184,7 @@ func (r *blockRing) put(ordinal uint64, blk []cell.Cell, consumedLim uint64) {
 // consumed ordinals, then the ring doubles until the span fits.
 func (r *blockRing) grow(ordinal, consumedLim uint64) {
 	if n := uint64(len(r.slots)); n > 0 {
-		for r.base < consumedLim && r.slots[r.base&(n-1)] == nil {
+		for r.base < consumedLim && r.slots[r.base&(n-1)] == NoBlock {
 			r.base++
 		}
 	}
@@ -175,7 +199,7 @@ func (r *blockRing) grow(ordinal, consumedLim uint64) {
 	if size == uint64(len(r.slots)) {
 		return
 	}
-	grown := make([][]cell.Cell, size)
+	grown := make([]Block, size)
 	for o := r.base; o < r.base+uint64(len(r.slots)); o++ {
 		grown[o&(size-1)] = r.slots[o&uint64(len(r.slots)-1)]
 	}
@@ -205,9 +229,13 @@ type DRAM struct {
 	// mask (see ReadableSet), replacing per-candidate map probes.
 	readable *bitset.Set
 
-	// blockPool recycles b-cell block storage between writes and reads
-	// so the steady-state datapath does not allocate.
-	blockPool [][]cell.Cell
+	// chunks is the block slab: chunk k holds the cells of handles
+	// [k·chunkBlocks+1, (k+1)·chunkBlocks], b cells each. Chunks are
+	// never reallocated, so live blocks never move. slabBlocks counts
+	// the handles ever handed out; free holds released ones for reuse.
+	chunks     [][]cell.Cell
+	slabBlocks int32
+	free       []Block
 
 	// accesses counts issued bank accesses, for stats.
 	accesses uint64
@@ -383,7 +411,7 @@ func (d *DRAM) ReadableSet() *bitset.Set { return d.readable }
 //
 //pktbuf:hotpath
 func (d *DRAM) refreshReadable(p cell.PhysQueueID, q *queueState) {
-	ok := q.readReserved < q.writeReserved && q.ring.get(q.readReserved) != nil
+	ok := q.readReserved < q.writeReserved && q.ring.get(q.readReserved) != NoBlock
 	if ok {
 		d.readable.Set(int(p))
 	} else {
@@ -413,30 +441,42 @@ func (d *DRAM) queue(p cell.PhysQueueID) *queueState {
 	return &d.queues[p]
 }
 
-// AcquireBlock returns a length-b cell slice from the recycling pool
-// (or a fresh one). Recycled slices retain stale contents: the caller
-// must overwrite all b entries. Callers staging a write block through
-// the DSS use it so the steady-state write path does not allocate;
-// the slice comes back to the pool via ReleaseBlock.
-func (d *DRAM) AcquireBlock() []cell.Cell {
-	if n := len(d.blockPool); n > 0 {
-		blk := d.blockPool[n-1]
-		d.blockPool = d.blockPool[:n-1]
+// AcquireBlock returns a free block from the slab, reusing released
+// handles first. A reused block retains stale contents: the caller must
+// overwrite all b cells (Cells) before handing it to BeginWriteAt.
+func (d *DRAM) AcquireBlock() Block {
+	if n := len(d.free); n > 0 {
+		blk := d.free[n-1]
+		d.free = d.free[:n-1]
 		return blk
 	}
-	return make([]cell.Cell, d.cfg.BlockCells)
+	if int(d.slabBlocks) == len(d.chunks)*chunkBlocks {
+		d.chunks = append(d.chunks, make([]cell.Cell, chunkBlocks*d.cfg.BlockCells))
+	}
+	d.slabBlocks++
+	return Block(d.slabBlocks)
 }
 
-// ReleaseBlock returns a block slice — one handed out by AcquireBlock
-// or returned by BeginRead/BeginReadAt — to the recycling pool. The
-// caller must not retain the slice afterwards. Slices of the wrong
-// size are dropped.
-func (d *DRAM) ReleaseBlock(blk []cell.Cell) {
-	if len(blk) != d.cfg.BlockCells {
-		return
-	}
-	d.blockPool = append(d.blockPool, blk)
+// Cells returns the b cells of block blk. The slice aliases the slab
+// and stays valid, at the same address, until blk is released.
+//
+//pktbuf:hotpath
+func (d *DRAM) Cells(blk Block) []cell.Cell {
+	i := int(blk) - 1
+	bc := d.cfg.BlockCells
+	off := (i & (chunkBlocks - 1)) * bc
+	return d.chunks[i>>chunkShift][off : off+bc : off+bc]
 }
+
+// ReleaseBlock returns a block — one from AcquireBlock that the caller
+// still owns, or one returned by BeginReadAt — to the free list. The
+// caller must not use the handle or its cells afterwards.
+func (d *DRAM) ReleaseBlock(blk Block) {
+	d.free = append(d.free, blk)
+}
+
+// live reports whether blk names a handle the slab has handed out.
+func (d *DRAM) live(blk Block) bool { return blk > NoBlock && int32(blk) <= d.slabBlocks }
 
 // ReserveWrite assigns the next block ordinal (and hence bank) of
 // queue p to a pending write and charges the group's capacity. The
@@ -454,18 +494,19 @@ func (d *DRAM) ReserveWrite(p cell.PhysQueueID) (ordinal uint64, bank BankID, er
 	return ordinal, d.BankFor(p, ordinal), nil
 }
 
-// BeginWriteAt issues the write of a reserved block: exactly b cells
-// stored at the given ordinal, occupying its bank for AccessSlots
-// slots starting at now.
-func (d *DRAM) BeginWriteAt(p cell.PhysQueueID, ordinal uint64, cells []cell.Cell, now cell.Slot) (BankID, error) {
-	if len(cells) != d.cfg.BlockCells {
-		return NoBank, fmt.Errorf("%w: got %d, want %d", ErrBadBlockSize, len(cells), d.cfg.BlockCells)
+// BeginWriteAt issues the write of a reserved block: the b cells of
+// blk are stored at the given ordinal, occupying its bank for
+// AccessSlots slots starting at now. On success the DRAM owns blk until
+// BeginReadAt hands it back; on error the caller keeps it.
+func (d *DRAM) BeginWriteAt(p cell.PhysQueueID, ordinal uint64, blk Block, now cell.Slot) (BankID, error) {
+	if !d.live(blk) {
+		return NoBank, fmt.Errorf("%w: handle %d", ErrBadBlock, blk)
 	}
 	q := d.queue(p)
 	if ordinal >= q.writeReserved {
 		return NoBank, fmt.Errorf("%w: write ordinal %d not reserved (next %d)", ErrBadOrdinal, ordinal, q.writeReserved)
 	}
-	if q.ring.get(ordinal) != nil {
+	if q.ring.get(ordinal) != NoBlock {
 		return NoBank, fmt.Errorf("%w: write ordinal %d already issued", ErrBadOrdinal, ordinal)
 	}
 	if ordinal < q.readReserved {
@@ -476,36 +517,12 @@ func (d *DRAM) BeginWriteAt(p cell.PhysQueueID, ordinal uint64, cells []cell.Cel
 		return NoBank, fmt.Errorf("%w: bank %d busy until slot %d, write at slot %d",
 			ErrBankConflict, b, d.busyUntil[b], now)
 	}
-	stored := d.AcquireBlock()
-	copy(stored, cells)
-	q.ring.put(ordinal, stored, q.readReserved)
+	q.ring.put(ordinal, blk, q.readReserved)
 	d.busyUntil[b] = now + cell.Slot(d.cfg.AccessSlots)
 	d.accesses++
 	d.busySlots += uint64(d.cfg.AccessSlots)
 	d.refreshReadable(p, q)
 	return b, nil
-}
-
-// BeginWrite reserves and immediately issues an in-order write (the
-// RADS path, where reservation and issue coincide).
-func (d *DRAM) BeginWrite(p cell.PhysQueueID, cells []cell.Cell, now cell.Slot) (BankID, error) {
-	if len(cells) != d.cfg.BlockCells {
-		return NoBank, fmt.Errorf("%w: got %d, want %d", ErrBadBlockSize, len(cells), d.cfg.BlockCells)
-	}
-	ordinal, _, err := d.ReserveWrite(p)
-	if err != nil {
-		return NoBank, err
-	}
-	bank, err := d.BeginWriteAt(p, ordinal, cells, now)
-	if err != nil {
-		// Roll the reservation back so the caller can retry later.
-		q := d.queue(p)
-		q.writeReserved--
-		d.groupBlk[d.Group(p)]--
-		d.refreshReadable(p, q)
-		return NoBank, err
-	}
-	return bank, nil
 }
 
 // ReserveRead assigns the next readable block ordinal of queue p to a
@@ -516,7 +533,7 @@ func (d *DRAM) ReserveRead(p cell.PhysQueueID) (ordinal uint64, bank BankID, err
 	if q.readReserved >= q.writeReserved {
 		return 0, NoBank, fmt.Errorf("%w: physical queue %d", ErrQueueEmpty, p)
 	}
-	if q.ring.get(q.readReserved) == nil {
+	if q.ring.get(q.readReserved) == NoBlock {
 		return 0, NoBank, fmt.Errorf("%w: physical queue %d block %d write not yet issued",
 			ErrQueueEmpty, p, q.readReserved)
 	}
@@ -527,21 +544,22 @@ func (d *DRAM) ReserveRead(p cell.PhysQueueID) (ordinal uint64, bank BankID, err
 }
 
 // BeginReadAt issues a reserved read: the block at ordinal is removed
-// and its cells returned; its bank is occupied for AccessSlots slots
-// starting at now. The caller models transfer latency by delivering
-// the cells to SRAM AccessSlots later.
-func (d *DRAM) BeginReadAt(p cell.PhysQueueID, ordinal uint64, now cell.Slot) (BankID, []cell.Cell, error) {
+// and its handle returned to the caller, who owns it from then on and
+// releases it once its cells have landed; its bank is occupied for
+// AccessSlots slots starting at now. The caller models transfer
+// latency by delivering the cells to SRAM AccessSlots later.
+func (d *DRAM) BeginReadAt(p cell.PhysQueueID, ordinal uint64, now cell.Slot) (BankID, Block, error) {
 	q := d.queue(p)
 	if ordinal >= q.readReserved {
-		return NoBank, nil, fmt.Errorf("%w: read ordinal %d not reserved (next %d)", ErrBadOrdinal, ordinal, q.readReserved)
+		return NoBank, NoBlock, fmt.Errorf("%w: read ordinal %d not reserved (next %d)", ErrBadOrdinal, ordinal, q.readReserved)
 	}
 	blk := q.ring.get(ordinal)
-	if blk == nil {
-		return NoBank, nil, fmt.Errorf("%w: read ordinal %d absent or already read", ErrBadOrdinal, ordinal)
+	if blk == NoBlock {
+		return NoBank, NoBlock, fmt.Errorf("%w: read ordinal %d absent or already read", ErrBadOrdinal, ordinal)
 	}
 	b := d.BankFor(p, ordinal)
 	if d.BankBusy(b, now) {
-		return NoBank, nil, fmt.Errorf("%w: bank %d busy until slot %d, read at slot %d",
+		return NoBank, NoBlock, fmt.Errorf("%w: bank %d busy until slot %d, read at slot %d",
 			ErrBankConflict, b, d.busyUntil[b], now)
 	}
 	q.ring.del(ordinal)
@@ -552,24 +570,4 @@ func (d *DRAM) BeginReadAt(p cell.PhysQueueID, ordinal uint64, now cell.Slot) (B
 	d.busySlots += uint64(d.cfg.AccessSlots)
 	d.refreshReadable(p, q)
 	return b, blk, nil
-}
-
-// BeginRead reserves and immediately issues an in-order read (the RADS
-// path).
-func (d *DRAM) BeginRead(p cell.PhysQueueID, now cell.Slot) (BankID, []cell.Cell, error) {
-	q := d.queue(p)
-	if q.readReserved >= q.writeReserved {
-		return NoBank, nil, fmt.Errorf("%w: physical queue %d", ErrQueueEmpty, p)
-	}
-	ordinal, _, err := d.ReserveRead(p)
-	if err != nil {
-		return NoBank, nil, err
-	}
-	bank, cells, err := d.BeginReadAt(p, ordinal, now)
-	if err != nil {
-		q.readReserved--
-		d.refreshReadable(p, q)
-		return NoBank, nil, err
-	}
-	return bank, cells, err
 }

@@ -18,12 +18,40 @@ func testConfig() Config {
 	}
 }
 
-func mkBlock(q cell.QueueID, start uint64, n int) []cell.Cell {
-	cells := make([]cell.Cell, n)
+// mkBlock stages a block of q's cells start, start+1, … in d's slab.
+func mkBlock(d *DRAM, q cell.QueueID, start uint64) Block {
+	blk := d.AcquireBlock()
+	cells := d.Cells(blk)
 	for i := range cells {
 		cells[i] = cell.Cell{Queue: q, Seq: start + uint64(i)}
 	}
-	return cells
+	return blk
+}
+
+// writeNext reserves queue p's next write ordinal and issues blk there
+// at now: the in-order path, where reservation and issue coincide.
+func writeNext(d *DRAM, p cell.PhysQueueID, blk Block, now cell.Slot) (BankID, error) {
+	ordinal, _, err := d.ReserveWrite(p)
+	if err != nil {
+		return NoBank, err
+	}
+	return d.BeginWriteAt(p, ordinal, blk, now)
+}
+
+// readNext reserves queue p's next read ordinal and issues it at now,
+// returning a copy of the block's cells and releasing the block.
+func readNext(d *DRAM, p cell.PhysQueueID, now cell.Slot) (BankID, []cell.Cell, error) {
+	ordinal, _, err := d.ReserveRead(p)
+	if err != nil {
+		return NoBank, nil, err
+	}
+	bank, blk, err := d.BeginReadAt(p, ordinal, now)
+	if err != nil {
+		return NoBank, nil, err
+	}
+	cells := append([]cell.Cell(nil), d.Cells(blk)...)
+	d.ReleaseBlock(blk)
+	return bank, cells, nil
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -77,7 +105,7 @@ func TestBlockCyclicInterleave(t *testing.T) {
 	var banks []BankID
 	for k := 0; k < 8; k++ {
 		b := d.WriteBank(p)
-		got, err := d.BeginWrite(p, mkBlock(1, uint64(2*k), 2), now)
+		got, err := writeNext(d, p, mkBlock(d, 1, uint64(2*k)), now)
 		if err != nil {
 			t.Fatalf("write %d: %v", k, err)
 		}
@@ -98,22 +126,25 @@ func TestBlockCyclicInterleave(t *testing.T) {
 func TestConflictDetection(t *testing.T) {
 	d := New(testConfig())
 	p := cell.PhysQueueID(0)
-	if _, err := d.BeginWrite(p, mkBlock(0, 0, 2), 0); err != nil {
+	if _, err := writeNext(d, p, mkBlock(d, 0, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Writing to the same queue 4 blocks later returns to bank 0; but
 	// the immediate next block goes to bank 1, so no conflict.
-	if _, err := d.BeginWrite(p, mkBlock(0, 2, 2), 1); err != nil {
+	if _, err := writeNext(d, p, mkBlock(d, 0, 2), 1); err != nil {
 		t.Fatalf("different bank should not conflict: %v", err)
 	}
 	// Reading the front block (bank 0) before AccessSlots have passed
 	// must conflict.
-	_, _, err := d.BeginRead(p, 7)
-	if !errors.Is(err, ErrBankConflict) {
+	o, _, err := d.ReserveRead(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.BeginReadAt(p, o, 7); !errors.Is(err, ErrBankConflict) {
 		t.Errorf("read at slot 7 err = %v, want ErrBankConflict", err)
 	}
 	// At slot 8 the bank is free again.
-	if _, _, err := d.BeginRead(p, 8); err != nil {
+	if _, _, err := d.BeginReadAt(p, o, 8); err != nil {
 		t.Errorf("read at slot 8: %v", err)
 	}
 }
@@ -123,7 +154,7 @@ func TestReadFIFOAndCells(t *testing.T) {
 	p := cell.PhysQueueID(2)
 	now := cell.Slot(0)
 	for k := 0; k < 4; k++ {
-		if _, err := d.BeginWrite(p, mkBlock(2, uint64(2*k), 2), now); err != nil {
+		if _, err := writeNext(d, p, mkBlock(d, 2, uint64(2*k)), now); err != nil {
 			t.Fatal(err)
 		}
 		now += 8
@@ -133,7 +164,7 @@ func TestReadFIFOAndCells(t *testing.T) {
 	}
 	var seqs []uint64
 	for k := 0; k < 4; k++ {
-		_, cells, err := d.BeginRead(p, now)
+		_, cells, err := readNext(d, p, now)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,17 +185,23 @@ func TestReadFIFOAndCells(t *testing.T) {
 
 func TestReadEmptyQueue(t *testing.T) {
 	d := New(testConfig())
-	_, _, err := d.BeginRead(5, 0)
+	_, _, err := readNext(d, 5, 0)
 	if !errors.Is(err, ErrQueueEmpty) {
 		t.Errorf("err = %v, want ErrQueueEmpty", err)
 	}
 }
 
+// TestBadBlockSize: every slab block holds exactly b cells, so the one
+// malformed block a write can name is a handle the slab never issued.
 func TestBadBlockSize(t *testing.T) {
 	d := New(testConfig())
-	_, err := d.BeginWrite(0, mkBlock(0, 0, 3), 0)
-	if !errors.Is(err, ErrBadBlockSize) {
-		t.Errorf("err = %v, want ErrBadBlockSize", err)
+	if got := len(d.Cells(mkBlock(d, 0, 0))); got != d.Config().BlockCells {
+		t.Errorf("block holds %d cells, want b = %d", got, d.Config().BlockCells)
+	}
+	for _, blk := range []Block{NoBlock, -1, 2} {
+		if _, err := writeNext(d, 0, blk, 0); !errors.Is(err, ErrBadBlock) {
+			t.Errorf("handle %d: err = %v, want ErrBadBlock", blk, err)
+		}
 	}
 }
 
@@ -179,7 +216,7 @@ func TestCapacityAndGroupFull(t *testing.T) {
 		if !d.CanWrite(p) {
 			t.Fatalf("CanWrite false at block %d", k)
 		}
-		if _, err := d.BeginWrite(p, mkBlock(3, uint64(2*k), 2), now); err != nil {
+		if _, err := writeNext(d, p, mkBlock(d, 3, uint64(2*k)), now); err != nil {
 			t.Fatalf("write %d: %v", k, err)
 		}
 		now += 8
@@ -187,7 +224,7 @@ func TestCapacityAndGroupFull(t *testing.T) {
 	if d.CanWrite(p) {
 		t.Error("CanWrite true for full group")
 	}
-	_, err := d.BeginWrite(p, mkBlock(3, 32, 2), now)
+	_, _, err := d.ReserveWrite(p)
 	if !errors.Is(err, ErrGroupFull) {
 		t.Errorf("err = %v, want ErrGroupFull", err)
 	}
@@ -212,7 +249,7 @@ func TestUnboundedCapacity(t *testing.T) {
 		if !d.CanWrite(0) {
 			t.Fatal("unbounded DRAM reported full")
 		}
-		if _, err := d.BeginWrite(0, mkBlock(0, uint64(2*k), 2), now); err != nil {
+		if _, err := writeNext(d, 0, mkBlock(d, 0, uint64(2*k)), now); err != nil {
 			t.Fatal(err)
 		}
 		now += 8
@@ -227,12 +264,12 @@ func TestLeastOccupiedGroup(t *testing.T) {
 	now := cell.Slot(0)
 	// Fill group 0 with 2 blocks, group 1 with 1 block.
 	for k := 0; k < 2; k++ {
-		if _, err := d.BeginWrite(0, mkBlock(0, uint64(2*k), 2), now); err != nil {
+		if _, err := writeNext(d, 0, mkBlock(d, 0, uint64(2*k)), now); err != nil {
 			t.Fatal(err)
 		}
 		now += 8
 	}
-	if _, err := d.BeginWrite(1, mkBlock(1, 0, 2), now); err != nil {
+	if _, err := writeNext(d, 1, mkBlock(d, 1, 0), now); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.LeastOccupiedGroup(); got != 2 {
@@ -248,7 +285,7 @@ func TestReadBankTracksFront(t *testing.T) {
 	}
 	now := cell.Slot(0)
 	for k := 0; k < 3; k++ {
-		if _, err := d.BeginWrite(p, mkBlock(0, uint64(2*k), 2), now); err != nil {
+		if _, err := writeNext(d, p, mkBlock(d, 0, uint64(2*k)), now); err != nil {
 			t.Fatal(err)
 		}
 		now += 8
@@ -258,7 +295,7 @@ func TestReadBankTracksFront(t *testing.T) {
 		if got := d.ReadBank(p); got != want {
 			t.Errorf("ReadBank before read %d = %d, want %d", k, got, want)
 		}
-		if _, _, err := d.BeginRead(p, now); err != nil {
+		if _, _, err := readNext(d, p, now); err != nil {
 			t.Fatal(err)
 		}
 		now += 8
@@ -267,10 +304,10 @@ func TestReadBankTracksFront(t *testing.T) {
 
 func TestAccessesCounter(t *testing.T) {
 	d := New(testConfig())
-	if _, err := d.BeginWrite(0, mkBlock(0, 0, 2), 0); err != nil {
+	if _, err := writeNext(d, 0, mkBlock(d, 0, 0), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.BeginRead(0, 8); err != nil {
+	if _, _, err := readNext(d, 0, 8); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Accesses(); got != 2 {
@@ -292,7 +329,7 @@ func TestPropertyConsecutiveQueueAccessesConflictFree(t *testing.T) {
 		// all succeed as long as gap*8 >= AccessSlots... with gap=1,
 		// bank reuse happens after 8 slots = AccessSlots exactly.
 		for k := 0; k < 16; k++ {
-			if _, err := d.BeginWrite(p, mkBlock(cell.QueueID(p), uint64(k), 1), now); err != nil {
+			if _, err := writeNext(d, p, mkBlock(d, cell.QueueID(p), uint64(k)), now); err != nil {
 				return false
 			}
 			now += gap
@@ -317,7 +354,7 @@ func TestPropertyCellConservation(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			p := cell.PhysQueueID(next(6))
 			seq := written[p]
-			if _, err := d.BeginWrite(p, mkBlock(cell.QueueID(p), seq, 2), now); err != nil {
+			if _, err := writeNext(d, p, mkBlock(d, cell.QueueID(p), seq), now); err != nil {
 				return false
 			}
 			written[p] = seq + 2
@@ -326,7 +363,7 @@ func TestPropertyCellConservation(t *testing.T) {
 		for p, n := range written {
 			var got uint64
 			for d.QueueBlocks(p) > 0 {
-				_, cells, err := d.BeginRead(p, now)
+				_, cells, err := readNext(d, p, now)
 				if err != nil {
 					return false
 				}
@@ -354,10 +391,10 @@ func TestUtilization(t *testing.T) {
 	if got := d.Utilization(0); got != 0 {
 		t.Errorf("Utilization(0) = %v", got)
 	}
-	if _, err := d.BeginWrite(0, mkBlock(0, 0, 2), 0); err != nil {
+	if _, err := writeNext(d, 0, mkBlock(d, 0, 0), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.BeginWrite(1, mkBlock(1, 0, 2), 0); err != nil {
+	if _, err := writeNext(d, 1, mkBlock(d, 1, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Two 8-slot accesses over 16 banks × 8 slots = 16/128.

@@ -31,7 +31,7 @@ func TestOutOfOrderSameQueueAccesses(t *testing.T) {
 	// Issue them out of order: 2, 0, 1 — different banks, same slot
 	// window is fine.
 	for _, i := range []int{2, 0, 1} {
-		if _, err := d.BeginWriteAt(p, ords[i], mkBlock(1, uint64(2*i), 2), 0); err != nil {
+		if _, err := d.BeginWriteAt(p, ords[i], mkBlock(d, 1, uint64(2*i)), 0); err != nil {
 			t.Fatalf("write ordinal %d: %v", ords[i], err)
 		}
 	}
@@ -50,11 +50,11 @@ func TestOutOfOrderSameQueueAccesses(t *testing.T) {
 	}
 	got := map[uint64][]cell.Cell{}
 	for _, i := range []int{1, 2, 0} {
-		_, cells, err := d.BeginReadAt(p, rords[i], 20)
+		_, blk, err := d.BeginReadAt(p, rords[i], 20)
 		if err != nil {
 			t.Fatalf("read ordinal %d: %v", rords[i], err)
 		}
-		got[rords[i]] = cells
+		got[rords[i]] = d.Cells(blk)
 	}
 	// Block k carries seqs 2k, 2k+1.
 	for k := uint64(0); k < 3; k++ {
@@ -78,7 +78,7 @@ func TestReserveReadGatesOnIssuedWrite(t *testing.T) {
 	}
 	// Issue only the *second* write. The first block is still absent,
 	// so no read can be reserved (FIFO order would be violated).
-	if _, err := d.BeginWriteAt(p, o1, mkBlock(0, 2, 2), 0); err != nil {
+	if _, err := d.BeginWriteAt(p, o1, mkBlock(d, 0, 2), 0); err != nil {
 		t.Fatal(err)
 	}
 	if d.ReadableNow(p) {
@@ -87,7 +87,7 @@ func TestReserveReadGatesOnIssuedWrite(t *testing.T) {
 	if _, _, err := d.ReserveRead(p); !errors.Is(err, ErrQueueEmpty) {
 		t.Errorf("ReserveRead err = %v, want ErrQueueEmpty", err)
 	}
-	if _, err := d.BeginWriteAt(p, o0, mkBlock(0, 0, 2), 1); err != nil {
+	if _, err := d.BeginWriteAt(p, o0, mkBlock(d, 0, 0), 1); err != nil {
 		t.Fatal(err)
 	}
 	if !d.ReadableNow(p) {
@@ -102,21 +102,21 @@ func TestBeginWriteAtValidation(t *testing.T) {
 	d := New(testConfig())
 	p := cell.PhysQueueID(0)
 	// Unreserved ordinal.
-	if _, err := d.BeginWriteAt(p, 0, mkBlock(0, 0, 2), 0); !errors.Is(err, ErrBadOrdinal) {
+	if _, err := d.BeginWriteAt(p, 0, mkBlock(d, 0, 0), 0); !errors.Is(err, ErrBadOrdinal) {
 		t.Errorf("unreserved write err = %v", err)
 	}
 	o, _, err := d.ReserveWrite(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.BeginWriteAt(p, o, mkBlock(0, 0, 3), 0); !errors.Is(err, ErrBadBlockSize) {
-		t.Errorf("bad size err = %v", err)
+	if _, err := d.BeginWriteAt(p, o, NoBlock, 0); !errors.Is(err, ErrBadBlock) {
+		t.Errorf("bad block err = %v", err)
 	}
-	if _, err := d.BeginWriteAt(p, o, mkBlock(0, 0, 2), 0); err != nil {
+	if _, err := d.BeginWriteAt(p, o, mkBlock(d, 0, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate issue.
-	if _, err := d.BeginWriteAt(p, o, mkBlock(0, 0, 2), 100); !errors.Is(err, ErrBadOrdinal) {
+	if _, err := d.BeginWriteAt(p, o, mkBlock(d, 0, 0), 100); !errors.Is(err, ErrBadOrdinal) {
 		t.Errorf("duplicate write err = %v", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestBeginWriteAtValidation(t *testing.T) {
 func TestBeginReadAtValidation(t *testing.T) {
 	d := New(testConfig())
 	p := cell.PhysQueueID(0)
-	if _, err := d.BeginWrite(p, mkBlock(0, 0, 2), 0); err != nil {
+	if _, err := writeNext(d, p, mkBlock(d, 0, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Unreserved read ordinal.
@@ -161,30 +161,44 @@ func TestReserveWriteCapacity(t *testing.T) {
 	}
 }
 
+// TestBeginWriteRollbackOnConflict: a write issued while its bank is
+// still busy fails without side effects — the reservation keeps its
+// ordinal and capacity charge, the caller keeps the block — and the
+// same ordinal issues once the bank frees.
 func TestBeginWriteRollbackOnConflict(t *testing.T) {
 	d := New(testConfig())
 	p := cell.PhysQueueID(0)
-	if _, err := d.BeginWrite(p, mkBlock(0, 0, 2), 0); err != nil {
+	if _, err := writeNext(d, p, mkBlock(d, 0, 0), 0); err != nil {
 		t.Fatal(err)
 	}
-	// Force a same-bank conflict: 4 more writes cycle back to bank 0
-	// at ordinal 4. Write ordinals 1..3 at distinct banks, then the
-	// 5th write while bank 0 is still busy must fail AND roll back its
-	// reservation.
+	// Ordinals 1..3 land on banks 1..3; ordinal 4 cycles back to bank 0,
+	// which stays busy until slot 8.
 	for i := 1; i <= 3; i++ {
-		if _, err := d.BeginWrite(p, mkBlock(0, uint64(2*i), 2), cell.Slot(i)); err != nil {
+		if _, err := writeNext(d, p, mkBlock(d, 0, uint64(2*i)), cell.Slot(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := d.GroupOccupancy(0)
-	if _, err := d.BeginWrite(p, mkBlock(0, 8, 2), 4); !errors.Is(err, ErrBankConflict) {
+	o, bank, err := d.ReserveWrite(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, accesses := d.GroupOccupancy(0), d.Accesses()
+	blk := mkBlock(d, 0, 8)
+	if _, err := d.BeginWriteAt(p, o, blk, 4); !errors.Is(err, ErrBankConflict) {
 		t.Fatalf("err = %v, want ErrBankConflict", err)
 	}
 	if got := d.GroupOccupancy(0); got != before {
-		t.Errorf("occupancy leaked on rollback: %d -> %d", before, got)
+		t.Errorf("occupancy moved on a failed issue: %d -> %d", before, got)
+	}
+	if d.Accesses() != accesses || !d.ReadableNow(p) {
+		t.Error("failed issue touched the bank or the stored blocks")
 	}
 	// Retry after the bank frees succeeds with the same ordinal/bank.
-	if _, err := d.BeginWrite(p, mkBlock(0, 8, 2), 8); err != nil {
+	got, err := d.BeginWriteAt(p, o, blk, 8)
+	if err != nil {
 		t.Errorf("retry: %v", err)
+	}
+	if got != bank {
+		t.Errorf("retry bank = %d, want the reserved %d", got, bank)
 	}
 }

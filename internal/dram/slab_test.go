@@ -1,0 +1,113 @@
+package dram
+
+import (
+	"testing"
+
+	"repro/internal/cell"
+)
+
+// TestSlabReusesHandles: a released handle is the next one acquired, so
+// a steady stream of writes and reads cycles through a fixed set of
+// blocks instead of growing the slab.
+func TestSlabReusesHandles(t *testing.T) {
+	d := New(testConfig())
+	a, b := d.AcquireBlock(), d.AcquireBlock()
+	if a == NoBlock || b == NoBlock || a == b {
+		t.Fatalf("handles %d, %d: want two distinct live blocks", a, b)
+	}
+	d.ReleaseBlock(a)
+	if got := d.AcquireBlock(); got != a {
+		t.Errorf("after releasing %d, AcquireBlock = %d", a, got)
+	}
+
+	// Write and read one queue for many rounds: the read hands each
+	// block back and the next write reuses it.
+	p := cell.PhysQueueID(1)
+	seen := map[Block]bool{}
+	now := cell.Slot(0)
+	for k := 0; k < 64; k++ {
+		blk := mkBlock(d, cell.QueueID(p), uint64(2*k))
+		seen[blk] = true
+		if _, err := writeNext(d, p, blk, now); err != nil {
+			t.Fatal(err)
+		}
+		now += 8
+		if _, _, err := readNext(d, p, now); err != nil {
+			t.Fatal(err)
+		}
+		now += 8
+	}
+	if len(seen) > 2 {
+		t.Errorf("64 write/read rounds used %d distinct blocks, want ≤ 2", len(seen))
+	}
+}
+
+// TestSlabZeroAlloc: once the slab, the free list and the queue ring
+// have grown to the working set, write/read/release cycles allocate
+// nothing.
+func TestSlabZeroAlloc(t *testing.T) {
+	d := New(testConfig())
+	p := cell.PhysQueueID(2)
+	now := cell.Slot(0)
+	cycle := func() {
+		var ords [3]uint64
+		for i := range ords {
+			o, _, err := d.ReserveWrite(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blk := d.AcquireBlock()
+			cells := d.Cells(blk)
+			for j := range cells {
+				cells[j] = cell.Cell{Queue: cell.QueueID(p), Seq: o}
+			}
+			if _, err := d.BeginWriteAt(p, o, blk, now); err != nil {
+				t.Fatal(err)
+			}
+			ords[i] = o
+			now++
+		}
+		now += 8
+		for range ords {
+			o, _, err := d.ReserveRead(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, blk, err := d.BeginReadAt(p, o, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := d.Cells(blk)[0].Seq; got != o {
+				t.Fatalf("block at ordinal %d holds seq %d", o, got)
+			}
+			d.ReleaseBlock(blk)
+			now++
+		}
+		now += 8
+	}
+	cycle() // warm: grow the slab, the free list and the ring
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("write/read/release cycle allocates %v times, want 0", allocs)
+	}
+}
+
+// TestSlabChunksNeverMove: a live block keeps its cells at the same
+// address while the slab grows by many chunks around it.
+func TestSlabChunksNeverMove(t *testing.T) {
+	d := New(testConfig())
+	live := mkBlock(d, 7, 100)
+	addr := &d.Cells(live)[0]
+	for i := 0; i < 10*chunkBlocks; i++ {
+		mkBlock(d, 1, uint64(i))
+	}
+	if len(d.chunks) < 10 {
+		t.Fatalf("slab has %d chunks, want the test to grow it past 10", len(d.chunks))
+	}
+	cells := d.Cells(live)
+	if &cells[0] != addr {
+		t.Error("a live block moved when the slab grew")
+	}
+	if cells[0] != (cell.Cell{Queue: 7, Seq: 100}) || cells[1] != (cell.Cell{Queue: 7, Seq: 101}) {
+		t.Errorf("live block cells = %v after growth", cells)
+	}
+}

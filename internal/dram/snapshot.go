@@ -11,8 +11,9 @@ import (
 // trace frame codec: per-bank busy horizons, per-group block counts,
 // per-queue reservation cursors and the stored blocks themselves. The
 // geometry comes from the configuration the owner reconstructs; the
-// readable bitset and the block recycling pool are derived state and
-// are rebuilt on restore.
+// readable bitset is derived state and is rebuilt on restore. Blocks
+// are framed by their cells, never by handle: the slab layout and its
+// free list are not part of the state.
 func (d *DRAM) Snapshot(w *frame.Writer) {
 	busy, groups, live := 0, 0, 0
 	for _, until := range d.busyUntil {
@@ -56,7 +57,7 @@ func (d *DRAM) Snapshot(w *frame.Writer) {
 		}
 		blocks := 0
 		for o := q.ring.base; o < q.writeReserved; o++ {
-			if q.ring.get(o) != nil {
+			if q.ring.get(o) != NoBlock {
 				blocks++
 			}
 		}
@@ -68,15 +69,12 @@ func (d *DRAM) Snapshot(w *frame.Writer) {
 		w.Attr("blocks", int64(blocks))
 		for o := q.ring.base; o < q.writeReserved; o++ {
 			blk := q.ring.get(o)
-			if blk == nil {
+			if blk == NoBlock {
 				continue
 			}
-			row := make([]int64, 1, 1+2*len(blk))
+			row := make([]int64, 1, 1+2*d.cfg.BlockCells)
 			row[0] = int64(o)
-			for _, c := range blk {
-				row = append(row, int64(c.Queue), int64(c.Seq))
-			}
-			w.Row(row...)
+			w.Row(d.AppendCells(row, blk)...)
 		}
 	}
 }
@@ -170,13 +168,31 @@ func (d *DRAM) Restore(r *frame.Reader) error {
 			if err != nil {
 				return err
 			}
-			blk := make([]cell.Cell, d.cfg.BlockCells)
-			for k := range blk {
-				blk[k] = cell.Cell{Queue: cell.QueueID(row[1+2*k]), Seq: uint64(row[2+2*k])}
-			}
-			q.ring.put(uint64(row[0]), blk, q.readReserved)
+			q.ring.put(uint64(row[0]), d.RestoreBlock(row[1:]), q.readReserved)
 		}
 		d.refreshReadable(cell.PhysQueueID(p), q)
 	}
 	return nil
+}
+
+// AppendCells appends the (queue, seq) pair of each of blk's cells to
+// a snapshot row. Every section that frames a block in flight (DRAM
+// queues, Requests Register entries, completions) writes its cells
+// this way; RestoreBlock reads them back.
+func (d *DRAM) AppendCells(row []int64, blk Block) []int64 {
+	for _, c := range d.Cells(blk) {
+		row = append(row, int64(c.Queue), int64(c.Seq))
+	}
+	return row
+}
+
+// RestoreBlock acquires a block and fills it from the b (queue, seq)
+// pairs of pairs, as AppendCells wrote them.
+func (d *DRAM) RestoreBlock(pairs []int64) Block {
+	blk := d.AcquireBlock()
+	cells := d.Cells(blk)
+	for k := range cells {
+		cells[k] = cell.Cell{Queue: cell.QueueID(pairs[2*k]), Seq: uint64(pairs[2*k+1])}
+	}
+	return blk
 }

@@ -38,7 +38,10 @@ func (d Direction) String() string {
 	return "write"
 }
 
-// Request is one pending block transfer.
+// Request is one pending block transfer: a pointer-free descriptor
+// (queue, direction, ordinal, bank, block handle), as in Figure 9. The
+// data itself stays in the DRAM's block slab, so the Requests Register
+// holds no references and compacts by plain memory moves.
 type Request struct {
 	// Queue is the physical queue being transferred.
 	Queue cell.PhysQueueID
@@ -49,8 +52,9 @@ type Request struct {
 	Ordinal uint64
 	// Bank is the target bank (fixed at reservation time).
 	Bank dram.BankID
-	// Cells carries the block payload for writes (nil for reads).
-	Cells []cell.Cell
+	// Block is the staged b-cell block of a write (dram.NoBlock for
+	// reads); the DRAM takes it over when the write issues.
+	Block dram.Block
 	// Enqueued is the slot the request entered the RR.
 	Enqueued cell.Slot
 	// Skips counts how many times a younger request issued first.

@@ -202,14 +202,15 @@ func TestConflictFreedomAgainstDRAM(t *testing.T) {
 			ord, bank, err := d.ReserveWrite(q)
 			if err == nil {
 				seq := pending[q]
-				cells := []cell.Cell{
+				blk := d.AcquireBlock()
+				copy(d.Cells(blk), []cell.Cell{
 					{Queue: cell.QueueID(q), Seq: seq},
 					{Queue: cell.QueueID(q), Seq: seq + 1},
-				}
+				})
 				pending[q] = seq + 2
 				if err := s.Enqueue(Request{
 					Queue: q, Dir: Write, Ordinal: ord, Bank: bank,
-					Cells: cells, Enqueued: slot,
+					Block: blk, Enqueued: slot,
 				}); err != nil {
 					t.Fatalf("slot %d: %v", slot, err)
 				}
@@ -234,13 +235,15 @@ func TestConflictFreedomAgainstDRAM(t *testing.T) {
 		for _, r := range s.Cycle(slot, 2, access) {
 			switch r.Dir {
 			case Write:
-				if _, err := d.BeginWriteAt(r.Queue, r.Ordinal, r.Cells, slot); err != nil {
+				if _, err := d.BeginWriteAt(r.Queue, r.Ordinal, r.Block, slot); err != nil {
 					t.Fatalf("slot %d: conflict on write: %v", slot, err)
 				}
 			case Read:
-				if _, _, err := d.BeginReadAt(r.Queue, r.Ordinal, slot); err != nil {
+				_, blk, err := d.BeginReadAt(r.Queue, r.Ordinal, slot)
+				if err != nil {
 					t.Fatalf("slot %d: conflict on read: %v", slot, err)
 				}
+				d.ReleaseBlock(blk)
 			}
 		}
 	}

@@ -10,10 +10,11 @@ import (
 
 // Snapshot serializes the scheduler through the trace frame codec: the
 // age-ordered Requests Register verbatim (including staged write
-// payloads), the ORR bank locks live at slot now (no later Cycle may
-// run before now, so expired ones are dropped), and the accumulated
-// statistics. The reusable issue buffer is scratch and is not framed.
-func (s *Scheduler) Snapshot(w *frame.Writer, now cell.Slot) {
+// payloads, whose cells it reads from d's block slab), the ORR bank
+// locks live at slot now (no later Cycle may run before now, so expired
+// ones are dropped), and the accumulated statistics. The reusable issue
+// buffer is scratch and is not framed.
+func (s *Scheduler) Snapshot(w *frame.Writer, now cell.Slot, d *dram.DRAM) {
 	w.Begin("dss")
 	w.Attr("rr", int64(len(s.rr)))
 	w.Attr("orr", int64(s.ORRLen(now)))
@@ -26,11 +27,15 @@ func (s *Scheduler) Snapshot(w *frame.Writer, now cell.Slot) {
 	w.Attr("empty", int64(s.stats.EmptyCycles))
 	for i := range s.rr {
 		r := &s.rr[i]
-		row := make([]int64, 0, 7+2*len(r.Cells))
+		nc := 0
+		if r.Block != dram.NoBlock {
+			nc = d.Config().BlockCells
+		}
+		row := make([]int64, 0, 7+2*nc)
 		row = append(row, int64(r.Queue), int64(r.Dir), int64(r.Ordinal),
-			int64(r.Bank), int64(r.Enqueued), int64(r.Skips), int64(len(r.Cells)))
-		for _, c := range r.Cells {
-			row = append(row, int64(c.Queue), int64(c.Seq))
+			int64(r.Bank), int64(r.Enqueued), int64(r.Skips), int64(nc))
+		if r.Block != dram.NoBlock {
+			row = d.AppendCells(row, r.Block)
 		}
 		w.Row(row...)
 	}
@@ -43,11 +48,11 @@ func (s *Scheduler) Snapshot(w *frame.Writer, now cell.Slot) {
 }
 
 // Restore loads a snapshot written by Snapshot into a freshly
-// constructed scheduler of the same capacity and policy, scheduling a
-// DRAM of banks banks. It also accepts the ORR rows of older snapshots,
-// which may hold expired locks and several per bank: a bank keeps its
-// latest.
-func (s *Scheduler) Restore(r *frame.Reader, banks int) error {
+// constructed scheduler of the same capacity and policy, scheduling
+// DRAM d, whose slab receives the staged write blocks. It also accepts
+// the ORR rows of older snapshots, which may hold expired locks and
+// several per bank: a bank keeps its latest.
+func (s *Scheduler) Restore(r *frame.Reader, d *dram.DRAM) error {
 	if err := r.Expect("dss"); err != nil {
 		return err
 	}
@@ -93,7 +98,7 @@ func (s *Scheduler) Restore(r *frame.Reader, banks int) error {
 			return fmt.Errorf("%w: dss rr row too short", frame.ErrFrame)
 		}
 		nc := int(row[6])
-		if len(row) != 7+2*nc {
+		if nc != 0 && nc != d.Config().BlockCells || len(row) != 7+2*nc {
 			return fmt.Errorf("%w: dss rr row: want %d cells", frame.ErrFrame, nc)
 		}
 		req := Request{
@@ -105,10 +110,7 @@ func (s *Scheduler) Restore(r *frame.Reader, banks int) error {
 			Skips:    int(row[5]),
 		}
 		if nc > 0 {
-			req.Cells = make([]cell.Cell, nc)
-			for k := range req.Cells {
-				req.Cells[k] = cell.Cell{Queue: cell.QueueID(row[7+2*k]), Seq: uint64(row[8+2*k])}
-			}
+			req.Block = d.RestoreBlock(row[7:])
 		}
 		s.rr = append(s.rr, req)
 	}
@@ -120,7 +122,7 @@ func (s *Scheduler) Restore(r *frame.Reader, banks int) error {
 		if err != nil {
 			return err
 		}
-		if row[0] < 0 || row[0] >= int64(banks) {
+		if row[0] < 0 || row[0] >= int64(d.Config().Banks) {
 			return fmt.Errorf("%w: dss orr bank %d out of range", frame.ErrFrame, row[0])
 		}
 		s.lock(dram.BankID(row[0]), cell.Slot(row[1]))

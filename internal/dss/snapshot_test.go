@@ -10,12 +10,17 @@ import (
 	"repro/internal/frame"
 )
 
+// banksDRAM is a DRAM of banks banks for the scheduler to address.
+func banksDRAM(banks int) *dram.DRAM {
+	return dram.New(dram.Config{Banks: banks, BanksPerGroup: 1, AccessSlots: 8, BlockCells: 2})
+}
+
 // snapshotBytes frames s at slot now.
 func snapshotBytes(t *testing.T, s *Scheduler, now cell.Slot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := frame.NewWriter(&buf)
-	s.Snapshot(w, now)
+	s.Snapshot(w, now, banksDRAM(16))
 	w.Begin("end")
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -60,7 +65,7 @@ func TestSnapshotWritesOnlyLiveLocks(t *testing.T) {
 	s.Cycle(4, 1, 8) // bank 7 locked until slot 12
 	snap := snapshotBytes(t, s, 9)
 	restored := New(4)
-	if err := restored.Restore(frame.NewReader(bytes.NewReader(snap)), 16); err != nil {
+	if err := restored.Restore(frame.NewReader(bytes.NewReader(snap)), banksDRAM(16)); err != nil {
 		t.Fatal(err)
 	}
 	// Banks 2 and 5 expired by slot 9: had their rows been written,
@@ -81,7 +86,7 @@ func TestRestoreAcceptsOlderORRRows(t *testing.T) {
 	// included, in issue order; a bank keeps its latest lock.
 	s := New(4)
 	snap := withORRRows(t, [][2]int64{{3, 20}, {4, 2}, {3, 5}})
-	if err := s.Restore(frame.NewReader(bytes.NewReader(snap)), 8); err != nil {
+	if err := s.Restore(frame.NewReader(bytes.NewReader(snap)), banksDRAM(8)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ORRLen(3); got != 1 {
@@ -92,7 +97,7 @@ func TestRestoreAcceptsOlderORRRows(t *testing.T) {
 	}
 	for _, bank := range []int64{-1, 8} {
 		bad := withORRRows(t, [][2]int64{{bank, 20}})
-		if err := New(4).Restore(frame.NewReader(bytes.NewReader(bad)), 8); !errors.Is(err, frame.ErrFrame) {
+		if err := New(4).Restore(frame.NewReader(bytes.NewReader(bad)), banksDRAM(8)); !errors.Is(err, frame.ErrFrame) {
 			t.Errorf("bank %d: err = %v, want frame.ErrFrame", bank, err)
 		}
 	}

@@ -230,6 +230,11 @@ func (e *ECQF) eligibleQ(q cell.PhysQueueID, eligible func(cell.PhysQueueID) boo
 //
 //pktbuf:hotpath
 func (e *ECQF) Select(eligible func(cell.PhysQueueID) bool) (cell.PhysQueueID, bool) {
+	if e.crit.Empty() {
+		// No queue is critical: the common answer of the idle-run
+		// Quiescent probe.
+		return cell.NoPhysQueue, false
+	}
 	head := e.look.head
 	n := len(e.look.ring)
 	// Circular walk over the critical-slot bitmap from the window head:

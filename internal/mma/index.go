@@ -62,8 +62,11 @@ func (r *posRing) at(i int) int32 {
 // overflow bucket whose winner is found by an exact scan of its
 // members — the owner keeps the true values, so selections stay
 // bit-identical to a full linear scan at any magnitude while the
-// bucket arena stays O(overflowAt · Q/64) words.
+// bucket arena stays O(overflowAt · Q/64) words. Values below
+// minValue are not members at all, so a queue climbing towards the
+// threshold touches no bitset.
 type maxTracker struct {
+	minValue   int32
 	overflowAt int
 	buckets    []*bitset.Set // [1, overflowAt]; index overflowAt = overflow
 	nonEmpty   *bitset.Set   // over bucket indices
@@ -71,14 +74,16 @@ type maxTracker struct {
 }
 
 // newMaxTracker builds a tracker for members queues whose candidacy
-// threshold is minValue (values below it never win; the overflow
+// threshold is minValue (values below it are not tracked; the overflow
 // boundary is kept above it so overflow members always qualify).
+// minValue must be positive.
 func newMaxTracker(members, minValue int) *maxTracker {
 	overflowAt := 64
 	if overflowAt < minValue {
 		overflowAt = minValue
 	}
 	return &maxTracker{
+		minValue:   int32(minValue),
 		overflowAt: overflowAt,
 		buckets:    make([]*bitset.Set, overflowAt+1),
 		nonEmpty:   bitset.New(overflowAt + 1),
@@ -87,7 +92,7 @@ func newMaxTracker(members, minValue int) *maxTracker {
 }
 
 func (t *maxTracker) bucketOf(v int32) int {
-	if v <= 0 {
+	if v < t.minValue {
 		return -1
 	}
 	if int(v) >= t.overflowAt {
@@ -97,7 +102,7 @@ func (t *maxTracker) bucketOf(v int32) int {
 }
 
 // update moves queue q from tracked value oldV to tracked value newV.
-// Non-positive values mean "not a member".
+// Values below minValue mean "not a member".
 func (t *maxTracker) update(q int, oldV, newV int32) {
 	if q >= t.members {
 		t.members = q + 1

@@ -28,9 +28,10 @@
 //     bitmap holds exactly the non-negative critSlot values. Every
 //     mutation (shift in/out, ledger debit/credit) touches one queue
 //     and restores the invariant for that queue in O(log₆₄ L).
-//   - TailMMA / MDQF: the bucketed max-tracker places each queue with
-//     a positive tracked value (tail occupancy, head deficit) in the
-//     bucket of that exact value, clamping values ≥ overflowAt into
+//   - TailMMA / MDQF: the bucketed max-tracker places each queue whose
+//     tracked value (tail occupancy, head deficit) is at least the
+//     candidacy threshold (b for the tail, 1 for MDQF) in the bucket
+//     of that exact value, clamping values ≥ overflowAt into
 //     one overflow bucket that is resolved by an exact scan of its
 //     members; the nonEmpty bitmap holds exactly the non-empty bucket
 //     indices.
@@ -109,7 +110,7 @@ func (l *Lookahead) Shift(in cell.PhysQueueID) (out cell.PhysQueueID) {
 // Shift(NoPhysQueue) calls — every entry read out would be idle, and
 // the shift observer sees nothing on idle-in/idle-out shifts.
 func (l *Lookahead) FastForward(n uint64) {
-	l.head = int((uint64(l.head) + n) % uint64(len(l.ring)))
+	l.head = cell.AdvanceCursor(l.head, n, len(l.ring))
 }
 
 // At returns the entry i positions from the head (i=0 is the next

@@ -103,11 +103,8 @@ func (t *TailMMA) Select(eligible func(cell.QueueID) bool) (cell.QueueID, bool) 
 			}
 			continue
 		}
-		if bi < t.b {
-			// Exact buckets hold occupancy == bi: below the block size
-			// nothing further down can qualify.
-			break
-		}
+		// Exact buckets hold occupancy == bi ≥ b: the index keeps no
+		// bucket below the block size.
 		for i := set.First(); i >= 0; i = set.NextFrom(i + 1) {
 			q := cell.QueueID(i)
 			if eligible == nil || eligible(q) {

@@ -14,7 +14,7 @@ import (
 )
 
 // slotRecord is a comparable snapshot of one egress packet (payload
-// copied, since Egress payloads alias the router's arena).
+// copied, so the record stands alone).
 type slotRecord struct {
 	output, input int
 	flow          int
@@ -34,7 +34,6 @@ func recordEgress(eg []Egress, dst *[]slotRecord) {
 // even when e is quiescent, never taking StepBatch's fast-forward, so
 // the subject's fast-forward is pinned against dense ticking.
 func denseStep(e *Engine) ([]Egress, error) {
-	e.egArena = e.egArena[:0]
 	out, err := e.stepSlot(e.egScratch[:0])
 	e.egScratch = out
 	return out, err

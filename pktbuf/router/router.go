@@ -24,13 +24,15 @@
 // engine is serial"). Multi-core throughput comes from running
 // independent engines, one per goroutine.
 //
-// Line cards carry packets, not cells: the ingress queue and each VOQ
-// hold one run per packet (its payload, cell count and a cell cursor)
-// in compacting deques, and the buffer's per-VOQ FIFO delivery order
-// lets a delivered cell advance the front run's cursor, so the
-// steady-state Step path performs no hashing and no allocation, and a
-// packet's payload is copied once, into the egress arena, when its last
-// cell crosses.
+// Line cards carry packets, not cells: each port keeps one record per
+// packet (its payload, flow, cell count and two cell cursors) in a
+// per-port slab, from Offer until the packet's last cell crosses the
+// fabric. The ingress FIFO and every VOQ FIFO are lists linked by slab
+// index through those records, and the buffer's per-VOQ FIFO delivery
+// order lets a delivered cell advance the front record of its VOQ, so
+// the steady-state Step path performs no hashing and no allocation.
+// The engine never copies a payload: a packet leaves with the very
+// slice it was offered with.
 //
 // A minimal session:
 //
@@ -105,10 +107,9 @@ type Egress struct {
 	// Input is the port the packet entered on.
 	Input int
 	// Packet is the reassembled packet (Flow = output×Classes+class,
-	// as offered). Its payload lives in the engine's egress arena: all
-	// egress from one Step or StepBatch call stays valid until the
-	// next such call, so callers that retain packets across steps must
-	// copy the payload.
+	// as offered). Its Payload is the slice the caller offered, not a
+	// copy: the engine never copies a payload, so it stays valid for as
+	// long as the caller keeps that buffer unchanged.
 	Packet packet.Packet
 }
 
@@ -124,77 +125,76 @@ type Stats struct {
 	Slots uint64
 }
 
-// run is one packet on a line card, carried whole: payload aliases the
-// offered packet's bytes until the packet leaves the router, and done
-// is a cursor over its cells — on the ingress ring the cells the buffer
-// has admitted, on a VOQ's ring the cells that have crossed the fabric.
-type run struct {
-	payload     []byte
-	flow        cell.QueueID
-	cells, done int
+// nilPkt is the end-of-list (and empty-list) slab index.
+const nilPkt int32 = -1
+
+// pkt is one packet on a line card, from Offer until its last cell
+// crosses the fabric: payload is the offered slice itself. admitted
+// counts the cells the buffer has taken in and crossed those that have
+// left through the fabric. A packet sits on its port's ingress list
+// (linked by nextIn) until every cell is admitted, and on its VOQ's
+// list (linked by nextVOQ) from its first cell's admission until its
+// last cell crosses; a free record is linked by nextIn into the free
+// list.
+type pkt struct {
+	payload           []byte
+	flow              cell.QueueID
+	cells             int32
+	admitted, crossed int32
+	nextIn, nextVOQ   int32
 }
 
-// runRing is a compacting deque of packet runs: push appends, pop
-// advances a start cursor, and the backing array is compacted in place
-// when it fills, so steady-state operation does not allocate.
-type runRing struct {
-	runs  []run
-	start int
-}
+// pktList is a FIFO of slab records linked by index.
+type pktList struct{ head, tail int32 }
 
-func (q *runRing) len() int { return len(q.runs) - q.start }
+var emptyList = pktList{nilPkt, nilPkt}
 
-// ensure compacts so that n appends fit without growing, when the
-// slack at the front allows it.
-func (q *runRing) ensure(n int) {
-	if q.start > 0 && len(q.runs)+n > cap(q.runs) {
-		m := copy(q.runs, q.runs[q.start:])
-		clear(q.runs[m:])
-		q.runs = q.runs[:m]
-		q.start = 0
-	}
-}
-
-func (q *runRing) push(r run) {
-	q.ensure(1)
-	q.runs = append(q.runs, r)
-}
-
-func (q *runRing) front() *run { return &q.runs[q.start] }
-
-func (q *runRing) pop() {
-	q.runs[q.start] = run{} // drop the payload reference
-	q.start++
-	if q.start == len(q.runs) {
-		q.runs, q.start = q.runs[:0], 0
-	}
-}
-
-// lineCard is one ingress port: its VOQ buffer plus the dense
-// per-VOQ packet rings.
+// lineCard is one ingress port: its VOQ buffer plus its packet slab and
+// the lists threaded through it.
 type lineCard struct {
 	buf *core.Buffer
-	// pending serializes offered packets onto the line, one cell per
+	// pkts is the port's packet slab; free heads the list of unused
+	// records. The slab grows by append only when every record is live,
+	// so steady-state operation does not allocate.
+	pkts []pkt
+	free int32
+	// ingress serializes offered packets onto the line, one cell per
 	// slot; pendingCells counts their cells the buffer has not admitted.
-	pending      runRing
+	ingress      pktList
 	pendingCells int
 	// arrivals[voq] counts cells admitted, assigning the sequence
 	// numbers the buffer will deliver back; delivered[voq] counts
 	// deliveries consumed, verifying the buffer's FIFO guarantee.
 	arrivals  []uint64
 	delivered []uint64
-	// meta[voq] holds the VOQ's packets in arrival order, from the
-	// admission of a packet's first cell until its last cell crosses;
-	// per-VOQ FIFO delivery makes the front run the packet of the next
-	// cell the buffer hands back. Each (input, class) stream reaching
-	// an output is exactly one VOQ, so its cursor is the reassembly
+	// voq[q] lists the VOQ's packets in admission order; per-VOQ FIFO
+	// delivery makes its head the packet of the next cell the buffer
+	// hands back. Each (input, class) stream reaching an output is
+	// exactly one VOQ, so the head's crossed cursor is the reassembly
 	// state.
-	meta []runRing
+	voq []pktList
 	// reqVec[output] is the highest-priority requestable VOQ addressed
 	// to output (cell.NoQueue = none): what the port requests when the
 	// scheduler matches it to output. refreshReq keeps it, and the
 	// scheduler's request bit for (port, output), current.
 	reqVec []cell.QueueID
+}
+
+// alloc takes a record off the free list, or appends one to the slab.
+func (in *lineCard) alloc() int32 {
+	if i := in.free; i != nilPkt {
+		in.free = in.pkts[i].nextIn
+		return i
+	}
+	in.pkts = append(in.pkts, pkt{})
+	return int32(len(in.pkts) - 1)
+}
+
+// release returns record i to the free list, dropping its payload
+// reference.
+func (in *lineCard) release(i int32) {
+	in.pkts[i] = pkt{nextIn: in.free}
+	in.free = i
 }
 
 // Engine is the composed router.
@@ -207,12 +207,6 @@ type Engine struct {
 	closed bool
 
 	egScratch []Egress
-	// egArena backs the payloads of returned Egress packets. It is
-	// reset at the start of every Step / StepBatch call, so egress
-	// stays valid for the whole batch: a mid-batch grow moves new
-	// payloads to a fresh block while already-returned slices keep the
-	// old one alive and untouched.
-	egArena []byte
 	// tickHook, when set, runs after every port tick (tests audit the
 	// incrementally maintained request state against a full recompute).
 	tickHook func(port int)
@@ -261,13 +255,19 @@ func newEngine(cfg Config, buf core.Config) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("router: input %d buffer: %w", i, err)
 		}
-		e.inputs = append(e.inputs, &lineCard{
+		in := &lineCard{
 			buf:       b,
+			free:      nilPkt,
+			ingress:   emptyList,
 			arrivals:  make([]uint64, voqs),
 			delivered: make([]uint64, voqs),
-			meta:      make([]runRing, voqs),
+			voq:       make([]pktList, voqs),
 			reqVec:    newNoQueueVec(cfg.Ports),
-		})
+		}
+		for q := range in.voq {
+			in.voq[q] = emptyList
+		}
+		e.inputs = append(e.inputs, in)
 	}
 	return e, nil
 }
@@ -296,10 +296,11 @@ func (e *Engine) VOQ(output, class int) pktbuf.Queue {
 }
 
 // Offer enqueues a packet at an input port. The packet's Flow must be
-// a valid VOQ id (use VOQ to build it); the engine carries its payload
-// by reference, without copying it, until the packet leaves the
-// router, so the caller must not modify it before then. Offer must not
-// be called concurrently with Step or StepBatch.
+// a valid VOQ id (use VOQ to build it). The engine never copies the
+// payload: it carries the caller's own slice through the router and
+// hands that same slice back in the packet's Egress, so the caller must
+// keep the buffer unchanged for as long as it uses either. Offer must
+// not be called concurrently with Step or StepBatch.
 func (e *Engine) Offer(port int, p packet.Packet) error {
 	if e.closed {
 		return ErrClosed
@@ -311,7 +312,7 @@ func (e *Engine) Offer(port int, p packet.Packet) error {
 }
 
 // offer validates p's flow and the port's cell budget, then queues p as
-// one run.
+// one slab record at the tail of the port's ingress list.
 func (e *Engine) offer(port int, p packet.Packet) error {
 	if p.Flow < 0 || int(p.Flow) >= e.voqs {
 		return fmt.Errorf("%w: %d", ErrBadFlow, p.Flow)
@@ -321,7 +322,14 @@ func (e *Engine) offer(port int, p packet.Packet) error {
 	if in.pendingCells+n > e.cfg.IngressCap {
 		return fmt.Errorf("%w: port %d", ErrIngressFull, port)
 	}
-	in.pending.push(run{payload: p.Payload, flow: cell.QueueID(p.Flow), cells: n})
+	i := in.alloc()
+	in.pkts[i] = pkt{payload: p.Payload, flow: cell.QueueID(p.Flow), cells: int32(n), nextIn: nilPkt, nextVOQ: nilPkt}
+	if in.ingress.tail == nilPkt {
+		in.ingress.head = i
+	} else {
+		in.pkts[in.ingress.tail].nextIn = i
+	}
+	in.ingress.tail = i
 	in.pendingCells += n
 	e.stats.OfferedPackets++
 	return nil
@@ -350,8 +358,8 @@ func (e *Engine) OfferBatch(port int, ps []packet.Packet) (int, error) {
 // Step advances the engine one slot: one iSLIP matching, then per
 // port one ingress cell, one buffer tick and the delivered cell's
 // fabric crossing, in input order. It returns the packets completed
-// this slot; the slice and the packet payloads are valid until the
-// next Step or StepBatch call (see Egress).
+// this slot; the slice is reused by the next Step call, while each
+// packet's payload is the caller's own offered buffer (see Egress).
 func (e *Engine) Step() ([]Egress, error) {
 	out, err := e.StepBatch(1, e.egScratch[:0])
 	e.egScratch = out
@@ -360,8 +368,9 @@ func (e *Engine) Step() ([]Egress, error) {
 
 // StepBatch advances up to slots slots, appending every completed
 // packet to out and returning the extended slice: with enough capacity
-// in out it allocates nothing. Egress payloads from the whole batch
-// stay valid until the next Step or StepBatch call. On a slot error it
+// in out it allocates nothing. Egress payloads are the offered slices
+// themselves — the engine never copies a payload — so they stay valid
+// for as long as the caller keeps those buffers unchanged. On a slot error it
 // stops after the offending slot (whose egress is already appended)
 // and returns the error. When the engine goes quiescent the remaining
 // slots are skipped in one fast-forward of every buffer — bit-identical
@@ -371,7 +380,6 @@ func (e *Engine) StepBatch(slots int, out []Egress) ([]Egress, error) {
 	if e.closed {
 		return out, ErrClosed
 	}
-	e.egArena = e.egArena[:0]
 	for s := 0; s < slots; s++ {
 		if e.Quiescent() {
 			e.fastForward(uint64(slots - s))
@@ -385,9 +393,8 @@ func (e *Engine) StepBatch(slots int, out []Egress) ([]Egress, error) {
 	return out, nil
 }
 
-// stepSlot advances one slot without resetting the egress arena. On a
-// tick error the slot still completes on every port; the first error
-// in input-port order is returned.
+// stepSlot advances one slot. On a tick error the slot still completes
+// on every port; the first error in input-port order is returned.
 func (e *Engine) stepSlot(out []Egress) ([]Egress, error) {
 	e.stats.Matches += uint64(e.sched.Schedule())
 	var firstErr error
@@ -448,10 +455,9 @@ func (e *Engine) refreshReq(i int, in *lineCard, q cell.QueueID) {
 func (e *Engine) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
 	in := e.inputs[i]
 	tick := core.TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
-	var r *run
-	if in.pending.len() > 0 {
-		r = in.pending.front()
-		tick.Arrival = r.flow
+	front := in.ingress.head
+	if front != nilPkt {
+		tick.Arrival = in.pkts[front].flow
 	}
 	// The scheduler only matches ports whose request vector names a VOQ.
 	if matchedOut >= 0 {
@@ -471,11 +477,20 @@ func (e *Engine) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
 	if a := tick.Arrival; a != cell.NoQueue && in.buf.ArrivedSeq(a) > in.arrivals[a] {
 		in.arrivals[a]++
 		in.pendingCells--
-		if r.done == 0 {
-			in.meta[a].push(run{payload: r.payload, flow: a, cells: r.cells})
+		r := &in.pkts[front]
+		if r.admitted == 0 {
+			// The first admitted cell puts the packet on its VOQ's list.
+			if l := &in.voq[a]; l.tail == nilPkt {
+				l.head, l.tail = front, front
+			} else {
+				in.pkts[l.tail].nextVOQ = front
+				l.tail = front
+			}
 		}
-		if r.done++; r.done == r.cells {
-			in.pending.pop()
+		if r.admitted++; r.admitted == r.cells {
+			if in.ingress.head = r.nextIn; in.ingress.head == nilPkt {
+				in.ingress.tail = nilPkt
+			}
 		}
 	}
 	if dc := res.Delivered; dc != nil {
@@ -483,7 +498,7 @@ func (e *Engine) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
 		q := dc.Queue
 		if in.delivered[q] < in.arrivals[q] && in.delivered[q] == dc.Seq {
 			in.delivered[q]++
-			out = e.cross(i, q, &in.meta[q], out)
+			out = e.cross(i, in, q, out)
 		} else if err == nil {
 			err = fmt.Errorf("router: input %d delivered unknown cell %v", i, *dc) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 		}
@@ -497,23 +512,29 @@ func (e *Engine) tickPort(i, matchedOut int, out []Egress) ([]Egress, error) {
 }
 
 // cross moves the cell delivered by input i's VOQ q across the fabric:
-// it advances the cursor of the VOQ's front packet (mq = &meta[q]) and,
-// when the packet's last cell has crossed, copies its payload into the
-// egress arena — the one copy a packet costs — and appends it to out.
+// it advances the crossed cursor of the VOQ's head packet and, when the
+// packet's last cell has crossed, appends it to out — with the offered
+// payload slice, uncopied — and frees its slab record.
 //
 //pktbuf:hotpath
-func (e *Engine) cross(i int, q cell.QueueID, mq *runRing, out []Egress) []Egress {
+func (e *Engine) cross(i int, in *lineCard, q cell.QueueID, out []Egress) []Egress {
 	e.stats.SwitchedCells++
-	r := mq.front()
-	if r.done++; r.done < r.cells {
+	l := &in.voq[q]
+	head := l.head
+	r := &in.pkts[head]
+	if r.crossed++; r.crossed < r.cells {
 		return out
 	}
-	off := len(e.egArena)
-	e.egArena = append(e.egArena, r.payload...) //pktbuf:allow hotpath-noalloc egress arena append: amortized, capacity reused across steps
-	pkt := packet.Packet{Flow: pktbuf.Queue(q), Payload: e.egArena[off:len(e.egArena):len(e.egArena)]}
-	out = append(out, Egress{Output: int(q) / e.cfg.Classes, Input: i, Packet: pkt}) //pktbuf:allow hotpath-noalloc appends into the caller's reused backing array; grows only on the first steps
+	p := packet.Packet{Flow: pktbuf.Queue(q), Payload: r.payload}
+	out = append(out, Egress{Output: int(q) / e.cfg.Classes, Input: i, Packet: p}) //pktbuf:allow hotpath-noalloc appends into the caller's reused backing array; grows only on the first steps
 	e.stats.DeliveredPackets++
-	mq.pop()
+	// Every cell has crossed, so every cell was admitted: the packet
+	// has already left the ingress list, and this VOQ's list is the
+	// last one holding it.
+	if l.head = r.nextVOQ; l.head == nilPkt {
+		l.tail = nilPkt
+	}
+	in.release(head)
 	return out
 }
 
