@@ -67,50 +67,117 @@ type TickOutput struct {
 	Bypassed bool
 }
 
-// tailQueue is one logical queue's slice of the tail SRAM: a deque of
-// cells in arrival order, stored in cells[start:]. The first promised
-// cells of the live region are committed to the bypass path; staging
-// removes cells from the front of the unpromised region (DRAM receives
-// cells strictly in arrival order). The deque compacts in place when
-// the backing array fills, so steady-state operation does not
-// allocate.
+// tailQueue is one logical queue's slice of the tail SRAM: its cells
+// in arrival order, written once into a chain of slab blocks linked by
+// dram.Slab.Next — first holds the oldest cell at offset front, last
+// the youngest at offset fill−1. The first promised cells are
+// committed to the bypass path; staging removes the b oldest
+// unpromised cells (DRAM receives cells strictly in arrival order). A
+// queue with no cells holds no block.
 type tailQueue struct {
-	cells    []cell.Cell
-	start    int
-	promised int
+	first, last dram.Block
+	front, fill int32
+	n, promised int32
 }
 
-func (t *tailQueue) len() int { return len(t.cells) - t.start }
+func (t *tailQueue) len() int { return int(t.n) }
 
-func (t *tailQueue) push(c cell.Cell) {
-	if len(t.cells) == cap(t.cells) && t.start > 0 {
-		n := copy(t.cells, t.cells[t.start:])
-		t.cells = t.cells[:n]
-		t.start = 0
+// push appends c, taking a new block when the last one is full.
+func (t *tailQueue) push(s *dram.Slab, c cell.Cell) {
+	if t.n == 0 {
+		t.first = s.AcquireBlock()
+		t.last, t.front, t.fill = t.first, 0, 0
+	} else if int(t.fill) == s.BlockCells() {
+		blk := s.AcquireBlock()
+		s.SetNext(t.last, blk)
+		t.last, t.fill = blk, 0
 	}
-	t.cells = append(t.cells, c)
+	*s.At(t.last, int(t.fill)) = c
+	t.fill++
+	t.n++
 }
 
-// popFront removes and returns the oldest cell (the bypass delivery).
-func (t *tailQueue) popFront() cell.Cell {
-	c := t.cells[t.start]
-	t.start++
-	if t.start == len(t.cells) {
-		t.cells, t.start = t.cells[:0], 0
+// popFront removes and returns the oldest cell (the bypass delivery),
+// releasing its block once the block is spent.
+func (t *tailQueue) popFront(s *dram.Slab) cell.Cell {
+	c := *s.At(t.first, int(t.front))
+	t.n--
+	if t.front++; t.n == 0 || int(t.front) == s.BlockCells() {
+		t.dropFront(s)
 	}
 	return c
 }
 
-// extractBlock copies the n oldest unpromised cells into dst and
-// removes them from the deque, preserving the promised prefix (which
-// slides right over the vacated region).
-func (t *tailQueue) extractBlock(n int, dst []cell.Cell) {
-	base := t.start + t.promised
-	copy(dst, t.cells[base:base+n])
-	copy(t.cells[t.start+n:base+n], t.cells[t.start:base])
-	t.start += n
-	if t.start == len(t.cells) {
-		t.cells, t.start = t.cells[:0], 0
+// dropFront releases the spent front block.
+func (t *tailQueue) dropFront(s *dram.Slab) {
+	blk := t.first
+	if t.n == 0 {
+		t.first, t.last = dram.NoBlock, dram.NoBlock
+	} else {
+		t.first, t.front = s.Next(blk), 0
+	}
+	s.ReleaseBlock(blk)
+}
+
+// stage removes the b oldest unpromised cells (the queue holds at
+// least b) and returns them as a block for the DRAM. When nothing is
+// promised and the oldest cell starts its block, that block is whole
+// and itself leaves the chain by handle. Otherwise the b cells are
+// copied into a fresh block and the promised prefix slides b cells
+// toward the tail over the vacated positions, streamed through the
+// b-cell delay line (the chain links run one way only).
+func (t *tailQueue) stage(s *dram.Slab, delay []cell.Cell) dram.Block {
+	b := int32(s.BlockCells())
+	if t.promised == 0 && t.front == 0 {
+		blk := t.first
+		t.n -= b
+		if t.n == 0 {
+			t.first, t.last = dram.NoBlock, dram.NoBlock
+		} else {
+			t.first = s.Next(blk)
+		}
+		return blk
+	}
+	dst := s.AcquireBlock()
+	out := s.Cells(dst)
+	blk, off, k := t.first, t.front, 0
+	cells := s.Cells(blk)
+	for j, end := int32(0), t.promised+b; j < end; j++ {
+		orig := cells[off]
+		if j >= t.promised {
+			out[j-t.promised] = orig
+		}
+		if j >= b {
+			cells[off] = delay[k]
+		}
+		delay[k] = orig
+		if k++; k == int(b) {
+			k = 0
+		}
+		if off++; off == b && j+1 < end {
+			blk, off = s.Next(blk), 0
+			cells = s.Cells(blk)
+		}
+	}
+	// The b vacated positions are now the oldest: drop them. front < b,
+	// so exactly the first block is spent.
+	next := s.Next(t.first)
+	s.ReleaseBlock(t.first)
+	t.first = next
+	if t.n -= b; t.n == 0 {
+		t.dropFront(s)
+	}
+	return dst
+}
+
+// cells calls fn on each of t's cells, oldest first.
+func (t *tailQueue) cells(s *dram.Slab, fn func(cell.Cell)) {
+	blk, off := t.first, t.front
+	for i := int32(0); i < t.n; i++ {
+		fn(*s.At(blk, int(off)))
+		if off++; int(off) == s.BlockCells() {
+			blk, off = s.Next(blk), 0
+		}
 	}
 }
 
@@ -119,8 +186,8 @@ func (t *tailQueue) extractBlock(n int, dst []cell.Cell) {
 // counters, each in its own contiguous word-aligned array indexed by
 // the logical queue ordinal. Keeping each counter class dense lets the
 // round-robin steady state walk sixteen queues per cache line instead
-// of two. Only the tail-SRAM deques stay array-of-structs, because
-// each holds a variable-length cell slice.
+// of two. Only the tail-SRAM chains stay array-of-structs: a push or a
+// pop touches all of one queue's chain fields together.
 type kernelState struct {
 	arrivedSeq   []uint64
 	deliveredSeq []uint64
@@ -159,6 +226,7 @@ type Buffer struct {
 	cfg Config
 
 	dram  *dram.DRAM
+	slab  *dram.Slab // the DRAM's, shared by the tail and head SRAMs
 	head  sram.Store
 	sched *dss.Scheduler
 	hmma  mma.HeadMMA
@@ -181,10 +249,13 @@ type Buffer struct {
 	phase   int
 
 	// ks is the packed per-queue state arena (structure of arrays) and
-	// tails the parallel tail-SRAM deque arena, both indexed by the
+	// tails the parallel tail-SRAM chain arena, both indexed by the
 	// logical queue ordinal and sized to Config.Q at construction.
+	// delay is the b-cell scratch line tailQueue.stage slides promised
+	// cells through.
 	ks        kernelState
 	tails     []tailQueue
+	delay     []cell.Cell
 	tailTotal int // resident cells incl. promised and staged
 	// pendingTotal counts admitted requests not yet delivered (the
 	// cells in flight through the request pipeline).
@@ -203,6 +274,9 @@ type Buffer struct {
 	// truncated (capacity kept) after landing, so the steady-state
 	// read path does not allocate.
 	compRing [][]completion
+	// access is the bank random access time in slots
+	// (Config.accessSlots, fixed at construction).
+	access int
 
 	now cell.Slot
 	// delivered is the scratch cell TickOutput.Delivered points into.
@@ -264,16 +338,17 @@ func New(cfg Config) (*Buffer, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 
+	dr := dram.New(dcfg)
 	var head sram.Store
 	switch cfg.Org {
 	case OrgLinkedList:
-		ls, err := sram.NewList(cfg.HeadSRAMCells, cfg.Bsmall, d.BanksPerGroup(), physSpace)
+		ls, err := sram.NewList(dr.Slab, cfg.HeadSRAMCells, d.BanksPerGroup(), physSpace)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 		head = ls
 	default:
-		head = sram.NewCAM(cfg.HeadSRAMCells, physSpace)
+		head = sram.NewCAM(dr.Slab, cfg.HeadSRAMCells, physSpace)
 	}
 
 	pipeLen := cfg.Lookahead + cfg.LatencySlots
@@ -306,7 +381,6 @@ func New(cfg Config) (*Buffer, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 
-	dr := dram.New(dcfg)
 	var mp mapper
 	if cfg.Renaming {
 		mp = &renameMapper{table: tbl, dram: dr}
@@ -325,6 +399,7 @@ func New(cfg Config) (*Buffer, error) {
 	buf := &Buffer{
 		cfg:      cfg,
 		dram:     dr,
+		slab:     dr.Slab,
 		head:     head,
 		sched:    dss.NewWithPolicy(cfg.RRCapacity, policy),
 		hmma:     hm,
@@ -334,7 +409,9 @@ func New(cfg Config) (*Buffer, error) {
 		logical:  logical,
 		ks:       newKernelState(cfg.Q),
 		tails:    make([]tailQueue, cfg.Q),
-		compRing: make([][]completion, cfg.accessSlots()+1),
+		delay:    make([]cell.Cell, cfg.Bsmall),
+		compRing: make([][]completion, dcfg.AccessSlots+1),
+		access:   dcfg.AccessSlots,
 	}
 	// The head MMA selects against the DRAM's readable-now bitset in
 	// place of per-candidate eligibility calls.
@@ -436,16 +513,13 @@ func (b *Buffer) Tick(in TickInput) (TickOutput, error) {
 	// 1. Land DRAM→SRAM transfers completing this slot, before the
 	// delivery point ("perfectly synchronized hardware", §3). The
 	// completion calendar is a fixed ring indexed by slot.
+	// A landing block moves into the head SRAM by handle.
 	if pending := b.compRing[b.compIdx]; len(pending) > 0 {
 		for _, c := range pending {
-			base := c.ordinal * uint64(b.cfg.Bsmall)
-			for i, cl := range b.dram.Cells(c.blk) {
-				if err := b.head.Insert(c.phys, base+uint64(i), cl); err != nil {
-					b.stats.HeadOverflows++
-					recordErr(&firstErr, fmt.Errorf("head SRAM insert: %w", err))
-				}
+			if n, err := b.head.Land(c.phys, c.ordinal, c.blk); n > 0 {
+				b.stats.HeadOverflows += uint64(n)
+				recordErr(&firstErr, fmt.Errorf("head SRAM insert: %w", err))
 			}
-			b.dram.ReleaseBlock(c.blk)
 		}
 		b.compPending -= len(pending)
 		b.compRing[b.compIdx] = pending[:0]
@@ -628,7 +702,7 @@ func (b *Buffer) arrive(q cell.QueueID) error {
 	}
 	seq := b.ks.arrivedSeq[q]
 	b.ks.arrivedSeq[q] = seq + 1
-	b.tails[q].push(cell.Cell{Queue: q, Seq: seq})
+	b.tails[q].push(b.slab, cell.Cell{Queue: q, Seq: seq})
 	b.tailTotal++
 	b.tmma.OnArrival(q)
 	b.ks.sysOcc[q]++
@@ -675,12 +749,11 @@ func (b *Buffer) deliver(phys cell.PhysQueueID, q cell.QueueID) (*cell.Cell, boo
 			return nil, false, fmt.Errorf("%w: bypass for queue %d at slot %d finds no cell",
 				ErrMiss, q, b.now) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 		}
-		c = tq.popFront()
+		c = tq.popFront(b.slab)
 		tq.promised--
 		b.tailTotal--
 		bypassed = true
 	} else {
-		b.hmma.OnRequestLeave(phys)
 		popped, err := b.head.Pop(phys)
 		if err != nil {
 			b.stats.Misses++
@@ -731,8 +804,7 @@ func (b *Buffer) tailCycle() error {
 	if err := b.mapr.NoteWrite(q, p); err != nil {
 		return err
 	}
-	blk := b.dram.AcquireBlock()
-	b.tails[q].extractBlock(b.cfg.Bsmall, b.dram.Cells(blk))
+	blk := b.tails[q].stage(b.slab, b.delay)
 	b.tmma.OnTransfer(q)
 	return b.sched.Enqueue(dss.Request{
 		Queue: p, Dir: dss.Write, Ordinal: ordinal, Bank: bank,
@@ -765,7 +837,7 @@ func (b *Buffer) headCycle() error {
 // dsaCycle issues up to budget requests through the DSA and executes
 // them against the DRAM.
 func (b *Buffer) dsaCycle(budget int) error {
-	access := b.cfg.accessSlots()
+	access := b.access
 	for _, r := range b.sched.Cycle(b.now, budget, access) {
 		switch r.Dir {
 		case dss.Write:

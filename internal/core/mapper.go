@@ -28,7 +28,8 @@ type mapper interface {
 // identityMapper is the §5.1 static assignment: physical name = q, so
 // the queue's group is q mod G forever.
 type identityMapper struct {
-	dram *dram.DRAM
+	dram       *dram.DRAM
+	blockCells int // b, fixed at construction
 	// towardDRAM counts cells written toward DRAM minus cells
 	// requested, per queue — the single-entry degenerate form of the
 	// renaming counter. Dense arena indexed by the queue ordinal.
@@ -36,7 +37,7 @@ type identityMapper struct {
 }
 
 func newIdentityMapper(d *dram.DRAM, queues int) *identityMapper {
-	return &identityMapper{dram: d, towardDRAM: make([]int, queues)}
+	return &identityMapper{dram: d, blockCells: d.Config().BlockCells, towardDRAM: make([]int, queues)}
 }
 
 func (m *identityMapper) PeekWriteTarget(q cell.QueueID) (cell.PhysQueueID, error) {
@@ -52,7 +53,7 @@ func (m *identityMapper) WriteTarget(q cell.QueueID) (cell.PhysQueueID, error) {
 }
 
 func (m *identityMapper) NoteWrite(q cell.QueueID, _ cell.PhysQueueID) error {
-	m.towardDRAM[q] += m.dram.Config().BlockCells
+	m.towardDRAM[q] += m.blockCells
 	return nil
 }
 

@@ -34,9 +34,10 @@ const snapshotVersion = 1
 // statistics for any subsequent stimulus.
 //
 // Scratch that the next slot cannot observe (delivery scratch cells,
-// the DRAM block slab's layout and free list) is not serialized: blocks
-// in flight are framed by their cells; derived indices
-// (bitsets, critical-slot rings, bucketed max-trackers) are rebuilt on
+// the cell slab's layout, links and free list) is not serialized:
+// blocks — in the tail SRAM, in flight, in DRAM and in the head SRAM —
+// are framed by their cells; derived indices
+// (bitsets, ECQF window lists, bucketed max-trackers) are rebuilt on
 // restore from the authoritative state.
 func (b *Buffer) Snapshot(w io.Writer) error {
 	fw := frame.NewWriter(w)
@@ -99,7 +100,7 @@ func (b *Buffer) Snapshot(w io.Writer) error {
 		}
 	}
 
-	// Tail SRAM deques, oldest cell first.
+	// Tail SRAM chains, oldest cell first.
 	live = 0
 	for q := range b.tails {
 		if b.tails[q].len() > 0 {
@@ -117,9 +118,7 @@ func (b *Buffer) Snapshot(w io.Writer) error {
 		fw.Attr("q", int64(q))
 		fw.Attr("promised", int64(t.promised))
 		fw.Attr("n", int64(t.len()))
-		for _, c := range t.cells[t.start:] {
-			fw.Row(int64(c.Queue), int64(c.Seq))
-		}
+		t.cells(b.slab, func(c cell.Cell) { fw.Row(int64(c.Queue), int64(c.Seq)) })
 	}
 
 	// Completion calendar: in-flight DRAM→SRAM transfers by landing
@@ -342,12 +341,12 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.push(cell.Cell{Queue: cell.QueueID(row[0]), Seq: uint64(row[1])})
+			t.push(b.slab, cell.Cell{Queue: cell.QueueID(row[0]), Seq: uint64(row[1])})
 		}
 		if promised < 0 || promised > cells {
 			return nil, fmt.Errorf("%w: tail queue %d promises %d of %d cells", frame.ErrFrame, q, promised, cells)
 		}
-		t.promised = int(promised)
+		t.promised = int32(promised)
 	}
 
 	if err := fr.Expect("comp"); err != nil {

@@ -10,16 +10,17 @@
 // ordinal and hence the bank under the block-cyclic interleave) and an
 // issue step (performed in DSA order, addressed by ordinal).
 //
-// Blocks move by descriptor, as in the paper's Requests Register: every
-// b-cell block lives in one chunked cell slab per DRAM and is named by
-// an int32 Block handle. A writer stages cells in a block from
-// AcquireBlock, BeginWriteAt takes ownership of the handle, BeginReadAt
-// hands it back, and ReleaseBlock recycles it once its cells have
-// landed. Slab chunks are allocated whole and never move, so a block's
-// cells stay put for as long as it is live, and released handles are
-// reused through a free list: the steady-state datapath neither copies
-// a block nor allocates. Each queue's ordinal ring stores 4-byte
-// handles.
+// Blocks move by descriptor, as in the paper's Requests Register. The
+// DRAM's Slab is the buffer's one cell store, from arrival to
+// delivery: a cell is written into a slab block once, when it arrives
+// in the tail SRAM, and the b-cell block then moves by its int32 Block
+// handle — the tail SRAM stages it, BeginWriteAt takes ownership,
+// BeginReadAt hands it back, the head SRAM holds it until its last
+// cell is delivered, and ReleaseBlock recycles it. Slab chunks are
+// allocated whole and never move, so a block's cells stay put for as
+// long as it is live, and released handles are reused through a free
+// list: the steady-state datapath neither copies a block nor
+// allocates. Each queue's ordinal ring stores 4-byte handles.
 //
 // The model is storage-accurate (it holds the actual cells, so tests
 // can verify end-to-end FIFO delivery) and timing-accurate at slot
@@ -108,13 +109,6 @@ type Block int32
 
 // NoBlock is the sentinel for "no block".
 const NoBlock Block = 0
-
-// A slab chunk holds chunkBlocks = 2^chunkShift blocks, so a handle
-// splits into chunk and offset by shift and mask.
-const (
-	chunkShift  = 5
-	chunkBlocks = 1 << chunkShift
-)
 
 // queueState tracks one physical queue's stored blocks plus the
 // reservation cursors. The stored blocks live in an ordinal-indexed
@@ -209,6 +203,11 @@ func (r *blockRing) grow(ordinal, consumedLim uint64) {
 // DRAM is the banked memory system. It is not safe for concurrent use;
 // each buffer is ticked by one goroutine by design.
 type DRAM struct {
+	// Slab holds the cells of every block; the DRAM's rings, the
+	// Requests Register and the tail and head SRAMs name them by
+	// handle.
+	*Slab
+
 	cfg       Config
 	busyUntil []cell.Slot  // per bank: busy while now < busyUntil
 	groupBlk  []int        // per group: blocks reserved-or-stored
@@ -229,14 +228,6 @@ type DRAM struct {
 	// mask (see ReadableSet), replacing per-candidate map probes.
 	readable *bitset.Set
 
-	// chunks is the block slab: chunk k holds the cells of handles
-	// [k·chunkBlocks+1, (k+1)·chunkBlocks], b cells each. Chunks are
-	// never reallocated, so live blocks never move. slabBlocks counts
-	// the handles ever handed out; free holds released ones for reuse.
-	chunks     [][]cell.Cell
-	slabBlocks int32
-	free       []Block
-
 	// accesses counts issued bank accesses, for stats.
 	accesses uint64
 	// busySlots accumulates bank-busy time (accesses × AccessSlots),
@@ -252,6 +243,7 @@ func New(cfg Config) *DRAM {
 		panic(err)
 	}
 	d := &DRAM{
+		Slab:      NewSlab(cfg.BlockCells),
 		cfg:       cfg,
 		busyUntil: make([]cell.Slot, cfg.Banks),
 		groupBlk:  make([]int, cfg.Groups()),
@@ -440,43 +432,6 @@ func (d *DRAM) queue(p cell.PhysQueueID) *queueState {
 	}
 	return &d.queues[p]
 }
-
-// AcquireBlock returns a free block from the slab, reusing released
-// handles first. A reused block retains stale contents: the caller must
-// overwrite all b cells (Cells) before handing it to BeginWriteAt.
-func (d *DRAM) AcquireBlock() Block {
-	if n := len(d.free); n > 0 {
-		blk := d.free[n-1]
-		d.free = d.free[:n-1]
-		return blk
-	}
-	if int(d.slabBlocks) == len(d.chunks)*chunkBlocks {
-		d.chunks = append(d.chunks, make([]cell.Cell, chunkBlocks*d.cfg.BlockCells))
-	}
-	d.slabBlocks++
-	return Block(d.slabBlocks)
-}
-
-// Cells returns the b cells of block blk. The slice aliases the slab
-// and stays valid, at the same address, until blk is released.
-//
-//pktbuf:hotpath
-func (d *DRAM) Cells(blk Block) []cell.Cell {
-	i := int(blk) - 1
-	bc := d.cfg.BlockCells
-	off := (i & (chunkBlocks - 1)) * bc
-	return d.chunks[i>>chunkShift][off : off+bc : off+bc]
-}
-
-// ReleaseBlock returns a block — one from AcquireBlock that the caller
-// still owns, or one returned by BeginReadAt — to the free list. The
-// caller must not use the handle or its cells afterwards.
-func (d *DRAM) ReleaseBlock(blk Block) {
-	d.free = append(d.free, blk)
-}
-
-// live reports whether blk names a handle the slab has handed out.
-func (d *DRAM) live(blk Block) bool { return blk > NoBlock && int32(blk) <= d.slabBlocks }
 
 // ReserveWrite assigns the next block ordinal (and hence bank) of
 // queue p to a pending write and charges the group's capacity. The

@@ -174,25 +174,3 @@ func (d *DRAM) Restore(r *frame.Reader) error {
 	}
 	return nil
 }
-
-// AppendCells appends the (queue, seq) pair of each of blk's cells to
-// a snapshot row. Every section that frames a block in flight (DRAM
-// queues, Requests Register entries, completions) writes its cells
-// this way; RestoreBlock reads them back.
-func (d *DRAM) AppendCells(row []int64, blk Block) []int64 {
-	for _, c := range d.Cells(blk) {
-		row = append(row, int64(c.Queue), int64(c.Seq))
-	}
-	return row
-}
-
-// RestoreBlock acquires a block and fills it from the b (queue, seq)
-// pairs of pairs, as AppendCells wrote them.
-func (d *DRAM) RestoreBlock(pairs []int64) Block {
-	blk := d.AcquireBlock()
-	cells := d.Cells(blk)
-	for k := range cells {
-		cells[k] = cell.Cell{Queue: cell.QueueID(pairs[2*k]), Seq: uint64(pairs[2*k+1])}
-	}
-	return blk
-}

@@ -94,9 +94,7 @@ func TestDifferentialECQF(t *testing.T) {
 				if rng.Float64() < tc.load {
 					in = cell.PhysQueueID(rng.Intn(tc.q))
 				}
-				if out := look.Shift(in); out != cell.NoPhysQueue {
-					e.OnRequestLeave(out)
-				}
+				look.Shift(in)
 				if slot%tc.b == tc.b-1 {
 					if slot%137 == 0 {
 						elig.reroll(rng)
@@ -130,9 +128,7 @@ func TestDifferentialECQFArenaGrowth(t *testing.T) {
 		if rng.Float64() < 0.9 {
 			in = cell.PhysQueueID(rng.Intn(1 + slot/100)) // widening id range
 		}
-		if out := look.Shift(in); out != cell.NoPhysQueue {
-			e.OnRequestLeave(out)
-		}
+		look.Shift(in)
 		if slot%4 == 3 {
 			wantQ, wantOK := e.SelectScan(nil)
 			gotQ, gotOK := e.Select(nil)
@@ -272,9 +268,7 @@ func TestIndexedSelectZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Warm: fill the window, grow the position rings and buckets.
 	for slot := 0; slot < 8*q*b; slot++ {
-		if out := look.Shift(cell.PhysQueueID(rng.Intn(q))); out != cell.NoPhysQueue {
-			e.OnRequestLeave(out)
-		}
+		look.Shift(cell.PhysQueueID(rng.Intn(q)))
 		m.OnRequestEnter(cell.PhysQueueID(rng.Intn(q)))
 		tm.OnArrival(cell.QueueID(rng.Intn(q)))
 		if slot%b == b-1 {
@@ -292,9 +286,7 @@ func TestIndexedSelectZeroAlloc(t *testing.T) {
 	slot := 0
 	allocs := testing.AllocsPerRun(2000, func() {
 		slot++
-		if out := look.Shift(cell.PhysQueueID(slot % q)); out != cell.NoPhysQueue {
-			e.OnRequestLeave(out)
-		}
+		look.Shift(cell.PhysQueueID(slot % q))
 		m.OnRequestEnter(cell.PhysQueueID((slot * 7) % q))
 		tm.OnArrival(cell.QueueID((slot * 13) % q))
 		if sel, ok := e.Select(nil); ok {

@@ -14,15 +14,14 @@ import (
 //
 // Implementations keep the §5.2 occupancy counters: incremented by b
 // when a replenish request is *issued* (not when it completes) and
-// decremented when a request leaves the lookahead. The counters are
-// therefore a forward-looking ledger, deliberately distinct from the
-// physical SRAM occupancy.
+// decremented once per request — ECQF when the request leaves the
+// lookahead, observed at the lookahead shift; MDQF, which has no
+// lookahead, when the request enters. The counters are therefore a
+// forward-looking ledger, deliberately distinct from the physical SRAM
+// occupancy.
 type HeadMMA interface {
 	// OnRequestEnter records a scheduler request entering the pipeline.
 	OnRequestEnter(q cell.PhysQueueID)
-	// OnRequestLeave records a request leaving the lookahead (the cell
-	// is granted to the arbiter this slot).
-	OnRequestLeave(q cell.PhysQueueID)
 	// Select picks the queue to replenish, or ok=false to stay idle.
 	// eligible reports whether a queue can currently be replenished
 	// from DRAM (it has a resident block and the write path allows it);
@@ -55,9 +54,18 @@ type HeadMMA interface {
 // scan_test.go): queue q first goes critical at its
 // (max(occ[q],0)+1)-th pending request, so the index keeps, per queue,
 // the ring slot of exactly that request (critSlot) and a hierarchical
-// bitmap over ring slots (crit) holding all of them. Selection is then a find-first-set from the window head —
-// O(log₆₄ L) instead of re-walking the Q(b−1)+1 lookahead — and every
-// ledger or window event updates the one affected queue in O(log₆₄ L).
+// bitmap over ring slots (crit) holding all of them. Selection is then
+// a find-first-set from the window head — O(log₆₄ L) instead of
+// re-walking the Q(b−1)+1 lookahead.
+//
+// A queue's requests in the window are a list linked through the
+// lookahead slots (one next link per slot, plus per-queue first, last
+// and count), so the index costs O(L + Q) words however the requests
+// are spread. Every event moves a queue's critical request by at most
+// b links: a request leaving the window takes the ledger debit (the
+// critical request stays put, or the new first one becomes critical
+// when the ledger was not positive), an entering request is critical
+// iff it is the (max(occ,0)+1)-th, and a replenish walks b links on.
 //
 // All per-queue state is kept in dense slices indexed by the physical
 // queue ordinal.
@@ -66,16 +74,25 @@ type ECQF struct {
 	look *Lookahead
 	occ  []int32
 
-	// pos[q] lists the ring slots of q's requests currently in the
-	// window, oldest first; critSlot[q] is the slot of the request at
-	// which q goes critical (-1 if none); crit is the bitmap of all
-	// critical slots. elig, when non-nil, is the DRAM-published
-	// readable-now bitset consulted per critical candidate.
-	pos      []posRing
-	critSlot []int32
-	crit     *bitset.Set
-	elig     *bitset.Set
+	// win[q] is q's window list and critical slot; next[slot] links a
+	// request to the same queue's next younger one (-1 at the last).
+	// crit is the bitmap of all critical slots. elig, when non-nil, is
+	// the DRAM-published readable-now bitset consulted per critical
+	// candidate.
+	win  []window
+	next []int32
+	crit *bitset.Set
+	elig *bitset.Set
 }
+
+// window is one queue's requests in the lookahead: the slots of the
+// oldest and youngest, their count, and the slot of the critical one
+// (the (max(occ,0)+1)-th oldest; -1 if there are not that many).
+type window struct {
+	first, last, count, critSlot int32
+}
+
+var emptyWindow = window{first: -1, last: -1, critSlot: -1}
 
 var _ HeadMMA = (*ECQF)(nil)
 
@@ -83,8 +100,9 @@ var _ HeadMMA = (*ECQF)(nil)
 // for a physical name space of queues ordinals. Queues beyond the
 // initial size are accommodated by growing the arenas (amortized, off
 // the steady-state path). The ECQF registers itself as the lookahead's
-// shift observer to keep its index current; at most one ECQF may drive
-// a given lookahead.
+// shift observer to keep its index current and take the ledger debit
+// of each exiting request; at most one ECQF may drive a given
+// lookahead.
 func NewECQF(look *Lookahead, b, queues int) (*ECQF, error) {
 	if look == nil {
 		return nil, fmt.Errorf("mma: ECQF needs a lookahead register")
@@ -101,15 +119,15 @@ func NewECQF(look *Lookahead, b, queues int) (*ECQF, error) {
 		return nil, fmt.Errorf("mma: lookahead already has a shift observer (one ECQF per lookahead)")
 	}
 	e := &ECQF{
-		b:        b,
-		look:     look,
-		occ:      make([]int32, queues),
-		pos:      make([]posRing, queues),
-		critSlot: make([]int32, queues),
-		crit:     bitset.New(look.Size()),
+		b:    b,
+		look: look,
+		occ:  make([]int32, queues),
+		win:  make([]window, queues),
+		next: make([]int32, look.Size()),
+		crit: bitset.New(look.Size()),
 	}
-	for i := range e.critSlot {
-		e.critSlot[i] = -1
+	for i := range e.win {
+		e.win[i] = emptyWindow
 	}
 	look.onShift = e.onShift
 	return e, nil
@@ -122,51 +140,80 @@ func (e *ECQF) ensure(q cell.PhysQueueID) {
 	n := int(q) + 1
 	old := len(e.occ)
 	e.occ = arena.Grown(e.occ, n)
-	e.pos = arena.Grown(e.pos, n)
-	e.critSlot = arena.Grown(e.critSlot, n)
+	e.win = arena.Grown(e.win, n)
 	for i := old; i < n; i++ {
-		e.critSlot[i] = -1
+		e.win[i] = emptyWindow
 	}
 }
 
-// onShift maintains the window side of the index: the exiting entry's
-// slot is removed from its queue's position ring and the entering
-// entry's slot appended, then the affected queues' critical slots are
-// recomputed. When in == out the pop-then-push order keeps the ring
-// consistent.
-func (e *ECQF) onShift(slot int, in, out cell.PhysQueueID) {
-	if out != cell.NoPhysQueue {
-		e.ensure(out)
-		e.pos[out].popFront()
-		e.recompute(out)
-	}
-	if in != cell.NoPhysQueue {
-		e.ensure(in)
-		e.pos[in].push(int32(slot))
-		e.recompute(in)
-	}
-}
-
-// recompute restores the critSlot/crit invariant for q after any
-// event that moved its ledger or its window membership.
-func (e *ECQF) recompute(q cell.PhysQueueID) {
-	k := int(e.occ[q])
-	if k < 0 {
-		k = 0
-	}
-	slot := int32(-1)
-	if r := &e.pos[q]; r.len() > k {
-		slot = r.at(k)
-	}
-	if old := e.critSlot[q]; old != slot {
+// setCrit moves w's critical slot to slot (-1 for none).
+func (e *ECQF) setCrit(w *window, slot int32) {
+	if old := w.critSlot; old != slot {
 		if old >= 0 {
 			e.crit.Clear(int(old))
 		}
 		if slot >= 0 {
 			e.crit.Set(int(slot))
 		}
-		e.critSlot[q] = slot
+		w.critSlot = slot
 	}
+}
+
+// onShift maintains the index at the lookahead shift: the exiting
+// entry leaves its queue's list and takes the ledger debit, then the
+// entering entry is appended at the same slot. When in == out the
+// exit-then-enter order keeps the list consistent.
+func (e *ECQF) onShift(slot int, in, out cell.PhysQueueID) {
+	s := int32(slot)
+	if out != cell.NoPhysQueue {
+		e.ensure(out)
+		w := &e.win[out]
+		o := e.occ[out]
+		e.occ[out] = o - 1
+		w.count--
+		if w.count == 0 {
+			w.first, w.last = -1, -1
+		} else {
+			w.first = e.next[s]
+		}
+		// With o ≥ 1 the critical request was the (o+1)-th and is now
+		// the o-th of a ledger of o−1: unchanged. Otherwise the exiting
+		// request was the critical first one, and the new first is.
+		if o <= 0 {
+			e.setCrit(w, w.first)
+		}
+	}
+	if in != cell.NoPhysQueue {
+		e.ensure(in)
+		w := &e.win[in]
+		e.append(w, s)
+		if w.count == max(e.occ[in], 0)+1 {
+			e.setCrit(w, s)
+		}
+	}
+}
+
+// append links slot s at the young end of w's list.
+func (e *ECQF) append(w *window, s int32) {
+	e.next[s] = -1
+	if w.count == 0 {
+		w.first = s
+	} else {
+		e.next[w.last] = s
+	}
+	w.last = s
+	w.count++
+}
+
+// recompute re-derives q's critical slot by walking its list: the
+// cold path of restore and the test seam.
+func (e *ECQF) recompute(q cell.PhysQueueID) {
+	w := &e.win[q]
+	slot := w.first
+	for k := max(e.occ[q], 0); k > 0 && slot >= 0; k-- {
+		slot = e.next[slot]
+	}
+	e.setCrit(w, slot)
 }
 
 // setOcc force-sets a ledger value (test seam for reconstructing the
@@ -178,25 +225,25 @@ func (e *ECQF) setOcc(q cell.PhysQueueID, v int32) {
 }
 
 // OnRequestEnter implements HeadMMA. ECQF's ledger moves on replenish
-// and leave events only; entry is a no-op but part of the interface so
-// deficit-based MMAs can observe it. (Window membership is tracked at
-// the lookahead shift, which is when the request physically enters the
-// register.)
+// and exit events only; entry is a no-op but part of the interface so
+// deficit-based MMAs can observe it. (Window membership and the debit
+// are tracked at the lookahead shift, which is when the request
+// physically enters and leaves the register.)
 func (e *ECQF) OnRequestEnter(cell.PhysQueueID) {}
-
-// OnRequestLeave implements HeadMMA.
-func (e *ECQF) OnRequestLeave(q cell.PhysQueueID) {
-	e.ensure(q)
-	e.occ[q]--
-	e.recompute(q)
-}
 
 // OnReplenish credits the ledger with one block of b cells; the caller
 // invokes it when the replenish request is handed to the DRAM side.
+// The critical request moves at most b links toward the window tail.
 func (e *ECQF) OnReplenish(q cell.PhysQueueID) {
 	e.ensure(q)
-	e.occ[q] += int32(e.b)
-	e.recompute(q)
+	o := e.occ[q]
+	e.occ[q] = o + int32(e.b)
+	w := &e.win[q]
+	slot := w.critSlot
+	for k := max(o+int32(e.b), 0) - max(o, 0); k > 0 && slot >= 0; k-- {
+		slot = e.next[slot]
+	}
+	e.setCrit(w, slot)
 }
 
 // Occupancy implements HeadMMA.
@@ -314,10 +361,6 @@ func (m *MDQF) OnRequestEnter(q cell.PhysQueueID) {
 	m.occ[q] = old - 1
 	m.idx.update(int(q), deficit(old), deficit(old-1))
 }
-
-// OnRequestLeave implements HeadMMA (a no-op: the debit was taken at
-// entry).
-func (m *MDQF) OnRequestLeave(cell.PhysQueueID) {}
 
 // OnReplenish credits one block.
 func (m *MDQF) OnReplenish(q cell.PhysQueueID) {

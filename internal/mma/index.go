@@ -2,57 +2,6 @@ package mma
 
 import "repro/internal/bitset"
 
-// posRing is a growable FIFO of lookahead ring slots for one queue's
-// in-window requests, oldest first, with O(1) indexed access (the
-// ECQF index addresses the k-th oldest request directly). Steady
-// state never grows: capacity doubles on overflow, amortized.
-type posRing struct {
-	buf  []int32
-	head int
-	n    int
-}
-
-func (r *posRing) len() int { return r.n }
-
-func (r *posRing) push(v int32) {
-	if r.n == len(r.buf) {
-		c := 2 * len(r.buf)
-		if c < 4 {
-			c = 4
-		}
-		nb := make([]int32, c)
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.at(i)
-		}
-		r.buf, r.head = nb, 0
-	}
-	j := r.head + r.n
-	if j >= len(r.buf) {
-		j -= len(r.buf)
-	}
-	r.buf[j] = v
-	r.n++
-}
-
-func (r *posRing) popFront() int32 {
-	v := r.buf[r.head]
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.n--
-	return v
-}
-
-// at returns the i-th oldest element; i must be in [0, len()).
-func (r *posRing) at(i int) int32 {
-	j := r.head + i
-	if j >= len(r.buf) {
-		j -= len(r.buf)
-	}
-	return r.buf[j]
-}
-
 // maxTracker is the bucketed max index behind TailMMA and MDQF: each
 // member queue with a positive tracked value (tail-SRAM occupancy,
 // head-side deficit) sits in the hierarchical bitset of that exact

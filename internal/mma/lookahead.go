@@ -21,13 +21,14 @@
 //
 // Index invariants (checked implicitly by the differential suite):
 //
-//   - ECQF: for every physical queue q, pos[q] lists the ring slots of
-//     q's requests currently in the window, oldest first; critSlot[q]
-//     is the slot of q's (max(occ[q],0)+1)-th oldest request, or -1 if
-//     q has no more than max(occ[q],0) requests pending; the crit
-//     bitmap holds exactly the non-negative critSlot values. Every
-//     mutation (shift in/out, ledger debit/credit) touches one queue
-//     and restores the invariant for that queue in O(log₆₄ L).
+//   - ECQF: for every physical queue q, win[q] lists the ring slots of
+//     q's requests currently in the window, oldest first, linked
+//     through next[]; win[q].critSlot is the slot of q's
+//     (max(occ[q],0)+1)-th oldest request, or -1 if q has no more than
+//     max(occ[q],0) requests pending; the crit bitmap holds exactly the
+//     non-negative critical slots. Every mutation (shift in/out with
+//     the exit's ledger debit, replenish credit) touches one queue and
+//     restores the invariant for it in O(b + log₆₄ L).
 //   - TailMMA / MDQF: the bucketed max-tracker places each queue whose
 //     tracked value (tail occupancy, head deficit) is at least the
 //     candidacy threshold (b for the tail, 1 for MDQF) in the bucket
@@ -54,8 +55,8 @@ type Lookahead struct {
 	// onShift, when set, observes every Shift *after* the register
 	// moved: slot is the ring index the incoming entry was written to
 	// (the same index the outgoing entry occupied). ECQF registers
-	// itself here to maintain its critical-position index; the last
-	// registered observer wins.
+	// itself here to maintain its critical-slot index and to take the
+	// exiting request's ledger debit.
 	onShift func(slot int, in, out cell.PhysQueueID)
 }
 

@@ -158,8 +158,12 @@ func TestECQFIdlesWithoutCriticality(t *testing.T) {
 	// One pending request, occupancy 2: not critical (2-1 >= 0), so
 	// the MMA must idle rather than inflate the SRAM.
 	e.OnReplenish(5) // occ 4
-	e.OnRequestLeave(5)
-	e.OnRequestLeave(5) // occ 2
+	look.Shift(5)
+	look.Shift(5)
+	look.Shift(cell.NoPhysQueue)
+	look.Shift(cell.NoPhysQueue)
+	look.Shift(cell.NoPhysQueue)
+	look.Shift(cell.NoPhysQueue) // both requests left: occ 2
 	look.Shift(5)
 	if q, ok := e.Select(allEligible); ok {
 		t.Errorf("Select = %d without criticality", q)
@@ -171,7 +175,16 @@ func TestECQFLedger(t *testing.T) {
 	e, _ := NewECQF(look, 3, 16)
 	e.OnReplenish(9)
 	e.OnReplenish(9)
-	e.OnRequestLeave(9)
+	// The debit is taken when the request leaves the lookahead, at the
+	// shift that pushes it out — not when it enters.
+	look.Shift(9)
+	look.Shift(cell.NoPhysQueue)
+	if got := e.Occupancy(9); got != 6 {
+		t.Errorf("Occupancy with the request in the window = %d, want 6", got)
+	}
+	if out := look.Shift(cell.NoPhysQueue); out != 9 {
+		t.Fatalf("shift out = %d, want 9", out)
+	}
 	if got := e.Occupancy(9); got != 5 {
 		t.Errorf("Occupancy = %d, want 5", got)
 	}
@@ -288,9 +301,8 @@ func TestECQFZeroMissSingleQueueTheory(t *testing.T) {
 	for slot := 0; slot < 10000; slot++ {
 		q := cell.PhysQueueID(next)
 		next = (next + 1) % Q
-		out := look.Shift(q)
+		out := look.Shift(q) // takes out's ledger debit
 		if out != cell.NoPhysQueue {
-			e.OnRequestLeave(out)
 			if e.Occupancy(out) < 0 {
 				t.Fatalf("slot %d: queue %d ledger went negative (miss)", slot, out)
 			}

@@ -7,8 +7,8 @@ import (
 
 // Snapshot/Restore serialize the MMA subsystem through the trace frame
 // codec. Only the authoritative state is framed — the lookahead ring
-// and the occupancy ledgers; every derived index (the ECQF
-// critical-slot rings and bitmap, the bucketed max-trackers, the
+// and the occupancy ledgers; every derived index (the ECQF window
+// lists, critical slots and bitmap, the bucketed max-trackers, the
 // epoch-stamped scratch) is rebuilt on restore from the authoritative
 // state, exactly as the incremental maintenance would have left it.
 
@@ -106,17 +106,16 @@ func (e *ECQF) Restore(r *frame.Reader) error {
 	if err != nil {
 		return err
 	}
-	// Rebuild the per-queue window position rings oldest-first (the
-	// head-to-tail scan order), then restore every queue's critical
-	// slot; recompute is exactly the incremental invariant repair.
+	// Rebuild the per-queue window lists oldest-first (the head-to-tail
+	// scan order), then walk each queue to its critical slot.
 	e.look.Scan(func(i int, q cell.PhysQueueID) bool {
 		if q != cell.NoPhysQueue {
 			e.ensure(q)
-			slot := e.look.head + i
-			if slot >= len(e.look.ring) {
-				slot -= len(e.look.ring)
+			slot := int32(e.look.head + i)
+			if int(slot) >= len(e.look.ring) {
+				slot -= int32(len(e.look.ring))
 			}
-			e.pos[q].push(int32(slot))
+			e.append(&e.win[q], slot)
 		}
 		return true
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cell"
+	"repro/internal/dram"
 )
 
 // nilIdx marks an empty slab pointer.
@@ -35,10 +36,14 @@ type listQueue struct {
 // mid-list insertion (§8.2 item ii): within one bank, operations are
 // strictly ordered, so each sublist grows FIFO.
 //
-// The slab free list is intrusive (threaded through the entries'
-// next pointers), and all per-queue state is slice-indexed by the
-// physical queue ordinal.
+// A landing block's cells are copied into the store's own entry slab
+// (the list is the area-optimised organization: one pointer per cell,
+// no per-queue ring) and its handle goes straight back to the buffer's
+// cell slab. The entry free list is intrusive (threaded through the
+// entries' next pointers), and all per-queue state is slice-indexed by
+// the physical queue ordinal.
 type ListStore struct {
+	cells    *dram.Slab
 	slab     []entry
 	freeHead int32
 	queues   []listQueue
@@ -57,16 +62,16 @@ type ListStore struct {
 
 var _ Store = (*ListStore)(nil)
 
-// NewList returns a ListStore with the given capacity in cells,
-// blockCells = b (cells per block), sublists = B/b (banks per group)
-// and queues physical queue ordinals. capacity must be positive: a
-// linked list is a physical slab.
-func NewList(capacity, blockCells, sublists, queues int) (*ListStore, error) {
+// NewList returns a ListStore that takes its blocks from cells (whose
+// block size is b), with the given capacity in cells, sublists = B/b
+// (banks per group) and queues physical queue ordinals. capacity must
+// be positive: a linked list is a physical slab.
+func NewList(cells *dram.Slab, capacity, sublists, queues int) (*ListStore, error) {
+	if cells == nil {
+		return nil, fmt.Errorf("sram: list needs a cell slab")
+	}
 	if capacity <= 0 {
 		return nil, fmt.Errorf("sram: list capacity must be positive, got %d", capacity)
-	}
-	if blockCells <= 0 {
-		return nil, fmt.Errorf("sram: blockCells must be positive, got %d", blockCells)
 	}
 	if sublists <= 0 {
 		return nil, fmt.Errorf("sram: sublists must be positive, got %d", sublists)
@@ -75,6 +80,7 @@ func NewList(capacity, blockCells, sublists, queues int) (*ListStore, error) {
 		return nil, fmt.Errorf("sram: queues must be non-negative, got %d", queues)
 	}
 	s := &ListStore{
+		cells:     cells,
 		slab:      make([]entry, capacity),
 		queues:    make([]listQueue, queues),
 		head:      make([]int32, queues*sublists),
@@ -82,7 +88,7 @@ func NewList(capacity, blockCells, sublists, queues int) (*ListStore, error) {
 		lastPos:   make([]uint64, queues*sublists),
 		seeded:    make([]bool, queues*sublists),
 		sublists:  sublists,
-		blockCell: blockCells,
+		blockCell: cells.BlockCells(),
 	}
 	for i := range s.head {
 		s.head[i], s.tail[i] = nilIdx, nilIdx
@@ -116,9 +122,27 @@ func (s *ListStore) sublistFor(q cell.PhysQueueID, pos uint64) int {
 	return int(q)*s.sublists + int((pos/uint64(s.blockCell))%uint64(s.sublists))
 }
 
-// Insert implements Store. Within one sublist, positions must arrive
-// in increasing order (the bank FIFO discipline); violating that
-// returns ErrOrder.
+// Land implements Store: the block's cells are inserted one by one
+// and its handle is released.
+func (s *ListStore) Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) (int, error) {
+	rejected := 0
+	var first error
+	base := ordinal * uint64(s.blockCell)
+	for i, c := range s.cells.Cells(blk) {
+		if err := s.Insert(q, base+uint64(i), c); err != nil {
+			rejected++
+			if first == nil {
+				first = err
+			}
+		}
+	}
+	s.cells.ReleaseBlock(blk)
+	return rejected, first
+}
+
+// Insert adds cell c at stream position pos of queue q. Within one
+// sublist, positions must arrive in increasing order (the bank FIFO
+// discipline); violating that returns ErrOrder.
 func (s *ListStore) Insert(q cell.PhysQueueID, pos uint64, c cell.Cell) error {
 	if s.freeHead == nilIdx {
 		return fmt.Errorf("%w: capacity %d", ErrFull, len(s.slab))

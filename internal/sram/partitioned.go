@@ -16,7 +16,9 @@ import (
 //
 // Like the shared stores it supports out-of-order insertion within a
 // queue's window (the circular buffer is indexed by position, so a
-// late block simply lands at its slot).
+// late cell simply lands at its slot). It is a per-cell model kept for
+// the §7.1 sizing comparison, not a Store: cells are inserted one at a
+// time and no slab block is involved.
 type PartitionedStore struct {
 	perQueue  int
 	queues    []partition
@@ -34,8 +36,6 @@ type partition struct {
 	nextPop uint64
 	count   int
 }
-
-var _ Store = (*PartitionedStore)(nil)
 
 // NewPartitioned returns a PartitionedStore with queues partitions of
 // perQueue cells each, slice-indexed by the physical queue ordinal.
@@ -65,8 +65,8 @@ func (s *PartitionedStore) queue(q cell.PhysQueueID) *partition {
 	return p
 }
 
-// Insert implements Store. Unlike the shared organizations, the
-// partition overflows as soon as *one queue* exceeds its share, even
+// Insert adds cell c at stream position pos of queue q. Unlike the
+// shared organizations, the partition overflows as soon as *one queue* exceeds its share, even
 // if the rest of the array is empty — the isolation cost.
 func (s *PartitionedStore) Insert(q cell.PhysQueueID, pos uint64, c cell.Cell) error {
 	p := s.queue(q)
@@ -91,7 +91,7 @@ func (s *PartitionedStore) Insert(q cell.PhysQueueID, pos uint64, c cell.Cell) e
 	return nil
 }
 
-// Pop implements Store.
+// Pop removes and returns q's next in-order cell.
 func (s *PartitionedStore) Pop(q cell.PhysQueueID) (cell.Cell, error) {
 	p := s.queue(q)
 	slot := int(p.nextPop % uint64(s.perQueue))
@@ -106,7 +106,7 @@ func (s *PartitionedStore) Pop(q cell.PhysQueueID) (cell.Cell, error) {
 	return c, nil
 }
 
-// Peek implements Store.
+// Peek returns q's next in-order cell without removing it.
 func (s *PartitionedStore) Peek(q cell.PhysQueueID) (cell.Cell, bool) {
 	p := s.queue(q)
 	slot := int(p.nextPop % uint64(s.perQueue))
@@ -116,23 +116,23 @@ func (s *PartitionedStore) Peek(q cell.PhysQueueID) (cell.Cell, bool) {
 	return p.cells[slot], true
 }
 
-// HasNext implements Store.
+// HasNext reports whether q's next in-order cell is resident.
 func (s *PartitionedStore) HasNext(q cell.PhysQueueID) bool {
 	_, ok := s.Peek(q)
 	return ok
 }
 
-// Len implements Store.
+// Len returns the number of resident cells of q.
 func (s *PartitionedStore) Len(q cell.PhysQueueID) int { return s.queue(q).count }
 
-// Total implements Store.
+// Total returns the number of resident cells.
 func (s *PartitionedStore) Total() int { return s.total }
 
-// Cap implements Store.
+// Cap returns the total capacity in cells.
 func (s *PartitionedStore) Cap() int { return s.capacity }
 
 // PerQueue returns the partition size.
 func (s *PartitionedStore) PerQueue() int { return s.perQueue }
 
-// HighWater implements Store.
+// HighWater returns the maximum Total ever observed.
 func (s *PartitionedStore) HighWater() int { return s.highWater }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/dram"
 )
 
 func TestNewPartitionedValidation(t *testing.T) {
@@ -48,13 +49,14 @@ func TestPartitionedIsolationCost(t *testing.T) {
 	// capacity absorbs the same burst.
 	const queues, perQueue = 4, 4
 	part, _ := NewPartitioned(queues, perQueue)
-	shared := NewCAM(queues*perQueue, queues)
+	slab := dram.NewSlab(1)
+	shared := NewCAM(slab, queues*perQueue, queues)
 
 	var partErr error
 	accepted := 0
 	for pos := uint64(0); pos < queues*perQueue; pos++ {
 		c := cell.Cell{Queue: 0, Seq: pos}
-		if err := shared.Insert(0, pos, c); err != nil {
+		if _, err := land(shared, slab, 0, 0, pos); err != nil {
 			t.Fatalf("shared store rejected cell %d: %v", pos, err)
 		}
 		if partErr == nil {
@@ -138,7 +140,8 @@ func TestPartitionedEquivalenceWithCAM(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		part, _ := NewPartitioned(queues, perQueue)
-		cam := NewCAM(queues*perQueue, queues)
+		slab := dram.NewSlab(1)
+		cam := NewCAM(slab, queues*perQueue, queues)
 		inserted := make([]uint64, queues)
 		popped := make([]uint64, queues)
 		for op := 0; op < 400; op++ {
@@ -150,7 +153,7 @@ func TestPartitionedEquivalenceWithCAM(t *testing.T) {
 				if err := part.Insert(q, pos, c); err != nil {
 					t.Fatalf("seed %d: part insert: %v", seed, err)
 				}
-				if err := cam.Insert(q, pos, c); err != nil {
+				if _, err := land(cam, slab, q, cell.QueueID(q), pos); err != nil {
 					t.Fatalf("seed %d: cam insert: %v", seed, err)
 				}
 			} else {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cell"
+	"repro/internal/dram"
 	"repro/internal/frame"
 )
 
@@ -13,16 +14,19 @@ import (
 // configuration; only the occupancy — pop cursors, live cells keyed by
 // stream position, ordering state and the high-water statistic — is
 // framed. Restore assumes a freshly constructed store of the same
-// geometry and replays the cells through Insert, so every internal
-// index (ring windows, slab links, free list) is rebuilt rather than
-// serialized; per-sublist ordering cursors are restored verbatim
+// geometry and rebuilds every internal index (ring windows, slab
+// blocks and links, free list) from the cells rather than reading it; per-sublist ordering cursors are restored verbatim
 // because they outlive the cells that set them.
 
-// Snapshot writes the CAM occupancy.
+// nextPop returns the stream position of q's next in-order cell.
+func (s *CAMStore) nextPop(st *blockQueue) uint64 { return st.next*uint64(s.b) + uint64(st.off) }
+
+// Snapshot writes the CAM occupancy: one row per resident cell, by
+// stream position (the block handles are not state).
 func (s *CAMStore) Snapshot(w *frame.Writer) {
 	live := 0
 	for q := range s.queues {
-		if st := &s.queues[q]; st.count > 0 || st.nextPop > 0 {
+		if st := &s.queues[q]; st.count > 0 || s.nextPop(st) > 0 {
 			live++
 		}
 	}
@@ -32,24 +36,34 @@ func (s *CAMStore) Snapshot(w *frame.Writer) {
 	w.Attr("highwater", int64(s.highWater))
 	for q := range s.queues {
 		st := &s.queues[q]
-		if st.count == 0 && st.nextPop == 0 {
+		if st.count == 0 && s.nextPop(st) == 0 {
 			continue
 		}
 		w.Begin("sram-cam-queue")
 		w.Attr("q", int64(q))
-		w.Attr("nextpop", int64(st.nextPop))
+		w.Attr("nextpop", int64(s.nextPop(st)))
 		w.Attr("count", int64(st.count))
-		for p := st.nextPop; p < st.nextPop+uint64(len(st.cells)); p++ {
-			if slot := p & uint64(len(st.cells)-1); st.present[slot] {
-				c := st.cells[slot]
-				w.Row(int64(p), int64(c.Queue), int64(c.Seq))
+		for o := st.next; o < st.next+uint64(len(st.ring)); o++ {
+			blk := st.ring[o&uint64(len(st.ring)-1)]
+			if blk == dram.NoBlock {
+				continue
+			}
+			i := int32(0)
+			if o == st.next {
+				i = st.off
+			}
+			cells := s.slab.Cells(blk)
+			for end := s.end(blk); i < end; i++ {
+				c := cells[i]
+				w.Row(int64(o*uint64(s.b)+uint64(i)), int64(c.Queue), int64(c.Seq))
 			}
 		}
 	}
 }
 
 // Restore loads a snapshot written by Snapshot into a freshly
-// constructed store of the same geometry.
+// constructed store of the same geometry, packing each block's rows
+// into a slab block of its own.
 func (s *CAMStore) Restore(r *frame.Reader) error {
 	if err := r.Expect("sram-cam"); err != nil {
 		return err
@@ -66,6 +80,7 @@ func (s *CAMStore) Restore(r *frame.Reader) error {
 	if err != nil {
 		return err
 	}
+	b := uint64(s.b)
 	for i := int64(0); i < nq; i++ {
 		if err := r.Expect("sram-cam-queue"); err != nil {
 			return err
@@ -83,16 +98,41 @@ func (s *CAMStore) Restore(r *frame.Reader) error {
 			return err
 		}
 		st := s.queue(cell.PhysQueueID(q))
-		st.nextPop = uint64(nextPop)
+		st.next, st.off = uint64(nextPop)/b, int32(uint64(nextPop)%b)
+		// Rows come in position order; each block's resident cells are
+		// a run that starts at its first unpopped position.
+		blk, ord, want := dram.NoBlock, uint64(0), uint64(0)
 		for j := int64(0); j < count; j++ {
 			row, err := r.NeedRow(3)
 			if err != nil {
 				return err
 			}
-			c := cell.Cell{Queue: cell.QueueID(row[1]), Seq: uint64(row[2])}
-			if err := s.Insert(cell.PhysQueueID(q), uint64(row[0]), c); err != nil {
-				return fmt.Errorf("sram: restore cam queue %d: %w", q, err)
+			pos := uint64(row[0])
+			if blk == dram.NoBlock || pos/b != ord {
+				if blk != dram.NoBlock {
+					s.setEnd(blk, int32(want-ord*b))
+				}
+				ord, want = pos/b, pos/b*b
+				if ord == st.next {
+					want += uint64(st.off)
+				}
+				if ord < st.next || (ord-st.next < uint64(len(st.ring)) && st.ring[ord&uint64(len(st.ring)-1)] != dram.NoBlock) {
+					return fmt.Errorf("%w: cam queue %d pos %d out of order", frame.ErrFrame, q, pos)
+				}
+				blk = s.slab.AcquireBlock()
+				st.ensure(ord)
+				st.ring[ord&uint64(len(st.ring)-1)] = blk
 			}
+			if pos != want {
+				return fmt.Errorf("%w: cam queue %d pos %d, want %d", frame.ErrFrame, q, pos, want)
+			}
+			s.slab.Cells(blk)[pos%b] = cell.Cell{Queue: cell.QueueID(row[1]), Seq: uint64(row[2])}
+			want++
+			st.count++
+			s.total++
+		}
+		if blk != dram.NoBlock {
+			s.setEnd(blk, int32(want-ord*b))
 		}
 	}
 	if s.total != int(total) {

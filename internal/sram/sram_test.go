@@ -6,26 +6,41 @@ import (
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/dram"
 )
 
 // newStores returns one of each organization with identical logical
-// parameters, for running the same scenario against both.
-func newStores(t *testing.T, capacity, blockCells, sublists int) []Store {
+// parameters over one slab of blockCells-cell blocks, for running the
+// same scenario against both.
+func newStores(t *testing.T, capacity, blockCells, sublists int) ([]Store, *dram.Slab) {
 	t.Helper()
-	ls, err := NewList(capacity, blockCells, sublists, 16)
+	slab := dram.NewSlab(blockCells)
+	ls, err := NewList(slab, capacity, sublists, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Store{NewCAM(capacity, 16), ls}
+	return []Store{NewCAM(slab, capacity, 16), ls}, slab
+}
+
+// land lands block ordinal of q holding queue cq's cells at their
+// stream positions (Seq = position), as the DRAM would deliver it.
+func land(s Store, slab *dram.Slab, q cell.PhysQueueID, cq cell.QueueID, ordinal uint64) (int, error) {
+	blk := slab.AcquireBlock()
+	cells := slab.Cells(blk)
+	for i := range cells {
+		cells[i] = cell.Cell{Queue: cq, Seq: ordinal*uint64(len(cells)) + uint64(i)}
+	}
+	return s.Land(q, ordinal, blk)
 }
 
 func TestInsertPopInOrder(t *testing.T) {
-	for _, s := range newStores(t, 64, 2, 4) {
+	stores, slab := newStores(t, 64, 2, 4)
+	for _, s := range stores {
 		name := storeName(s)
 		q := cell.PhysQueueID(3)
-		for pos := uint64(0); pos < 8; pos++ {
-			if err := s.Insert(q, pos, cell.Cell{Queue: 3, Seq: pos}); err != nil {
-				t.Fatalf("%s insert %d: %v", name, pos, err)
+		for o := uint64(0); o < 4; o++ {
+			if _, err := land(s, slab, q, 3, o); err != nil {
+				t.Fatalf("%s land %d: %v", name, o, err)
 			}
 		}
 		if got := s.Len(q); got != 8 {
@@ -67,13 +82,12 @@ func TestOutOfOrderBlockInsert(t *testing.T) {
 	// b=2, B/b=2: blocks 0,1,2,3 map to sublists 0,1,0,1. Delivering
 	// block 1 (positions 2,3) before block 0 (positions 0,1) is legal
 	// in both organizations (different banks).
-	for _, s := range newStores(t, 64, 2, 2) {
+	stores, slab := newStores(t, 64, 2, 2)
+	for _, s := range stores {
 		name := storeName(s)
 		q := cell.PhysQueueID(0)
-		for _, pos := range []uint64{2, 3} {
-			if err := s.Insert(q, pos, cell.Cell{Seq: pos}); err != nil {
-				t.Fatalf("%s insert block1: %v", name, err)
-			}
+		if _, err := land(s, slab, q, 0, 1); err != nil {
+			t.Fatalf("%s land block1: %v", name, err)
 		}
 		if s.HasNext(q) {
 			t.Errorf("%s HasNext true before position 0 arrives", name)
@@ -81,10 +95,8 @@ func TestOutOfOrderBlockInsert(t *testing.T) {
 		if _, err := s.Pop(q); !errors.Is(err, ErrMissing) {
 			t.Errorf("%s pop err = %v, want ErrMissing", name, err)
 		}
-		for _, pos := range []uint64{0, 1} {
-			if err := s.Insert(q, pos, cell.Cell{Seq: pos}); err != nil {
-				t.Fatalf("%s insert block0: %v", name, err)
-			}
+		if _, err := land(s, slab, q, 0, 0); err != nil {
+			t.Fatalf("%s land block0: %v", name, err)
 		}
 		for pos := uint64(0); pos < 4; pos++ {
 			c, err := s.Pop(q)
@@ -96,21 +108,22 @@ func TestOutOfOrderBlockInsert(t *testing.T) {
 }
 
 func TestCapacityEnforced(t *testing.T) {
-	for _, s := range newStores(t, 4, 1, 1) {
+	stores, slab := newStores(t, 4, 1, 1)
+	for _, s := range stores {
 		name := storeName(s)
 		for pos := uint64(0); pos < 4; pos++ {
-			if err := s.Insert(0, pos, cell.Cell{Seq: pos}); err != nil {
+			if _, err := land(s, slab, 0, 0, pos); err != nil {
 				t.Fatalf("%s insert %d: %v", name, pos, err)
 			}
 		}
-		if err := s.Insert(0, 4, cell.Cell{Seq: 4}); !errors.Is(err, ErrFull) {
-			t.Errorf("%s overfull insert err = %v, want ErrFull", name, err)
+		if n, err := land(s, slab, 0, 0, 4); n != 1 || !errors.Is(err, ErrFull) {
+			t.Errorf("%s overfull land = %d, %v; want 1, ErrFull", name, n, err)
 		}
 		// Freeing one slot admits one more.
 		if _, err := s.Pop(0); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Insert(0, 4, cell.Cell{Seq: 4}); err != nil {
+		if _, err := land(s, slab, 0, 0, 4); err != nil {
 			t.Errorf("%s insert after pop: %v", name, err)
 		}
 		if got := s.Cap(); got != 4 {
@@ -120,23 +133,27 @@ func TestCapacityEnforced(t *testing.T) {
 }
 
 func TestDuplicateInsert(t *testing.T) {
-	for _, s := range newStores(t, 16, 2, 2) {
+	stores, slab := newStores(t, 16, 1, 2)
+	for _, s := range stores {
 		name := storeName(s)
-		if err := s.Insert(1, 0, cell.Cell{}); err != nil {
+		if _, err := land(s, slab, 1, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Insert(1, 0, cell.Cell{}); !errors.Is(err, ErrDuplicate) {
-			t.Errorf("%s duplicate err = %v, want ErrDuplicate", name, err)
+		if n, err := land(s, slab, 1, 1, 0); n != 1 || !errors.Is(err, ErrDuplicate) {
+			t.Errorf("%s duplicate land = %d, %v; want 1, ErrDuplicate", name, n, err)
 		}
-		// Re-inserting an already-popped position is also a duplicate.
-		if err := s.Insert(1, 1, cell.Cell{Seq: 1}); err != nil {
+		// Re-landing an already-popped position is also a duplicate.
+		if _, err := land(s, slab, 1, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Pop(1); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Insert(1, 0, cell.Cell{}); !errors.Is(err, ErrDuplicate) {
-			t.Errorf("%s popped-pos reinsert err = %v, want ErrDuplicate", name, err)
+		if n, err := land(s, slab, 1, 1, 0); n != 1 || !errors.Is(err, ErrDuplicate) {
+			t.Errorf("%s popped-pos reland = %d, %v; want 1, ErrDuplicate", name, n, err)
+		}
+		if got := s.Total(); got != 1 {
+			t.Errorf("%s Total = %d after duplicates, want 1", name, got)
 		}
 	}
 }
@@ -144,7 +161,7 @@ func TestDuplicateInsert(t *testing.T) {
 func TestListRejectsWithinBankDisorder(t *testing.T) {
 	// b=1, two sublists: positions 0,2,4.. in sublist 0. Inserting
 	// position 4 then position 2 violates the bank FIFO discipline.
-	ls, err := NewList(16, 1, 2, 4)
+	ls, err := NewList(dram.NewSlab(1), 16, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +175,11 @@ func TestListRejectsWithinBankDisorder(t *testing.T) {
 
 func TestCAMAcceptsAnyOrder(t *testing.T) {
 	// The CAM organization has no ordering discipline (§8.2 item i).
-	s := NewCAM(16, 4)
+	slab := dram.NewSlab(1)
+	s := NewCAM(slab, 16, 4)
 	for _, pos := range []uint64{4, 2, 0, 3, 1} {
-		if err := s.Insert(0, pos, cell.Cell{Seq: pos}); err != nil {
-			t.Fatalf("insert %d: %v", pos, err)
+		if _, err := land(s, slab, 0, 0, pos); err != nil {
+			t.Fatalf("land %d: %v", pos, err)
 		}
 	}
 	for want := uint64(0); want < 5; want++ {
@@ -173,21 +191,24 @@ func TestCAMAcceptsAnyOrder(t *testing.T) {
 }
 
 func TestNewListValidation(t *testing.T) {
-	cases := [][3]int{{0, 1, 1}, {4, 0, 1}, {4, 1, 0}, {-1, 1, 1}}
+	cases := [][2]int{{0, 1}, {4, 0}, {-1, 1}}
 	for _, c := range cases {
-		if _, err := NewList(c[0], c[1], c[2], 4); err == nil {
-			t.Errorf("NewList(%v) succeeded, want error", c)
+		if _, err := NewList(dram.NewSlab(1), c[0], c[1], 4); err == nil {
+			t.Errorf("NewList(capacity %d, sublists %d) succeeded, want error", c[0], c[1])
 		}
+	}
+	if _, err := NewList(nil, 4, 1, 4); err == nil {
+		t.Error("NewList without a slab succeeded, want error")
 	}
 }
 
 func TestMultiQueueIsolation(t *testing.T) {
-	for _, s := range newStores(t, 64, 2, 2) {
+	stores, slab := newStores(t, 64, 2, 2)
+	for _, s := range stores {
 		name := storeName(s)
 		for q := cell.PhysQueueID(0); q < 4; q++ {
-			for pos := uint64(0); pos < 4; pos++ {
-				c := cell.Cell{Queue: cell.QueueID(q), Seq: pos}
-				if err := s.Insert(q, pos, c); err != nil {
+			for o := uint64(0); o < 2; o++ {
+				if _, err := land(s, slab, q, cell.QueueID(q), o); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -233,8 +254,9 @@ func TestEquivalenceCAMList(t *testing.T) {
 	)
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cam := NewCAM(capacity, queues)
-		ls, err := NewList(capacity, blockCell, sublists, queues)
+		slab := dram.NewSlab(blockCell)
+		cam := NewCAM(slab, capacity, queues)
+		ls, err := NewList(slab, capacity, sublists, queues)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,15 +286,11 @@ func TestEquivalenceCAMList(t *testing.T) {
 					continue
 				}
 				blk := nextBlock[k]
-				for i := 0; i < blockCell; i++ {
-					pos := blk*uint64(blockCell) + uint64(i)
-					c := cell.Cell{Queue: cell.QueueID(k.q), Seq: pos}
-					if err := cam.Insert(cell.PhysQueueID(k.q), pos, c); err != nil {
-						t.Fatalf("seed %d cam insert: %v", seed, err)
-					}
-					if err := ls.Insert(cell.PhysQueueID(k.q), pos, c); err != nil {
-						t.Fatalf("seed %d list insert: %v", seed, err)
-					}
+				if _, err := land(cam, slab, cell.PhysQueueID(k.q), cell.QueueID(k.q), blk); err != nil {
+					t.Fatalf("seed %d cam land: %v", seed, err)
+				}
+				if _, err := land(ls, slab, cell.PhysQueueID(k.q), cell.QueueID(k.q), blk); err != nil {
+					t.Fatalf("seed %d list land: %v", seed, err)
 				}
 				nextBlock[k] = blk + uint64(sublists)
 				remaining[k]--
@@ -312,7 +330,7 @@ func TestEquivalenceCAMList(t *testing.T) {
 func TestListSlabReuse(t *testing.T) {
 	// Churn through many more cells than the capacity to exercise the
 	// free list.
-	ls, err := NewList(8, 1, 1, 2)
+	ls, err := NewList(dram.NewSlab(1), 8, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
