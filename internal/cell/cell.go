@@ -51,6 +51,11 @@ func AdvanceCursor(i int, n uint64, size int) int {
 // Cell is one 64-byte unit moving through the buffer. The simulator
 // does not carry payload bytes; Queue and Seq identify the cell and
 // let tests verify end-to-end FIFO delivery per logical queue.
+//
+// Cell is the value form at the buffer's edges (delivery, snapshots,
+// tests). Inside the buffer a resident cell is stored as its Seq only:
+// the cells of a b-cell block all belong to one queue, so the DRAM's
+// block slab names Queue once per block (dram.Slab).
 type Cell struct {
 	// Queue is the logical VOQ the cell belongs to.
 	Queue QueueID

@@ -70,7 +70,8 @@ type TickOutput struct {
 // tailQueue is one logical queue's slice of the tail SRAM: its cells
 // in arrival order, written once into a chain of slab blocks linked by
 // dram.Slab.Next — first holds the oldest cell at offset front, last
-// the youngest at offset fill−1. The first promised cells are
+// the youngest at offset fill−1. Every block of the chain names the
+// queue, set when the block is taken. The first promised cells are
 // committed to the bypass path; staging removes the b oldest
 // unpromised cells (DRAM receives cells strictly in arrival order). A
 // queue with no cells holds no block.
@@ -82,17 +83,20 @@ type tailQueue struct {
 
 func (t *tailQueue) len() int { return int(t.n) }
 
-// push appends c, taking a new block when the last one is full.
-func (t *tailQueue) push(s *dram.Slab, c cell.Cell) {
+// push appends queue q's cell seq, taking a new block when the last
+// one is full.
+func (t *tailQueue) push(s *dram.Slab, q cell.QueueID, seq uint64) {
 	if t.n == 0 {
 		t.first = s.AcquireBlock()
+		s.SetQueue(t.first, q)
 		t.last, t.front, t.fill = t.first, 0, 0
 	} else if int(t.fill) == s.BlockCells() {
 		blk := s.AcquireBlock()
+		s.SetQueue(blk, q)
 		s.SetNext(t.last, blk)
 		t.last, t.fill = blk, 0
 	}
-	*s.At(t.last, int(t.fill)) = c
+	s.SetSeq(t.last, int(t.fill), seq)
 	t.fill++
 	t.n++
 }
@@ -100,7 +104,7 @@ func (t *tailQueue) push(s *dram.Slab, c cell.Cell) {
 // popFront removes and returns the oldest cell (the bypass delivery),
 // releasing its block once the block is spent.
 func (t *tailQueue) popFront(s *dram.Slab) cell.Cell {
-	c := *s.At(t.first, int(t.front))
+	c := s.Cell(t.first, int(t.front))
 	t.n--
 	if t.front++; t.n == 0 || int(t.front) == s.BlockCells() {
 		t.dropFront(s)
@@ -122,11 +126,12 @@ func (t *tailQueue) dropFront(s *dram.Slab) {
 // stage removes the b oldest unpromised cells (the queue holds at
 // least b) and returns them as a block for the DRAM. When nothing is
 // promised and the oldest cell starts its block, that block is whole
-// and itself leaves the chain by handle. Otherwise the b cells are
-// copied into a fresh block and the promised prefix slides b cells
-// toward the tail over the vacated positions, streamed through the
-// b-cell delay line (the chain links run one way only).
-func (t *tailQueue) stage(s *dram.Slab, delay []cell.Cell) dram.Block {
+// and itself leaves the chain by handle. Otherwise the b sequence
+// numbers are copied into a fresh block of the same queue and the
+// promised prefix slides b cells toward the tail over the vacated
+// positions, streamed through the b-entry delay line (the chain links
+// run one way only).
+func (t *tailQueue) stage(s *dram.Slab, delay []uint64) dram.Block {
 	b := int32(s.BlockCells())
 	if t.promised == 0 && t.front == 0 {
 		blk := t.first
@@ -139,16 +144,17 @@ func (t *tailQueue) stage(s *dram.Slab, delay []cell.Cell) dram.Block {
 		return blk
 	}
 	dst := s.AcquireBlock()
-	out := s.Cells(dst)
+	s.SetQueue(dst, s.Queue(t.first))
+	out := s.Seqs(dst)
 	blk, off, k := t.first, t.front, 0
-	cells := s.Cells(blk)
+	seqs := s.Seqs(blk)
 	for j, end := int32(0), t.promised+b; j < end; j++ {
-		orig := cells[off]
+		orig := seqs[off]
 		if j >= t.promised {
 			out[j-t.promised] = orig
 		}
 		if j >= b {
-			cells[off] = delay[k]
+			seqs[off] = delay[k]
 		}
 		delay[k] = orig
 		if k++; k == int(b) {
@@ -156,7 +162,7 @@ func (t *tailQueue) stage(s *dram.Slab, delay []cell.Cell) dram.Block {
 		}
 		if off++; off == b && j+1 < end {
 			blk, off = s.Next(blk), 0
-			cells = s.Cells(blk)
+			seqs = s.Seqs(blk)
 		}
 	}
 	// The b vacated positions are now the oldest: drop them. front < b,
@@ -174,7 +180,7 @@ func (t *tailQueue) stage(s *dram.Slab, delay []cell.Cell) dram.Block {
 func (t *tailQueue) cells(s *dram.Slab, fn func(cell.Cell)) {
 	blk, off := t.first, t.front
 	for i := int32(0); i < t.n; i++ {
-		fn(*s.At(blk, int(off)))
+		fn(s.Cell(blk, int(off)))
 		if off++; int(off) == s.BlockCells() {
 			blk, off = s.Next(blk), 0
 		}
@@ -213,11 +219,37 @@ type completion struct {
 	blk     dram.Block
 }
 
-// pipeEntry pairs the physical name stored in the lookahead with the
-// logical request it translates (the logical side is needed for the
-// bypass path and FIFO verification).
-type pipeEntry struct {
-	logical cell.QueueID
+// bypassEntry is the lookahead tag of a request for logical queue q
+// that the tail SRAM serves (a bypass): −2−q, below the idle entry
+// cell.NoPhysQueue. The MMA treats every negative entry as idle.
+// bypassQueue inverts it.
+func bypassEntry(q cell.QueueID) cell.PhysQueueID { return cell.PhysQueueID(-2 - q) }
+
+func bypassQueue(e cell.PhysQueueID) cell.QueueID { return cell.QueueID(-2 - e) }
+
+// pipeRequest decodes e, the pipeline entry at ring index slot, into
+// its request: the physical queue (cell.NoPhysQueue for a bypass) and
+// the logical queue (cell.NoQueue if the slot is idle).
+//
+//pktbuf:hotpath
+func (b *Buffer) pipeRequest(slot int, e cell.PhysQueueID) (cell.PhysQueueID, cell.QueueID) {
+	switch {
+	case e == cell.NoPhysQueue:
+		return cell.NoPhysQueue, cell.NoQueue
+	case e < cell.NoPhysQueue:
+		return cell.NoPhysQueue, bypassQueue(e)
+	case b.logical != nil:
+		return e, b.logical[slot]
+	default:
+		return e, cell.QueueID(e)
+	}
+}
+
+// pipeQueue returns the logical queue of the request at pipeline ring
+// index slot, or cell.NoQueue if the slot is idle.
+func (b *Buffer) pipeQueue(slot int) cell.QueueID {
+	_, q := b.pipeRequest(slot, b.look.Entry(slot))
+	return q
 }
 
 // Buffer is the complete packet buffer (Figure 5). Create one with
@@ -233,34 +265,37 @@ type Buffer struct {
 	tmma  *mma.TailMMA
 	mapr  mapper
 
-	// look holds the physical-side pipeline (latency register +
-	// lookahead, §5.4); logical is the parallel logical-side ring.
+	// look is the request pipeline (latency register + lookahead,
+	// §5.4), one entry per slot: idle (cell.NoPhysQueue), the physical
+	// queue of a DRAM-bound request, or the bypassEntry tag of a
+	// bypass request. Under identity mapping a physical name is its
+	// logical queue, so the ring is the whole pipeline. With renaming,
+	// logical holds, at the same ring index (look.Head() at entry), the
+	// logical queue of each DRAM-bound request; it is nil otherwise.
 	look    *mma.Lookahead
-	logical []pipeEntry
-	logHead int
+	logical []cell.QueueID
 
-	// compIdx (now mod len(compRing)) and phase (now mod Bsmall) are,
-	// like logHead (now mod len(logical)), slot-indexed cursors Tick
-	// and fastForward advance by wrap-compare (cell.AdvanceCursor), so
-	// neither runs a division on a short step; RestoreBuffer re-derives
-	// all three from now (deriveCursors). compIdx and phase are not
-	// serialised.
+	// compIdx (now mod len(compRing)) and phase (now mod Bsmall) are
+	// slot-indexed cursors Tick and fastForward advance by
+	// wrap-compare (cell.AdvanceCursor), so neither runs a division on
+	// a short step; RestoreBuffer re-derives both from now
+	// (deriveCursors). Neither is serialised.
 	compIdx int
 	phase   int
 
 	// ks is the packed per-queue state arena (structure of arrays) and
 	// tails the parallel tail-SRAM chain arena, both indexed by the
 	// logical queue ordinal and sized to Config.Q at construction.
-	// delay is the b-cell scratch line tailQueue.stage slides promised
-	// cells through.
+	// delay is the b-entry scratch line tailQueue.stage slides promised
+	// cells' sequence numbers through.
 	ks        kernelState
 	tails     []tailQueue
-	delay     []cell.Cell
+	delay     []uint64
 	tailTotal int // resident cells incl. promised and staged
 	// pendingTotal counts admitted requests not yet delivered (the
 	// cells in flight through the request pipeline).
 	pendingTotal int
-	// inPipe counts non-idle entries in the logical pipeline ring. It
+	// inPipe counts non-idle entries in the pipeline ring. It
 	// differs from pendingTotal only after a miss (the entry left the
 	// ring but the delivery never completed); the quiescence predicate
 	// uses it because ring emptiness, not delivery accounting, is what
@@ -388,9 +423,12 @@ func New(cfg Config) (*Buffer, error) {
 		mp = newIdentityMapper(dr, cfg.Q)
 	}
 
-	logical := make([]pipeEntry, pipeLen)
-	for i := range logical {
-		logical[i].logical = cell.NoQueue
+	var logical []cell.QueueID
+	if cfg.Renaming {
+		logical = make([]cell.QueueID, pipeLen)
+		for i := range logical {
+			logical[i] = cell.NoQueue
+		}
 	}
 	policy := dss.OldestReadyFirst
 	if cfg.FIFOScheduler {
@@ -409,7 +447,7 @@ func New(cfg Config) (*Buffer, error) {
 		logical:  logical,
 		ks:       newKernelState(cfg.Q),
 		tails:    make([]tailQueue, cfg.Q),
-		delay:    make([]cell.Cell, cfg.Bsmall),
+		delay:    make([]uint64, cfg.Bsmall),
 		compRing: make([][]completion, dcfg.AccessSlots+1),
 		access:   dcfg.AccessSlots,
 	}
@@ -532,27 +570,25 @@ func (b *Buffer) Tick(in TickInput) (TickOutput, error) {
 
 	// 3. Request enters the pipeline; the pipeline shifts exactly once
 	// per slot, so idle slots propagate bubbles.
-	phys := cell.NoPhysQueue
-	logical := cell.NoQueue
+	entry := cell.NoPhysQueue
 	if in.Request != cell.NoQueue {
-		p, lq, err := b.admitRequest(in.Request)
+		e, err := b.admitRequest(in.Request)
 		recordErr(&firstErr, err)
-		phys, logical = p, lq
+		entry = e
 	}
-	outPhys := b.look.Shift(phys)
-	outEntry := b.logical[b.logHead]
-	b.logical[b.logHead] = pipeEntry{logical: logical}
-	if b.logHead++; b.logHead == len(b.logical) {
-		b.logHead = 0
+	slot := b.look.Head()
+	phys, q := b.pipeRequest(slot, b.look.Shift(entry))
+	if b.logical != nil {
+		b.logical[slot] = in.Request
 	}
-	if logical != cell.NoQueue {
+	if entry != cell.NoPhysQueue {
 		b.inPipe++
 	}
 
 	// 4. Delivery at the pipeline exit.
-	if outEntry.logical != cell.NoQueue {
+	if q != cell.NoQueue {
 		b.inPipe--
-		delivered, bypassed, err := b.deliver(outPhys, outEntry.logical)
+		delivered, bypassed, err := b.deliver(phys, q)
 		recordErr(&firstErr, err)
 		if delivered != nil {
 			out.Delivered = delivered
@@ -590,8 +626,8 @@ func (b *Buffer) Tick(in TickInput) (TickOutput, error) {
 }
 
 // Quiescent reports whether an idle Tick (no arrival, no request)
-// would be a pure time advance: the request pipeline and logical ring
-// are empty, no completion is in flight in the calendar, the Requests
+// would be a pure time advance: the request pipeline is empty, no
+// completion is in flight in the calendar, the Requests
 // Register is empty (and not a zero-capacity degenerate that stalls
 // every cycle), and neither MMA would order a transfer. In a
 // quiescent state an idle Tick changes nothing but the slot counter
@@ -620,8 +656,8 @@ func (b *Buffer) Quiescent() bool {
 // quiescent state — identical statistics (FastForwardedSlots aside,
 // which dense ticking leaves zero by definition) and identical
 // subsequent behavior: the completion-ring index and the MMA cycle
-// phase are re-derived from now, the (empty) lookahead and logical
-// rings are rotated in place, and the DSA cycles the skipped span
+// phase are re-derived from now, the (empty) pipeline ring is rotated
+// in place, and the DSA cycles the skipped span
 // would have run on an empty Requests Register are credited to the
 // DSS empty-cycle count. If the buffer is not quiescent nothing
 // happens; the number of slots actually skipped (n or 0) is returned.
@@ -639,7 +675,6 @@ func (b *Buffer) fastForward(n uint64) {
 	b.sched.SkipIdleCycles(dsaCyclesIn(uint64(b.phase), n, b.cfg.Bsmall))
 	b.look.FastForward(n)
 	b.now += cell.Slot(n)
-	b.logHead = cell.AdvanceCursor(b.logHead, n, len(b.logical))
 	b.compIdx = cell.AdvanceCursor(b.compIdx, n, len(b.compRing))
 	b.phase = cell.AdvanceCursor(b.phase, n, b.cfg.Bsmall)
 	b.stats.FastForwardedSlots += n
@@ -647,7 +682,6 @@ func (b *Buffer) fastForward(n uint64) {
 
 // deriveCursors sets the slot-indexed cursors from now.
 func (b *Buffer) deriveCursors() {
-	b.logHead = int(uint64(b.now) % uint64(len(b.logical)))
 	b.compIdx = int(uint64(b.now) % uint64(len(b.compRing)))
 	b.phase = int(uint64(b.now) % uint64(b.cfg.Bsmall))
 }
@@ -702,7 +736,7 @@ func (b *Buffer) arrive(q cell.QueueID) error {
 	}
 	seq := b.ks.arrivedSeq[q]
 	b.ks.arrivedSeq[q] = seq + 1
-	b.tails[q].push(b.slab, cell.Cell{Queue: q, Seq: seq})
+	b.tails[q].push(b.slab, q, seq)
 	b.tailTotal++
 	b.tmma.OnArrival(q)
 	b.ks.sysOcc[q]++
@@ -710,14 +744,14 @@ func (b *Buffer) arrive(q cell.QueueID) error {
 	return nil
 }
 
-// admitRequest validates and translates a scheduler request. Cells
-// already written toward DRAM route via their physical queue; the
-// remainder are promised to the tail-SRAM bypass.
-func (b *Buffer) admitRequest(q cell.QueueID) (cell.PhysQueueID, cell.QueueID, error) {
+// admitRequest validates and translates a scheduler request into its
+// pipeline entry. Cells already written toward DRAM route via their
+// physical queue; the remainder are promised to the tail-SRAM bypass
+// (a bypassEntry tag). A rejected request enters as an idle slot.
+func (b *Buffer) admitRequest(q cell.QueueID) (cell.PhysQueueID, error) {
 	if b.Requestable(q) <= 0 {
 		b.stats.BadRequests++
-		return cell.NoPhysQueue, cell.NoQueue,
-			fmt.Errorf("%w: queue %d at slot %d", ErrBadRequest, q, b.now)
+		return cell.NoPhysQueue, fmt.Errorf("%w: queue %d at slot %d", ErrBadRequest, q, b.now)
 	}
 	b.ks.pendingReq[q]++
 	b.pendingTotal++
@@ -728,10 +762,10 @@ func (b *Buffer) admitRequest(q cell.QueueID) (cell.PhysQueueID, cell.QueueID, e
 		// delivery and remove it from the t-MMA's stageable ledger.
 		b.tails[q].promised++
 		b.tmma.OnBypass(q)
-		return cell.NoPhysQueue, q, nil
+		return bypassEntry(q), nil
 	}
 	b.hmma.OnRequestEnter(phys)
-	return phys, q, nil
+	return phys, nil
 }
 
 // deliver pops the cell for a request exiting the pipeline, storing it

@@ -3,10 +3,14 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // TestSnapshotBytesPinned pins the snapshot encoding byte for byte: an
@@ -81,4 +85,91 @@ func inFlight(snap []byte) (writes, comps int) {
 		}
 	}
 	return writes, comps
+}
+
+// TestRestoreRejectsMixedQueueBlock: a slab block holds the cells of
+// one queue and the slab names that queue once, so a snapshot whose
+// rows give one block's cells two queues cannot be restored faithfully.
+// For each section that frames blocks — DRAM queue rows, Requests
+// Register write entries, completions and head CAM rows — the test
+// edits a valid snapshot so that one block's second cell names another
+// queue, and requires RestoreBuffer to fail with frame.ErrFrame.
+func TestRestoreRejectsMixedQueueBlock(t *testing.T) {
+	cfg := Config{Q: 8, B: 8, Bsmall: 4, Banks: 16}
+	buf, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(46))
+	// edits maps a section to a function that mutates the first
+	// eligible row of its frame, reporting whether it found one.
+	type edit func(f []string, prev []string) bool
+	bump := func(f []string, i int) { f[i] += "1" }
+	edits := map[string]edit{
+		"dram-queue": func(f, _ []string) bool { bump(f, 3); return true },
+		"dss": func(f, _ []string) bool {
+			if len(f) < 10 || f[1] != "1" { // a write entry with its block
+				return false
+			}
+			bump(f, 9)
+			return true
+		},
+		"comp-slot": func(f, _ []string) bool { bump(f, 4); return true },
+		"sram-cam-queue": func(f, prev []string) bool {
+			// The previous row is the same block's earlier cell.
+			if prev == nil || pos(f[0])/4 != pos(prev[0])/4 {
+				return false
+			}
+			bump(f, 1)
+			return true
+		},
+	}
+	for cut := 1000; cut < 1200; cut++ {
+		denseStimulus(t, buf, rng, cut-int(buf.Now()))
+		var snap bytes.Buffer
+		if err := buf.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreBuffer(bytes.NewReader(snap.Bytes()), cfg); err != nil {
+			t.Fatalf("cut %d: unedited snapshot: %v", cut, err)
+		}
+		mutated := 0
+		for section, ed := range edits {
+			lines := strings.Split(snap.String(), "\n")
+			sect, done := "", false
+			var prev []string
+			for i, line := range lines {
+				if strings.HasPrefix(line, "!") {
+					sect, prev = strings.Fields(line[1:])[0], nil
+					continue
+				}
+				if sect != section || line == "" {
+					continue
+				}
+				f := strings.Fields(line)
+				if ed(f, prev) {
+					lines[i], done = strings.Join(f, " "), true
+					break
+				}
+				prev = f
+			}
+			if !done {
+				continue
+			}
+			mutated++
+			_, err := RestoreBuffer(strings.NewReader(strings.Join(lines, "\n")), cfg)
+			if !errors.Is(err, frame.ErrFrame) {
+				t.Errorf("cut %d: %s block with two queues: err = %v, want frame.ErrFrame", cut, section, err)
+			}
+		}
+		if mutated == len(edits) {
+			return
+		}
+	}
+	t.Fatal("no cut held a block in all four sections")
+}
+
+func pos(s string) int {
+	n, _ := strconv.Atoi(s)
+	return n
 }

@@ -48,7 +48,7 @@ func (b *Buffer) Snapshot(w io.Writer) error {
 
 	fw.Begin("core")
 	fw.Attr("now", int64(b.now))
-	fw.Attr("loghead", int64(b.logHead))
+	fw.Attr("loghead", int64(b.look.Head()))
 	fw.Attr("inpipe", int64(b.inPipe))
 	fw.Attr("pending", int64(b.pendingTotal))
 	fw.Attr("tailtotal", int64(b.tailTotal))
@@ -68,19 +68,20 @@ func (b *Buffer) Snapshot(w io.Writer) error {
 	fw.Attr("tailhw", int64(b.stats.TailHighWater))
 	fw.Attr("ff", int64(b.stats.FastForwardedSlots))
 
-	// The logical side of the request pipeline: ring slots holding a
-	// live request. (The physical side is the lookahead, framed below.)
+	// The logical side of the request pipeline: the logical queue of
+	// each ring slot holding a live request. (The lookahead frames the
+	// physical side below; a bypass request is framed here only.)
 	live := 0
-	for _, e := range b.logical {
-		if e.logical != cell.NoQueue {
+	for i := range b.look.Size() {
+		if b.pipeQueue(i) != cell.NoQueue {
 			live++
 		}
 	}
 	fw.Begin("logical")
 	fw.Attr("entries", int64(live))
-	for i, e := range b.logical {
-		if e.logical != cell.NoQueue {
-			fw.Row(int64(i), int64(e.logical))
+	for i := range b.look.Size() {
+		if q := b.pipeQueue(i); q != cell.NoQueue {
+			fw.Row(int64(i), int64(q))
 		}
 	}
 
@@ -191,8 +192,19 @@ func (b *Buffer) Snapshot(w io.Writer) error {
 // describe the same buffer the snapshot was taken from (ApplyDefaults
 // is invoked internally, then the defaulted configuration is checked
 // against the one recorded in the snapshot); a mismatch is rejected
-// with ErrSnapshot rather than restored approximately.
+// with ErrSnapshot rather than restored approximately. So is a stream
+// that is malformed or inconsistent: every rejection of the stream
+// itself wraps ErrSnapshot (and frame.ErrFrame for a malformed frame),
+// except an unknown layout version, which wraps ErrSnapshotVersion.
 func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
+	b, err := restoreBuffer(r, cfg)
+	if err != nil && !errors.Is(err, ErrSnapshot) && !errors.Is(err, ErrSnapshotVersion) && !errors.Is(err, ErrBadConfig) {
+		err = fmt.Errorf("%w: %w", ErrSnapshot, err)
+	}
+	return b, err
+}
+
+func restoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 	fr := frame.NewReader(r)
 	if err := fr.Expect("snapshot"); err != nil {
 		return nil, err
@@ -224,12 +236,13 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 	if err := fr.Expect("core"); err != nil {
 		return nil, err
 	}
+	var logHead int64
 	for _, f := range []struct {
 		key string
 		set func(int64)
 	}{
 		{"now", func(v int64) { b.now = cell.Slot(v) }},
-		{"loghead", func(v int64) { b.logHead = int(v) }},
+		{"loghead", func(v int64) { logHead = v }},
 		{"inpipe", func(v int64) { b.inPipe = int(v) }},
 		{"pending", func(v int64) { b.pendingTotal = int(v) }},
 		{"tailtotal", func(v int64) { b.tailTotal = int(v) }},
@@ -242,6 +255,15 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 		f.set(v)
 	}
 	b.deriveCursors()
+	// The t-MMA stages at most one block per b-slot cycle, so every
+	// block ordinal of every physical queue is below blocks: the bound
+	// that keeps a corrupt ordinal from sizing a ring.
+	blocks := uint64(b.now)/uint64(b.cfg.Bsmall) + 1
+	// The pipeline ring's head moves with the slot counter.
+	pipeHead := int64(uint64(b.now) % uint64(b.look.Size()))
+	if logHead != pipeHead {
+		return nil, fmt.Errorf("%w: pipeline head %d at slot %d, want %d", frame.ErrFrame, logHead, b.now, pipeHead)
+	}
 
 	if err := fr.Expect("core-stats"); err != nil {
 		return nil, err
@@ -277,16 +299,20 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The rows join the ring once the lookahead is restored below.
+	var pipe [][2]int64
 	for i := int64(0); i < n; i++ {
 		row, err := fr.NeedRow(2)
 		if err != nil {
 			return nil, err
 		}
-		slot := int(row[0])
-		if slot < 0 || slot >= len(b.logical) {
-			return nil, fmt.Errorf("%w: pipeline slot %d out of range", frame.ErrFrame, slot)
+		if row[0] < 0 || row[0] >= int64(b.look.Size()) {
+			return nil, fmt.Errorf("%w: pipeline slot %d out of range", frame.ErrFrame, row[0])
 		}
-		b.logical[slot].logical = cell.QueueID(row[1])
+		if row[1] < 0 || row[1] >= int64(b.cfg.Q) {
+			return nil, fmt.Errorf("%w: pipeline slot %d names queue %d", frame.ErrFrame, row[0], row[1])
+		}
+		pipe = append(pipe, [2]int64{row[0], row[1]})
 	}
 
 	if err := fr.Expect("ks"); err != nil {
@@ -341,7 +367,10 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.push(b.slab, cell.Cell{Queue: cell.QueueID(row[0]), Seq: uint64(row[1])})
+			if row[0] != q {
+				return nil, fmt.Errorf("%w: tail queue %d holds a cell of queue %d", frame.ErrFrame, q, row[0])
+			}
+			t.push(b.slab, cell.QueueID(q), uint64(row[1]))
 		}
 		if promised < 0 || promised > cells {
 			return nil, fmt.Errorf("%w: tail queue %d promises %d of %d cells", frame.ErrFrame, q, promised, cells)
@@ -355,6 +384,7 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 	if n, err = fr.NeedAttr("buckets"); err != nil {
 		return nil, err
 	}
+	comps := 0
 	for i := int64(0); i < n; i++ {
 		if err := fr.Expect("comp-slot"); err != nil {
 			return nil, err
@@ -367,18 +397,29 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 		if err != nil {
 			return nil, err
 		}
-		if slot < 0 || slot >= int64(len(b.compRing)) {
-			return nil, fmt.Errorf("%w: completion slot %d out of range", frame.ErrFrame, slot)
+		if slot < 0 || slot >= int64(len(b.compRing)) || len(b.compRing[slot]) != 0 {
+			return nil, fmt.Errorf("%w: completion slot %d out of range or framed twice", frame.ErrFrame, slot)
 		}
 		for j := int64(0); j < cnt; j++ {
 			row, err := fr.NeedRow(2 + 2*b.cfg.Bsmall)
 			if err != nil {
 				return nil, err
 			}
+			if row[0] < 0 || row[0] >= int64(b.dram.Config().Queues) || row[1] < 0 || uint64(row[1]) >= blocks {
+				return nil, fmt.Errorf("%w: completion of queue %d block %d", frame.ErrFrame, row[0], row[1])
+			}
+			blk, err := b.dram.RestoreBlock(row[2:])
+			if err != nil {
+				return nil, fmt.Errorf("completion slot %d: %w", slot, err)
+			}
 			b.compRing[slot] = append(b.compRing[slot], completion{
-				phys: cell.PhysQueueID(row[0]), ordinal: uint64(row[1]), blk: b.dram.RestoreBlock(row[2:]),
+				phys: cell.PhysQueueID(row[0]), ordinal: uint64(row[1]), blk: blk,
 			})
+			comps++
 		}
+	}
+	if comps != b.compPending {
+		return nil, fmt.Errorf("%w: %d completions, comppending %d", frame.ErrFrame, comps, b.compPending)
 	}
 
 	switch m := b.mapr.(type) {
@@ -401,12 +442,15 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 			m.towardDRAM[q] = int(row[1])
 		}
 	case *renameMapper:
-		if err := m.table.Restore(fr); err != nil {
+		if err := m.table.Restore(fr, b.cfg.Q); err != nil {
 			return nil, err
 		}
 	}
 
 	if err := b.look.Restore(fr); err != nil {
+		return nil, err
+	}
+	if err := b.restorePipe(pipe); err != nil {
 		return nil, err
 	}
 	switch h := b.hmma.(type) {
@@ -421,16 +465,24 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 	if err := b.tmma.Restore(fr); err != nil {
 		return nil, err
 	}
+	// The t-MMA's ledger counts each queue's stageable tail cells:
+	// staging trusts it to find b of them.
+	for q := range b.tails {
+		if t := &b.tails[q]; b.tmma.Occupancy(cell.QueueID(q)) != int(t.n-t.promised) {
+			return nil, fmt.Errorf("%w: tail queue %d: t-MMA ledger %d for %d unpromised cells",
+				frame.ErrFrame, q, b.tmma.Occupancy(cell.QueueID(q)), t.n-t.promised)
+		}
+	}
 	switch s := b.head.(type) {
 	case *sram.CAMStore:
-		err = s.Restore(fr)
+		err = s.Restore(fr, blocks)
 	case *sram.ListStore:
 		err = s.Restore(fr)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := b.dram.Restore(fr); err != nil {
+	if err := b.dram.Restore(fr, blocks); err != nil {
 		return nil, err
 	}
 	if err := b.sched.Restore(fr, b.dram); err != nil {
@@ -440,6 +492,42 @@ func RestoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 		return nil, fmt.Errorf("%w: truncated stream: %v", ErrSnapshot, err)
 	}
 	return b, nil
+}
+
+// restorePipe joins the logical rows of the snapshot's pipeline with
+// the restored lookahead: a row at an idle slot is a bypass request,
+// and one at a physical request names its logical queue (its physical
+// name itself under identity mapping). Every request must have exactly
+// one row, and inpipe must count them.
+func (b *Buffer) restorePipe(pipe [][2]int64) error {
+	if b.look.Head() != int(uint64(b.now)%uint64(b.look.Size())) {
+		return fmt.Errorf("%w: lookahead head %d at slot %d", frame.ErrFrame, b.look.Head(), b.now)
+	}
+	for _, r := range pipe {
+		slot, q := int(r[0]), cell.QueueID(r[1])
+		switch e := b.look.Entry(slot); {
+		case e == cell.NoPhysQueue:
+			b.look.Tag(slot, bypassEntry(q))
+		case e < cell.NoPhysQueue || (b.logical == nil && e != cell.PhysQueueID(q)):
+			return fmt.Errorf("%w: pipeline slot %d: logical queue %d for entry %d", frame.ErrFrame, slot, q, e)
+		case b.logical != nil:
+			b.logical[slot] = q
+		}
+	}
+	live := 0
+	for i := range b.look.Size() {
+		e := b.look.Entry(i)
+		if int(e) >= b.dram.Config().Queues || (e >= 0 && b.pipeQueue(i) == cell.NoQueue) {
+			return fmt.Errorf("%w: pipeline slot %d: physical queue %d", frame.ErrFrame, i, e)
+		}
+		if e != cell.NoPhysQueue {
+			live++
+		}
+	}
+	if live != len(pipe) || live != b.inPipe {
+		return fmt.Errorf("%w: pipeline holds %d requests for %d rows, inpipe %d", frame.ErrFrame, live, len(pipe), b.inPipe)
+	}
+	return nil
 }
 
 func boolAttr(v bool) int64 {

@@ -18,7 +18,7 @@ func TestTailChainMatchesDeque(t *testing.T) {
 	for _, b := range []int{1, 2, 3, 4, 8} {
 		rng := rand.New(rand.NewSource(int64(b)))
 		slab := dram.NewSlab(b)
-		delay := make([]cell.Cell, b)
+		delay := make([]uint64, b)
 		var tq tailQueue
 		var model []cell.Cell
 		seq := uint64(0)
@@ -28,7 +28,7 @@ func TestTailChainMatchesDeque(t *testing.T) {
 			case op < 4:
 				c := cell.Cell{Queue: 1, Seq: seq}
 				seq++
-				tq.push(slab, c)
+				tq.push(slab, c.Queue, c.Seq)
 				model = append(model, c)
 			case op < 6:
 				if int(tq.promised) < len(model) {
@@ -50,7 +50,11 @@ func TestTailChainMatchesDeque(t *testing.T) {
 				}
 				blk := tq.stage(slab, delay)
 				want := slices.Clone(model[p : p+b])
-				if got := slab.Cells(blk); !slices.Equal(got, want) {
+				got := make([]cell.Cell, b)
+				for k := range got {
+					got[k] = slab.Cell(blk, k)
+				}
+				if !slices.Equal(got, want) {
 					t.Fatalf("b=%d step %d: staged %v, want %v", b, step, got, want)
 				}
 				model = append(model[:p:p], model[p+b:]...)

@@ -20,7 +20,11 @@
 // allocated whole and never move, so a block's cells stay put for as
 // long as it is live, and released handles are reused through a free
 // list: the steady-state datapath neither copies a block nor
-// allocates. Each queue's ordinal ring stores 4-byte handles.
+// allocates. A block is b cells of one logical queue, so the slab keeps
+// the queue once, in the block's 8-byte record beside its tail-chain
+// link, and stores only each cell's 8-byte sequence number: a resident
+// cell costs 8 + 8/b bytes. Each queue's ordinal ring stores 4-byte
+// handles.
 //
 // The model is storage-accurate (it holds the actual cells, so tests
 // can verify end-to-end FIFO delivery) and timing-accurate at slot

@@ -21,11 +21,23 @@ func testConfig() Config {
 // mkBlock stages a block of q's cells start, start+1, … in d's slab.
 func mkBlock(d *DRAM, q cell.QueueID, start uint64) Block {
 	blk := d.AcquireBlock()
-	cells := d.Cells(blk)
+	cells := make([]cell.Cell, d.BlockCells())
 	for i := range cells {
 		cells[i] = cell.Cell{Queue: q, Seq: start + uint64(i)}
 	}
+	if err := d.SetCells(blk, cells); err != nil {
+		panic(err)
+	}
 	return blk
+}
+
+// cellsOf returns a copy of blk's cells.
+func cellsOf(s *Slab, blk Block) []cell.Cell {
+	cells := make([]cell.Cell, s.BlockCells())
+	for k := range cells {
+		cells[k] = s.Cell(blk, k)
+	}
+	return cells
 }
 
 // writeNext reserves queue p's next write ordinal and issues blk there
@@ -49,7 +61,7 @@ func readNext(d *DRAM, p cell.PhysQueueID, now cell.Slot) (BankID, []cell.Cell, 
 	if err != nil {
 		return NoBank, nil, err
 	}
-	cells := append([]cell.Cell(nil), d.Cells(blk)...)
+	cells := cellsOf(d.Slab, blk)
 	d.ReleaseBlock(blk)
 	return bank, cells, nil
 }
@@ -195,7 +207,7 @@ func TestReadEmptyQueue(t *testing.T) {
 // malformed block a write can name is a handle the slab never issued.
 func TestBadBlockSize(t *testing.T) {
 	d := New(testConfig())
-	if got := len(d.Cells(mkBlock(d, 0, 0))); got != d.Config().BlockCells {
+	if got := len(d.Seqs(mkBlock(d, 0, 0))); got != d.Config().BlockCells {
 		t.Errorf("block holds %d cells, want b = %d", got, d.Config().BlockCells)
 	}
 	for _, blk := range []Block{NoBlock, -1, 2} {

@@ -25,10 +25,11 @@ func TestOneSlabTailDRAMHead(t *testing.T) {
 	round := func() {
 		// Tail: write b arriving cells into a fresh block.
 		blk := d.AcquireBlock()
-		cells := d.Cells(blk)
-		addr := &cells[0]
-		for i := range cells {
-			cells[i] = cell.Cell{Queue: cell.QueueID(p), Seq: seq + uint64(i)}
+		d.SetQueue(blk, cell.QueueID(p))
+		seqs := d.Seqs(blk)
+		addr := &seqs[0]
+		for i := range seqs {
+			seqs[i] = seq + uint64(i)
 		}
 		if last != dram.NoBlock && blk != last {
 			t.Fatalf("tail took block %d, want %d released by the head", blk, last)
@@ -50,7 +51,7 @@ func TestOneSlabTailDRAMHead(t *testing.T) {
 			t.Fatal(err)
 		}
 		now += 8
-		if got != blk || &d.Cells(got)[0] != addr {
+		if got != blk || &d.Seqs(got)[0] != addr {
 			t.Fatalf("DRAM handed back block %d, want %d at the same address", got, blk)
 		}
 		// Head: land by handle, deliver every cell.

@@ -54,7 +54,7 @@ func TestOutOfOrderSameQueueAccesses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read ordinal %d: %v", rords[i], err)
 		}
-		got[rords[i]] = d.Cells(blk)
+		got[rords[i]] = cellsOf(d.Slab, blk)
 	}
 	// Block k carries seqs 2k, 2k+1.
 	for k := uint64(0); k < 3; k++ {

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cell"
@@ -57,9 +58,10 @@ func TestSlabZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			blk := d.AcquireBlock()
-			cells := d.Cells(blk)
-			for j := range cells {
-				cells[j] = cell.Cell{Queue: cell.QueueID(p), Seq: o}
+			d.SetQueue(blk, cell.QueueID(p))
+			seqs := d.Seqs(blk)
+			for j := range seqs {
+				seqs[j] = o
 			}
 			if _, err := d.BeginWriteAt(p, o, blk, now); err != nil {
 				t.Fatal(err)
@@ -77,7 +79,7 @@ func TestSlabZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := d.Cells(blk)[0].Seq; got != o {
+			if got := d.Cell(blk, 0).Seq; got != o {
 				t.Fatalf("block at ordinal %d holds seq %d", o, got)
 			}
 			d.ReleaseBlock(blk)
@@ -96,18 +98,37 @@ func TestSlabZeroAlloc(t *testing.T) {
 func TestSlabChunksNeverMove(t *testing.T) {
 	d := New(testConfig())
 	live := mkBlock(d, 7, 100)
-	addr := &d.Cells(live)[0]
+	addr := &d.Seqs(live)[0]
 	for i := 0; i < 10*chunkBlocks; i++ {
 		mkBlock(d, 1, uint64(i))
 	}
 	if len(d.chunks) < 10 {
 		t.Fatalf("slab has %d chunks, want the test to grow it past 10", len(d.chunks))
 	}
-	cells := d.Cells(live)
-	if &cells[0] != addr {
+	if &d.Seqs(live)[0] != addr {
 		t.Error("a live block moved when the slab grew")
 	}
-	if cells[0] != (cell.Cell{Queue: 7, Seq: 100}) || cells[1] != (cell.Cell{Queue: 7, Seq: 101}) {
+	if cells := cellsOf(d.Slab, live); cells[0] != (cell.Cell{Queue: 7, Seq: 100}) || cells[1] != (cell.Cell{Queue: 7, Seq: 101}) {
 		t.Errorf("live block cells = %v after growth", cells)
 	}
+}
+
+// TestSlabBytesPerBlock: a block costs its b sequence numbers and one
+// 8-byte record (link and queue), 8b + 8 bytes, allocated a chunk at a
+// time. Growing a slab by 1 024 blocks at b = 4 may allocate at most
+// that plus a quarter for the chunk table's append slack.
+func TestSlabBytesPerBlock(t *testing.T) {
+	const b, n = 4, 1024
+	s := NewSlab(b)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		s.AcquireBlock()
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(n*(8*b+8)) * 5 / 4; got > limit {
+		t.Errorf("growing %d blocks of %d cells allocated %d bytes, want ≤ %d", n, b, got, limit)
+	}
+	t.Logf("%d blocks of %d cells: %d bytes (%.1f per block)", n, b, got, float64(got)/n)
 }

@@ -80,8 +80,13 @@ func (d *DRAM) Snapshot(w *frame.Writer) {
 }
 
 // Restore loads a snapshot written by Snapshot into a freshly
-// constructed DRAM of the same configuration.
-func (d *DRAM) Restore(r *frame.Reader) error {
+// constructed DRAM of the same configuration. blocks bounds the block
+// ordinals the snapshot can hold (the owner derives it from its slot
+// clock): every queue's cursors must satisfy rres ≤ wres < blocks, and
+// its stored blocks come in increasing ordinal order below wres. Each
+// queue's ring window starts at its oldest live ordinal, so a restored
+// ring spans the queue's live blocks, however old the queue is.
+func (d *DRAM) Restore(r *frame.Reader, blocks uint64) error {
 	if err := r.Expect("dram"); err != nil {
 		return err
 	}
@@ -155,20 +160,43 @@ func (d *DRAM) Restore(r *frame.Reader) error {
 		if err != nil {
 			return err
 		}
-		blocks, err := r.NeedAttr("blocks")
+		n, err := r.NeedAttr("blocks")
 		if err != nil {
 			return err
 		}
-		q := d.queue(cell.PhysQueueID(p))
+		if p < 0 || p >= int64(len(d.queues)) || rres < 0 || rres > wres || uint64(wres) >= blocks {
+			return fmt.Errorf("%w: dram queue %d cursors %d..%d", frame.ErrFrame, p, rres, wres)
+		}
+		q := &d.queues[p]
+		if q.writeReserved != 0 {
+			return fmt.Errorf("%w: dram queue %d framed twice", frame.ErrFrame, p)
+		}
 		q.writeReserved = uint64(wres)
 		q.readReserved = uint64(rres)
 		q.readsDone = uint64(rdone)
-		for j := int64(0); j < blocks; j++ {
+		// Writes not yet issued are at ordinals ≥ rres, and a read
+		// reserved but not issued keeps its block here, so no ordinal
+		// below min(first stored, rres) is addressed again.
+		q.ring.base = uint64(rres)
+		prev := int64(-1)
+		for j := int64(0); j < n; j++ {
 			row, err := r.NeedRow(1 + 2*d.cfg.BlockCells)
 			if err != nil {
 				return err
 			}
-			q.ring.put(uint64(row[0]), d.RestoreBlock(row[1:]), q.readReserved)
+			o := row[0]
+			if o <= prev || o >= wres {
+				return fmt.Errorf("%w: dram queue %d block ordinal %d", frame.ErrFrame, p, o)
+			}
+			if prev < 0 {
+				q.ring.base = min(q.ring.base, uint64(o))
+			}
+			prev = o
+			blk, err := d.RestoreBlock(row[1:])
+			if err != nil {
+				return fmt.Errorf("dram queue %d: %w", p, err)
+			}
+			q.ring.put(uint64(o), blk, q.readReserved)
 		}
 		d.refreshReadable(cell.PhysQueueID(p), q)
 	}

@@ -203,10 +203,12 @@ func TestConflictFreedomAgainstDRAM(t *testing.T) {
 			if err == nil {
 				seq := pending[q]
 				blk := d.AcquireBlock()
-				copy(d.Cells(blk), []cell.Cell{
+				if err := d.SetCells(blk, []cell.Cell{
 					{Queue: cell.QueueID(q), Seq: seq},
 					{Queue: cell.QueueID(q), Seq: seq + 1},
-				})
+				}); err != nil {
+					t.Fatal(err)
+				}
 				pending[q] = seq + 2
 				if err := s.Enqueue(Request{
 					Queue: q, Dir: Write, Ordinal: ord, Bank: bank,

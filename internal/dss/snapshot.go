@@ -97,9 +97,15 @@ func (s *Scheduler) Restore(r *frame.Reader, d *dram.DRAM) error {
 		if len(row) < 7 {
 			return fmt.Errorf("%w: dss rr row too short", frame.ErrFrame)
 		}
-		nc := int(row[6])
-		if nc != 0 && nc != d.Config().BlockCells || len(row) != 7+2*nc {
-			return fmt.Errorf("%w: dss rr row: want %d cells", frame.ErrFrame, nc)
+		// A write carries its staged block and a read none; the queue
+		// and bank must address d.
+		nc := row[6]
+		if dir := Direction(row[1]); !(dir == Write && nc == int64(d.Config().BlockCells) || dir == Read && nc == 0) ||
+			len(row) != 7+2*int(nc) {
+			return fmt.Errorf("%w: dss rr row: direction %d with %d cells", frame.ErrFrame, row[1], nc)
+		}
+		if row[0] < 0 || row[0] >= int64(d.Config().Queues) || row[3] < 0 || row[3] >= int64(d.Config().Banks) {
+			return fmt.Errorf("%w: dss rr row: queue %d bank %d", frame.ErrFrame, row[0], row[3])
 		}
 		req := Request{
 			Queue:    cell.PhysQueueID(row[0]),
@@ -110,7 +116,9 @@ func (s *Scheduler) Restore(r *frame.Reader, d *dram.DRAM) error {
 			Skips:    int(row[5]),
 		}
 		if nc > 0 {
-			req.Block = d.RestoreBlock(row[7:])
+			if req.Block, err = d.RestoreBlock(row[7:]); err != nil {
+				return fmt.Errorf("dss rr row %d: %w", i, err)
+			}
 		}
 		s.rr = append(s.rr, req)
 	}

@@ -10,9 +10,10 @@ import (
 	"repro/internal/frame"
 )
 
-// banksDRAM is a DRAM of banks banks for the scheduler to address.
+// banksDRAM is a DRAM of banks banks and 64 queues for the scheduler
+// to address.
 func banksDRAM(banks int) *dram.DRAM {
-	return dram.New(dram.Config{Banks: banks, BanksPerGroup: 1, AccessSlots: 8, BlockCells: 2})
+	return dram.New(dram.Config{Banks: banks, BanksPerGroup: 1, AccessSlots: 8, BlockCells: 2, Queues: 64})
 }
 
 // snapshotBytes frames s at slot now.

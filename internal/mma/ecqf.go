@@ -165,7 +165,7 @@ func (e *ECQF) setCrit(w *window, slot int32) {
 // exit-then-enter order keeps the list consistent.
 func (e *ECQF) onShift(slot int, in, out cell.PhysQueueID) {
 	s := int32(slot)
-	if out != cell.NoPhysQueue {
+	if out >= 0 {
 		e.ensure(out)
 		w := &e.win[out]
 		o := e.occ[out]
@@ -183,7 +183,7 @@ func (e *ECQF) onShift(slot int, in, out cell.PhysQueueID) {
 			e.setCrit(w, w.first)
 		}
 	}
-	if in != cell.NoPhysQueue {
+	if in >= 0 {
 		e.ensure(in)
 		w := &e.win[in]
 		e.append(w, s)

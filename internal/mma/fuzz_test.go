@@ -17,7 +17,8 @@ import (
 //
 //	0–95    shift in queue v%Q (the queue leaving is debited)
 //	96–127  shift in the queue about to leave, if any (in == out)
-//	128–159 shift in an idle entry
+//	128–159 shift in an idle entry (even v) or an owner tag −2−v%Q
+//	        (odd v), which the index must treat as idle
 //	160–223 replenish queue v%Q, with or without pending requests
 //	224–255 force queue v%Q's ledger into [−8, 7] (negative ledgers)
 func FuzzECQFIndexMatchesScan(f *testing.F) {
@@ -45,8 +46,10 @@ func FuzzECQFIndexMatchesScan(f *testing.F) {
 				look.Shift(cell.PhysQueueID(int(v) % q))
 			case v < 128:
 				look.Shift(look.At(0))
-			case v < 160:
+			case v < 160 && v%2 == 0:
 				look.Shift(cell.NoPhysQueue)
+			case v < 160:
+				look.Shift(cell.PhysQueueID(-2 - int(v)%q))
 			case v < 224:
 				e.OnReplenish(cell.PhysQueueID(int(v) % q))
 			default:
@@ -84,9 +87,18 @@ func checkECQFIndex(t *testing.T, e *ECQF, step int) {
 		crit  int32
 	}
 	ws := make([]want, len(e.occ))
+	pending := 0
+	for _, q := range e.look.ring {
+		if q >= 0 {
+			pending++
+		}
+	}
+	if e.look.Pending() != pending {
+		t.Fatalf("step %d: Pending = %d, ring holds %d requests", step, e.look.Pending(), pending)
+	}
 	for i := range n {
 		slot := int32((e.look.head + i) % n)
-		if q := e.look.ring[slot]; q != cell.NoPhysQueue {
+		if q := e.look.ring[slot]; q >= 0 {
 			ws[q].slots = append(ws[q].slots, slot)
 		}
 	}

@@ -48,10 +48,16 @@ import (
 // entry enters at the tail and one leaves at the head every slot —
 // idle slots carry cell.NoPhysQueue. Its length fixes how far into the
 // future the MMA can see.
+//
+// A request for a physical queue is its non-negative name. The owner
+// may also carry requests that no head-SRAM queue serves (the core's
+// tail-SRAM bypass) as tags below NoPhysQueue, so that it keeps one
+// pipeline ring instead of a parallel one; the MMA treats every
+// negative entry as idle.
 type Lookahead struct {
 	ring  []cell.PhysQueueID
 	head  int
-	count int // number of non-idle entries, for stats
+	count int // number of physical-queue (non-negative) entries
 	// onShift, when set, observes every Shift *after* the register
 	// moved: slot is the ring index the incoming entry was written to
 	// (the same index the outgoing entry occupied). ECQF registers
@@ -77,7 +83,8 @@ func NewLookahead(size int) (*Lookahead, error) {
 // Size returns the register length in slots.
 func (l *Lookahead) Size() int { return len(l.ring) }
 
-// Pending returns the number of non-idle requests currently held.
+// Pending returns the number of physical-queue requests currently
+// held (tags are not counted).
 func (l *Lookahead) Pending() int { return l.count }
 
 // Shift advances the register by one slot: in enters at the tail and
@@ -93,10 +100,10 @@ func (l *Lookahead) Shift(in cell.PhysQueueID) (out cell.PhysQueueID) {
 	if l.head == len(l.ring) {
 		l.head = 0
 	}
-	if out != cell.NoPhysQueue {
+	if out >= 0 {
 		l.count--
 	}
-	if in != cell.NoPhysQueue {
+	if in >= 0 {
 		l.count++
 	}
 	if l.onShift != nil {
@@ -106,13 +113,28 @@ func (l *Lookahead) Shift(in cell.PhysQueueID) (out cell.PhysQueueID) {
 }
 
 // FastForward rotates the register head by n idle shifts in O(1). The
-// caller must only invoke it on an empty register (Pending() == 0):
+// caller must only invoke it on an all-idle register (no request and
+// no tag):
 // rotating an all-idle ring is then exactly equivalent to n
 // Shift(NoPhysQueue) calls — every entry read out would be idle, and
 // the shift observer sees nothing on idle-in/idle-out shifts.
 func (l *Lookahead) FastForward(n uint64) {
 	l.head = cell.AdvanceCursor(l.head, n, len(l.ring))
 }
+
+// Head returns the ring index the next Shift writes to (and reads the
+// exiting entry from). Owners that keep per-slot state beside the
+// register index it by this slot.
+func (l *Lookahead) Head() int { return l.head }
+
+// Entry returns the entry at ring index slot (not a distance from the
+// head). slot must be in [0, Size()).
+func (l *Lookahead) Entry(slot int) cell.PhysQueueID { return l.ring[slot] }
+
+// Tag writes an owner tag (a value below cell.NoPhysQueue) into ring
+// index slot, which must be idle: the restore-time seam for owners
+// whose snapshots frame their tags apart from the register.
+func (l *Lookahead) Tag(slot int, tag cell.PhysQueueID) { l.ring[slot] = tag }
 
 // At returns the entry i positions from the head (i=0 is the next
 // request to be served). i must be in [0, Size()).
@@ -125,9 +147,10 @@ func (l *Lookahead) At(i int) cell.PhysQueueID {
 }
 
 // Scan calls fn for each entry from head to tail, stopping early if fn
-// returns false. Idle entries are included (fn sees cell.NoPhysQueue)
-// so callers observe true slot distances. The ring walk is split into
-// two linear segments so the inner loop carries no modulo.
+// returns false. Idle entries and tags are included (fn sees a
+// negative entry) so callers observe true slot distances. The ring
+// walk is split into two linear segments so the inner loop carries no
+// modulo.
 func (l *Lookahead) Scan(fn func(i int, q cell.PhysQueueID) bool) {
 	n := len(l.ring)
 	for j := l.head; j < n; j++ {

@@ -39,7 +39,7 @@ func (e *ECQF) SelectScan(eligible func(cell.PhysQueueID) bool) (cell.PhysQueueI
 	}
 	chosen, found := cell.NoPhysQueue, false
 	e.look.Scan(func(_ int, q cell.PhysQueueID) bool {
-		if q == cell.NoPhysQueue {
+		if q < 0 {
 			return true
 		}
 		if s.stamp[q] != s.epoch {

@@ -1,6 +1,9 @@
 package mma
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/cell"
 	"repro/internal/frame"
 )
@@ -12,13 +15,14 @@ import (
 // epoch-stamped scratch) is rebuilt on restore from the authoritative
 // state, exactly as the incremental maintenance would have left it.
 
-// Snapshot writes the lookahead window contents.
+// Snapshot writes the lookahead window's physical-queue requests. Owner
+// tags are the owner's to frame (see Tag).
 func (l *Lookahead) Snapshot(w *frame.Writer) {
 	w.Begin("look")
 	w.Attr("head", int64(l.head))
 	w.Attr("count", int64(l.count))
 	for i, q := range l.ring {
-		if q != cell.NoPhysQueue {
+		if q >= 0 {
 			w.Row(int64(i), int64(q))
 		}
 	}
@@ -40,15 +44,25 @@ func (l *Lookahead) Restore(r *frame.Reader) error {
 	if err != nil {
 		return err
 	}
+	if head < 0 || head >= int64(len(l.ring)) {
+		return fmt.Errorf("%w: lookahead head %d of %d slots", frame.ErrFrame, head, len(l.ring))
+	}
+	if count < 0 || count > int64(len(l.ring)) {
+		return fmt.Errorf("%w: lookahead holds %d of %d slots", frame.ErrFrame, count, len(l.ring))
+	}
 	l.head = int(head)
-	l.count = int(count)
 	for i := int64(0); i < count; i++ {
 		row, err := r.NeedRow(2)
 		if err != nil {
 			return err
 		}
-		l.ring[row[0]] = cell.PhysQueueID(row[1])
+		slot, q := row[0], row[1]
+		if slot < 0 || slot >= int64(len(l.ring)) || l.ring[slot] != cell.NoPhysQueue || q < 0 || q > math.MaxInt32 {
+			return fmt.Errorf("%w: lookahead slot %d request %d", frame.ErrFrame, slot, q)
+		}
+		l.ring[slot] = cell.PhysQueueID(q)
 	}
+	l.count = int(count)
 	return nil
 }
 
@@ -70,9 +84,10 @@ func snapshotOcc(w *frame.Writer, name string, occ []int32) {
 	}
 }
 
-// restoreOcc loads a ledger written by snapshotOcc; set is called once
-// per restored entry.
-func restoreOcc(r *frame.Reader, name string, set func(q cell.PhysQueueID, v int32)) error {
+// restoreOcc loads a ledger written by snapshotOcc into a freshly
+// constructed selector over queues queues; set is called once per
+// restored entry.
+func restoreOcc(r *frame.Reader, name string, queues int, set func(q cell.PhysQueueID, v int32)) error {
 	if err := r.Expect(name); err != nil {
 		return err
 	}
@@ -80,12 +95,18 @@ func restoreOcc(r *frame.Reader, name string, set func(q cell.PhysQueueID, v int
 	if err != nil {
 		return err
 	}
+	prev := int64(-1)
 	for i := int64(0); i < entries; i++ {
 		row, err := r.NeedRow(2)
 		if err != nil {
 			return err
 		}
+		// Rows come once per queue, in queue order.
+		if row[0] <= prev || row[0] >= int64(queues) || row[1] < math.MinInt32 || row[1] > math.MaxInt32 {
+			return fmt.Errorf("%w: %s ledger of queue %d is %d (%d queues)", frame.ErrFrame, name, row[0], row[1], queues)
+		}
 		set(cell.PhysQueueID(row[0]), int32(row[1]))
+		prev = row[0]
 	}
 	return nil
 }
@@ -99,8 +120,7 @@ func (e *ECQF) Snapshot(w *frame.Writer) {
 // Restore loads an ECQF snapshot and rebuilds the critical-slot index
 // from the restored ledger and the (already restored) lookahead.
 func (e *ECQF) Restore(r *frame.Reader) error {
-	err := restoreOcc(r, "ecqf", func(q cell.PhysQueueID, v int32) {
-		e.ensure(q)
+	err := restoreOcc(r, "ecqf", len(e.occ), func(q cell.PhysQueueID, v int32) {
 		e.occ[q] = v
 	})
 	if err != nil {
@@ -109,7 +129,7 @@ func (e *ECQF) Restore(r *frame.Reader) error {
 	// Rebuild the per-queue window lists oldest-first (the head-to-tail
 	// scan order), then walk each queue to its critical slot.
 	e.look.Scan(func(i int, q cell.PhysQueueID) bool {
-		if q != cell.NoPhysQueue {
+		if q >= 0 {
 			e.ensure(q)
 			slot := int32(e.look.head + i)
 			if int(slot) >= len(e.look.ring) {
@@ -132,8 +152,7 @@ func (m *MDQF) Snapshot(w *frame.Writer) {
 
 // Restore loads an MDQF snapshot, rebuilding the deficit buckets.
 func (m *MDQF) Restore(r *frame.Reader) error {
-	return restoreOcc(r, "mdqf", func(q cell.PhysQueueID, v int32) {
-		m.ensure(q)
+	return restoreOcc(r, "mdqf", len(m.occ), func(q cell.PhysQueueID, v int32) {
 		m.occ[q] = v
 		m.idx.update(int(q), 0, deficit(v))
 	})
@@ -146,9 +165,8 @@ func (t *TailMMA) Snapshot(w *frame.Writer) {
 
 // Restore loads a tail MMA snapshot, rebuilding the occupancy buckets.
 func (t *TailMMA) Restore(r *frame.Reader) error {
-	return restoreOcc(r, "tmma", func(q cell.PhysQueueID, v int32) {
+	return restoreOcc(r, "tmma", len(t.occ), func(q cell.PhysQueueID, v int32) {
 		lq := cell.QueueID(q)
-		t.ensure(lq)
 		t.occ[lq] = v
 		t.idx.update(int(lq), 0, v)
 	})

@@ -7,6 +7,9 @@ import (
 	"repro/internal/frame"
 )
 
+// freeMark flags a free name in inUse while Restore loads the stacks.
+const freeMark cell.QueueID = -2
+
 // Snapshot serializes the renaming state through the trace frame
 // codec: every register's live entries in head order, and each group's
 // free-name stack verbatim. The stack order is semantic — names pop
@@ -49,9 +52,11 @@ func (t *Table) Snapshot(w *frame.Writer) {
 }
 
 // Restore loads a snapshot written by Snapshot into a freshly
-// constructed table of the same geometry, replacing its virgin free
-// stacks with the recorded ones.
-func (t *Table) Restore(r *frame.Reader) error {
+// constructed table of the same geometry serving queues logical
+// queues, replacing its virgin free stacks with the recorded ones. Each
+// name must be in range, in its group's stack, and either free or in
+// one register, once.
+func (t *Table) Restore(r *frame.Reader, queues int) error {
 	if err := r.Expect("rename"); err != nil {
 		return err
 	}
@@ -77,11 +82,14 @@ func (t *Table) Restore(r *frame.Reader) error {
 		if err != nil {
 			return err
 		}
-		g := int(row[0])
-		if g < 0 || g >= t.groups {
-			return fmt.Errorf("%w: rename group %d out of range", frame.ErrFrame, g)
+		g, p := row[0], row[1]
+		if g < 0 || g >= int64(t.groups) || p < 0 || p >= int64(t.totalNames) || p%int64(t.groups) != g || t.inUse[p] != cell.NoQueue {
+			return fmt.Errorf("%w: rename free name %d in group %d", frame.ErrFrame, p, g)
 		}
-		t.free[g] = append(t.free[g], cell.PhysQueueID(row[1]))
+		// Mark the name taken while the stacks load, so a second
+		// appearance is caught; the registers below must not claim it.
+		t.inUse[p] = freeMark
+		t.free[g] = append(t.free[g], cell.PhysQueueID(p))
 	}
 	used := 0
 	for i := int64(0); i < regs; i++ {
@@ -96,9 +104,12 @@ func (t *Table) Restore(r *frame.Reader) error {
 		if err != nil {
 			return err
 		}
-		reg := t.reg(cell.QueueID(q))
-		if int(n) > t.capacity {
+		if q < 0 || q >= int64(queues) || n < 0 || n > int64(t.capacity) {
 			return fmt.Errorf("%w: rename register %d holds %d entries, capacity %d", frame.ErrFrame, q, n, t.capacity)
+		}
+		reg := t.reg(cell.QueueID(q))
+		if reg.count != 0 {
+			return fmt.Errorf("%w: rename register %d framed twice", frame.ErrFrame, q)
 		}
 		if reg.entries == nil {
 			reg.entries = make([]entry, t.capacity)
@@ -112,10 +123,10 @@ func (t *Table) Restore(r *frame.Reader) error {
 			if err != nil {
 				return err
 			}
-			p := cell.PhysQueueID(row[0])
-			if p < 0 || int(p) >= len(t.inUse) {
-				return fmt.Errorf("%w: rename physical name %d out of range", frame.ErrFrame, p)
+			if row[0] < 0 || row[0] >= int64(len(t.inUse)) || t.inUse[row[0]] != cell.NoQueue {
+				return fmt.Errorf("%w: rename physical name %d out of range or taken", frame.ErrFrame, row[0])
 			}
+			p := cell.PhysQueueID(row[0])
 			reg.entries[j] = entry{phys: p, count: int(row[1])}
 			t.inUse[p] = cell.QueueID(q)
 			used++
@@ -123,6 +134,11 @@ func (t *Table) Restore(r *frame.Reader) error {
 	}
 	if used+int(freeN) != t.totalNames {
 		return fmt.Errorf("%w: rename names used %d + free %d != total %d", frame.ErrFrame, used, freeN, t.totalNames)
+	}
+	for _, names := range t.free {
+		for _, p := range names {
+			t.inUse[p] = cell.NoQueue
+		}
 	}
 	return nil
 }

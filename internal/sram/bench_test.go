@@ -21,14 +21,15 @@ func benchStore(b *testing.B, s Store, slab *dram.Slab) {
 		o := ord[q]
 		ord[q]++
 		blk := slab.AcquireBlock()
-		cells := slab.Cells(blk)
-		for k := range cells {
-			cells[k] = cell.Cell{Queue: cell.QueueID(q), Seq: o*benchB + uint64(k)}
+		slab.SetQueue(blk, cell.QueueID(q))
+		seqs := slab.Seqs(blk)
+		for k := range seqs {
+			seqs[k] = o*benchB + uint64(k)
 		}
 		if _, err := s.Land(q, o, blk); err != nil {
 			b.Fatal(err)
 		}
-		for range cells {
+		for range seqs {
 			if _, err := s.Pop(q); err != nil {
 				b.Fatal(err)
 			}

@@ -45,7 +45,7 @@ func TestOverflowKeepsPerCellSemantics(t *testing.T) {
 			}
 			snap = buf.Bytes()
 			restored := NewCAM(slab, 5, 16)
-			if err := restored.Restore(frame.NewReader(bytes.NewReader(snap))); err != nil {
+			if err := restored.Restore(frame.NewReader(bytes.NewReader(snap)), 1<<20); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			var again bytes.Buffer
@@ -92,7 +92,9 @@ func TestCAMReleasesBlockAfterLastCell(t *testing.T) {
 	slab := dram.NewSlab(2)
 	s := NewCAM(slab, 0, 1)
 	blk := slab.AcquireBlock()
-	copy(slab.Cells(blk), []cell.Cell{{Seq: 0}, {Seq: 1}})
+	if err := slab.SetCells(blk, []cell.Cell{{Seq: 0}, {Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.Land(0, 0, blk); err != nil {
 		t.Fatal(err)
 	}

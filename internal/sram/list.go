@@ -128,8 +128,8 @@ func (s *ListStore) Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) (in
 	rejected := 0
 	var first error
 	base := ordinal * uint64(s.blockCell)
-	for i, c := range s.cells.Cells(blk) {
-		if err := s.Insert(q, base+uint64(i), c); err != nil {
+	for i := 0; i < s.blockCell; i++ {
+		if err := s.Insert(q, base+uint64(i), s.cells.Cell(blk, i)); err != nil {
 			rejected++
 			if first == nil {
 				first = err

@@ -52,10 +52,10 @@ func (s *CAMStore) Snapshot(w *frame.Writer) {
 			if o == st.next {
 				i = st.off
 			}
-			cells := s.slab.Cells(blk)
+			q := int64(s.slab.Queue(blk))
+			seqs := s.slab.Seqs(blk)
 			for end := s.end(blk); i < end; i++ {
-				c := cells[i]
-				w.Row(int64(o*uint64(s.b)+uint64(i)), int64(c.Queue), int64(c.Seq))
+				w.Row(int64(o*uint64(s.b)+uint64(i)), q, int64(seqs[i]))
 			}
 		}
 	}
@@ -63,8 +63,11 @@ func (s *CAMStore) Snapshot(w *frame.Writer) {
 
 // Restore loads a snapshot written by Snapshot into a freshly
 // constructed store of the same geometry, packing each block's rows
-// into a slab block of its own.
-func (s *CAMStore) Restore(r *frame.Reader) error {
+// into a slab block of its own. blocks bounds the block ordinals the
+// snapshot can hold (the owner derives it from its slot clock), so a
+// corrupt position cannot size a queue's ring. A block holds one
+// queue's cells: rows that give one block two queues are rejected.
+func (s *CAMStore) Restore(r *frame.Reader, blocks uint64) error {
 	if err := r.Expect("sram-cam"); err != nil {
 		return err
 	}
@@ -97,7 +100,13 @@ func (s *CAMStore) Restore(r *frame.Reader) error {
 		if err != nil {
 			return err
 		}
-		st := s.queue(cell.PhysQueueID(q))
+		if q < 0 || q >= int64(len(s.queues)) || nextPop < 0 || uint64(nextPop)/b >= blocks {
+			return fmt.Errorf("%w: cam queue %d next position %d", frame.ErrFrame, q, nextPop)
+		}
+		st := &s.queues[q]
+		if st.count != 0 || s.nextPop(st) != 0 {
+			return fmt.Errorf("%w: cam queue %d framed twice", frame.ErrFrame, q)
+		}
 		st.next, st.off = uint64(nextPop)/b, int32(uint64(nextPop)%b)
 		// Rows come in position order; each block's resident cells are
 		// a run that starts at its first unpopped position.
@@ -108,6 +117,9 @@ func (s *CAMStore) Restore(r *frame.Reader) error {
 				return err
 			}
 			pos := uint64(row[0])
+			if row[0] < 0 || pos/b >= blocks {
+				return fmt.Errorf("%w: cam queue %d pos %d", frame.ErrFrame, q, row[0])
+			}
 			if blk == dram.NoBlock || pos/b != ord {
 				if blk != dram.NoBlock {
 					s.setEnd(blk, int32(want-ord*b))
@@ -120,13 +132,17 @@ func (s *CAMStore) Restore(r *frame.Reader) error {
 					return fmt.Errorf("%w: cam queue %d pos %d out of order", frame.ErrFrame, q, pos)
 				}
 				blk = s.slab.AcquireBlock()
+				s.slab.SetQueue(blk, cell.QueueID(row[1]))
 				st.ensure(ord)
 				st.ring[ord&uint64(len(st.ring)-1)] = blk
+			} else if row[1] != int64(s.slab.Queue(blk)) {
+				return fmt.Errorf("%w: cam queue %d block %d rows name queues %d and %d",
+					frame.ErrFrame, q, ord, s.slab.Queue(blk), row[1])
 			}
 			if pos != want {
 				return fmt.Errorf("%w: cam queue %d pos %d, want %d", frame.ErrFrame, q, pos, want)
 			}
-			s.slab.Cells(blk)[pos%b] = cell.Cell{Queue: cell.QueueID(row[1]), Seq: uint64(row[2])}
+			s.slab.Seqs(blk)[pos%b] = uint64(row[2])
 			want++
 			st.count++
 			s.total++
@@ -227,7 +243,10 @@ func (s *ListStore) Restore(r *frame.Reader) error {
 		if err != nil {
 			return err
 		}
-		st := s.queue(cell.PhysQueueID(q))
+		if q < 0 || q >= int64(len(s.queues)) {
+			return fmt.Errorf("%w: list queue %d out of range", frame.ErrFrame, q)
+		}
+		st := &s.queues[q]
 		st.nextPop = uint64(nextPop)
 		for j := int64(0); j < count; j++ {
 			row, err := r.NeedRow(3)

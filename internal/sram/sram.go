@@ -234,7 +234,7 @@ func (s *CAMStore) landSlow(q cell.PhysQueueID, st *blockQueue, ordinal uint64, 
 	if held != dram.NoBlock {
 		// A second landing of a partly resident block fills in the
 		// missing cells of the one already held.
-		copy(s.slab.Cells(held)[start:end], s.slab.Cells(blk)[start:end])
+		copy(s.slab.Seqs(held)[start:end], s.slab.Seqs(blk)[start:end])
 		s.slab.ReleaseBlock(blk)
 	} else {
 		st.ensure(ordinal)
@@ -288,7 +288,7 @@ func (s *CAMStore) Pop(q cell.PhysQueueID) (cell.Cell, error) {
 	if blk == dram.NoBlock {
 		return cell.Cell{}, fmt.Errorf("%w: queue %d pos %d", ErrMissing, q, s.nextPop(st)) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 	}
-	c := *s.slab.At(blk, int(st.off))
+	c := s.slab.Cell(blk, int(st.off))
 	st.count--
 	s.total--
 	if st.off++; int(st.off) == s.b {
@@ -309,7 +309,7 @@ func (s *CAMStore) Peek(q cell.PhysQueueID) (cell.Cell, bool) {
 	if blk == dram.NoBlock {
 		return cell.Cell{}, false
 	}
-	return *s.slab.At(blk, int(st.off)), true
+	return s.slab.Cell(blk, int(st.off)), true
 }
 
 // HasNext implements Store.

@@ -135,8 +135,9 @@ type Writer struct {
 	w   *bufio.Writer
 	hdr [headerLen]byte
 	// enc and tr are reused across WriteCells calls so steady-state
-	// framing costs no allocation beyond the trace encoder's bufio
-	// writer, for queue ids of any magnitude (TestWriteCellsAllocs).
+	// framing allocates nothing, for queue ids of any magnitude: the
+	// trace encoder appends records straight into enc
+	// (TestWriteCellsAllocs).
 	enc bytes.Buffer
 	tr  trace.Trace
 	kv  []byte

@@ -32,7 +32,8 @@ func (b *Buffer) Snapshot(w io.Writer) error { return b.inner.Snapshot(w) }
 // Restore reconstructs a buffer from a stream written by Snapshot.
 // cfg must be the configuration the snapshotted buffer was built with;
 // a mismatch returns an error matching ErrSnapshot rather than a
-// subtly wrong buffer, and an unreadable layout version returns one
+// subtly wrong buffer, as does a truncated, malformed or internally
+// inconsistent stream, and an unreadable layout version returns one
 // matching ErrSnapshotVersion.
 func Restore(r io.Reader, cfg Config) (*Buffer, error) {
 	cc, err := coreConfig(cfg)

@@ -18,6 +18,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -42,35 +43,59 @@ type Trace struct {
 // ErrFormat reports a malformed trace line.
 var ErrFormat = errors.New("trace: malformed line")
 
-// maxRecord bounds one encoded record: "a-2147483648 r-2147483648\n".
-const maxRecord = 26
+// maxRecord bounds one encoded record: "a-2147483648 r-2147483648\n";
+// maxHeader bounds the header line.
+const (
+	maxRecord = 26
+	maxHeader = 48
+)
 
-// Write serializes the trace. Records are appended in place into the
-// writer's buffer, so encoding allocates nothing per record.
+// appendHeader appends the header line of an n-slot trace.
+func appendHeader(b []byte, n int) []byte {
+	b = append(b, "# pktbuf slot trace, "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, " slots\n"...)
+}
+
+// appendRecord appends e's record line: the one encoder of the format.
+func appendRecord(b []byte, e Event) []byte {
+	switch {
+	case e.Arrival == pktbuf.None && e.Request == pktbuf.None:
+		b = append(b, '.')
+	case e.Request == pktbuf.None:
+		b = strconv.AppendInt(append(b, 'a'), int64(e.Arrival), 10)
+	case e.Arrival == pktbuf.None:
+		b = strconv.AppendInt(append(b, 'r'), int64(e.Request), 10)
+	default:
+		b = strconv.AppendInt(append(b, 'a'), int64(e.Arrival), 10)
+		b = strconv.AppendInt(append(b, " r"...), int64(e.Request), 10)
+	}
+	return append(b, '\n')
+}
+
+// Write serializes the trace. Records are appended in place: into a
+// *bytes.Buffer's spare capacity directly (grown once to the worst
+// case, so a reused buffer allocates nothing), and into a bufio.Writer
+// over any other writer.
 func (t *Trace) Write(w io.Writer) error {
+	if buf, ok := w.(*bytes.Buffer); ok {
+		buf.Grow(maxHeader + maxRecord*len(t.Events))
+		b := appendHeader(buf.AvailableBuffer(), len(t.Events))
+		for _, e := range t.Events {
+			b = appendRecord(b, e)
+		}
+		buf.Write(b)
+		return nil
+	}
 	// bufio.Writer errors are sticky: a failed write turns every later
 	// one into a no-op and resurfaces at Flush.
 	bw := bufio.NewWriter(w)
-	b := append(bw.AvailableBuffer(), "# pktbuf slot trace, "...)
-	b = strconv.AppendInt(b, int64(len(t.Events)), 10)
-	bw.Write(append(b, " slots\n"...))
+	bw.Write(appendHeader(bw.AvailableBuffer(), len(t.Events)))
 	for _, e := range t.Events {
 		if bw.Available() < maxRecord {
 			bw.Flush()
 		}
-		b := bw.AvailableBuffer()
-		switch {
-		case e.Arrival == pktbuf.None && e.Request == pktbuf.None:
-			b = append(b, '.')
-		case e.Request == pktbuf.None:
-			b = strconv.AppendInt(append(b, 'a'), int64(e.Arrival), 10)
-		case e.Arrival == pktbuf.None:
-			b = strconv.AppendInt(append(b, 'r'), int64(e.Request), 10)
-		default:
-			b = strconv.AppendInt(append(b, 'a'), int64(e.Arrival), 10)
-			b = strconv.AppendInt(append(b, " r"...), int64(e.Request), 10)
-		}
-		bw.Write(append(b, '\n'))
+		bw.Write(appendRecord(bw.AvailableBuffer(), e))
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("trace: write: %w", err)

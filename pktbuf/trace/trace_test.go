@@ -70,6 +70,27 @@ func TestWriteBytes(t *testing.T) {
 	if got := buf.String(); got != want {
 		t.Errorf("Write = %q, want %q", got, want)
 	}
+
+	// A *bytes.Buffer is encoded into in place, any other writer
+	// through a bufio.Writer: both must give the same bytes, also for
+	// a trace longer than one bufio buffer.
+	long := &trace.Trace{}
+	for i := range 1000 {
+		long.Events = append(long.Events, trace.Event{Arrival: pktbuf.Queue(1<<30 + i), Request: pktbuf.Queue(i % 7)})
+	}
+	for _, tr := range []*trace.Trace{in, long} {
+		var direct bytes.Buffer
+		var viaBufio strings.Builder
+		if err := tr.Write(&direct); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Write(&viaBufio); err != nil {
+			t.Fatal(err)
+		}
+		if direct.String() != viaBufio.String() {
+			t.Errorf("%d events: bytes.Buffer and bufio encodings differ", len(tr.Events))
+		}
+	}
 }
 
 // failingWriter rejects every write.
