@@ -23,8 +23,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sync"
@@ -35,28 +37,42 @@ import (
 	"repro/pktbuf/sim"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", "localhost:9950", "pktbufd data-plane address")
-		conns    = flag.Int("conns", 8, "client connections to open")
-		flows    = flag.Int("flows", 1024, "total flows across all connections")
-		rate     = flag.Float64("rate", 100000, "aggregate offered load in cells/second")
-		duration = flag.Duration("duration", 5*time.Second, "how long to offer load")
-		every    = flag.Duration("every", 5*time.Millisecond, "submit cadence per connection")
-		pattern  = flag.String("arrivals", "uniform", "flow-choice pattern: uniform|roundrobin")
-		seed     = flag.Int64("seed", 1, "workload RNG seed")
-		strict   = flag.Bool("strict", false, "exit non-zero on any admission reject (counted across reconnects)")
-		byeWait  = flag.Duration("byewait", 30*time.Second, "drain confirmation budget per connection")
+// maxBurst caps the cells one Submit frame carries.
+const maxBurst = 4096
 
-		retry     = flag.Int("retry", 0, "reconnect attempts with session resumption per failure (0 = fail on first error)")
-		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "initial reconnect backoff (doubles per attempt, jittered)")
-		retryMax  = flag.Duration("retry-max", 5*time.Second, "reconnect backoff ceiling")
-		keepAlive = flag.Duration("keepalive", 0, "probe an idle server this often; treat two silent intervals as a dead connection")
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run is the command: it parses args, drives the load and returns the
+// exit status, logging to stderr.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pktbufload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr     = fs.String("addr", "localhost:9950", "pktbufd data-plane address")
+		conns    = fs.Int("conns", 8, "client connections to open")
+		flows    = fs.Int("flows", 1024, "total flows across all connections")
+		rate     = fs.Float64("rate", 100000, "aggregate offered load in cells/second")
+		duration = fs.Duration("duration", 5*time.Second, "how long to offer load")
+		every    = fs.Duration("every", 5*time.Millisecond, "submit cadence per connection")
+		pattern  = fs.String("arrivals", "uniform", "flow-choice pattern: uniform|roundrobin")
+		seed     = fs.Int64("seed", 1, "workload RNG seed")
+		strict   = fs.Bool("strict", false, "exit non-zero on any admission reject (counted across reconnects)")
+		byeWait  = fs.Duration("byewait", 30*time.Second, "drain confirmation budget per connection")
+
+		retry     = fs.Int("retry", 0, "reconnect attempts with session resumption per failure (0 = fail on first error)")
+		retryBase = fs.Duration("retry-base", 50*time.Millisecond, "initial reconnect backoff (doubles per attempt, jittered)")
+		retryMax  = fs.Duration("retry-max", 5*time.Second, "reconnect backoff ceiling")
+		keepAlive = fs.Duration("keepalive", 0, "probe an idle server this often; treat two silent intervals as a dead connection")
 	)
-	flag.Parse()
-	logger := log.New(os.Stderr, "pktbufload: ", log.LstdFlags)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	logger := log.New(stderr, "pktbufload: ", log.LstdFlags)
 	if *conns <= 0 || *flows < *conns {
-		logger.Fatalf("need at least one flow per connection (conns=%d flows=%d)", *conns, *flows)
+		logger.Printf("need at least one flow per connection (conns=%d flows=%d)", *conns, *flows)
+		return 1
 	}
 
 	type result struct {
@@ -113,7 +129,7 @@ func main() {
 				slot    uint64
 				carry   float64
 				deadln  = time.Now().Add(*duration)
-				burst   = make([]pktbuf.Queue, 0, 4096)
+				burst   = make([]pktbuf.Queue, 0, maxBurst)
 				perTick = cps * every.Seconds()
 			)
 			for time.Now().Before(deadln) {
@@ -121,6 +137,10 @@ func main() {
 				n := int(carry)
 				carry -= float64(n)
 				burst = burst[:0]
+				// A Submit larger than the daemon's window is refused
+				// outright, so a tick's cells go out in frames of at
+				// most one window each.
+				limit := min(maxBurst, c.Welcome().Window)
 				for j := 0; j < n; j++ {
 					q := gen.Next(slot)
 					slot++
@@ -128,7 +148,7 @@ func main() {
 						continue
 					}
 					burst = append(burst, assigned[q])
-					if len(burst) == cap(burst) {
+					if len(burst) == limit {
 						if err := c.Submit(burst); err != nil {
 							res.err = fmt.Errorf("submit: %w", err)
 							break
@@ -185,13 +205,14 @@ func main() {
 		total.Submitted, total.Delivered, total.Rejected, rejects, total.Resumes, *conns, *flows)
 	switch {
 	case failures > 0:
-		os.Exit(1)
+		return 1
 	case total.Delivered+total.Rejected != total.Submitted:
 		logger.Printf("lost cells: %d submitted never resolved",
 			total.Submitted-total.Delivered-total.Rejected)
-		os.Exit(1)
+		return 1
 	case *strict && total.Rejected > 0:
 		logger.Printf("strict: %d cells rejected", total.Rejected)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -53,9 +53,11 @@ func AdvanceCursor(i int, n uint64, size int) int {
 // let tests verify end-to-end FIFO delivery per logical queue.
 //
 // Cell is the value form at the buffer's edges (delivery, snapshots,
-// tests). Inside the buffer a resident cell is stored as its Seq only:
-// the cells of a b-cell block all belong to one queue, so the DRAM's
-// block slab names Queue once per block (dram.Slab).
+// tests). Inside the buffer no cell is stored on its own: a b-cell
+// block is b consecutive arrivals of one queue, so the DRAM's block
+// slab stores the block's Queue and its first Seq, and cell k of the
+// block is (Queue, first+k) (dram.Slab); the tail SRAM counts the
+// cells it has not yet staged or promised.
 type Cell struct {
 	// Queue is the logical VOQ the cell belongs to.
 	Queue QueueID

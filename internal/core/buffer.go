@@ -67,123 +67,123 @@ type TickOutput struct {
 	Bypassed bool
 }
 
-// tailQueue is one logical queue's slice of the tail SRAM: its cells
-// in arrival order, written once into a chain of slab blocks linked by
-// dram.Slab.Next — first holds the oldest cell at offset front, last
-// the youngest at offset fill−1. Every block of the chain names the
-// queue, set when the block is taken. The first promised cells are
-// committed to the bypass path; staging removes the b oldest
-// unpromised cells (DRAM receives cells strictly in arrival order). A
-// queue with no cells holds no block.
+// tailQueue is one logical queue's slice of the tail SRAM: n cells,
+// the oldest promised of which are committed to the bypass path. A
+// queue's cells are consecutive arrivals and leave the tail only from
+// the front of one of two classes, so neither class is stored cell by
+// cell:
+//
+//   - the n−promised unpromised cells are always the youngest, the
+//     sequence numbers [arrived−(n−promised), arrived) where arrived is
+//     the queue's arrival count — counters say them all, and staging
+//     takes the b oldest of them as one run block for the DRAM;
+//   - the promised cells strictly increase, and form consecutive runs
+//     broken only where a staging fell between two promises. The front
+//     run — head, head+1, …, headLeft cells still to deliver — is held
+//     here, so a queue with one run (every queue on bypass-only
+//     traffic) touches no slab block. Each later run is a slab block
+//     (dram.Slab.SetRun) on a circular list linked through
+//     dram.Slab.Next: last is the youngest run and its link names the
+//     oldest.
+//
+// headLeft is zero exactly when nothing is promised; a queue holds a
+// block only while it has two promised runs or more.
 type tailQueue struct {
-	first, last dram.Block
-	front, fill int32
-	n, promised int32
+	head                  uint64
+	headLeft, n, promised int32
+	last                  dram.Block
 }
 
 func (t *tailQueue) len() int { return int(t.n) }
 
-// push appends queue q's cell seq, taking a new block when the last
-// one is full.
-func (t *tailQueue) push(s *dram.Slab, q cell.QueueID, seq uint64) {
-	if t.n == 0 {
-		t.first = s.AcquireBlock()
-		s.SetQueue(t.first, q)
-		t.last, t.front, t.fill = t.first, 0, 0
-	} else if int(t.fill) == s.BlockCells() {
-		blk := s.AcquireBlock()
-		s.SetQueue(blk, q)
-		s.SetNext(t.last, blk)
-		t.last, t.fill = blk, 0
+// oldest returns the sequence number of t's oldest unpromised cell,
+// given the queue's arrival count.
+//
+//pktbuf:hotpath
+func (t *tailQueue) oldest(arrived uint64) uint64 { return arrived - uint64(t.n-t.promised) }
+
+// promise commits the unpromised cell seq (the oldest) to the bypass
+// path, extending the youngest run when seq follows it.
+//
+//pktbuf:hotpath
+func (t *tailQueue) promise(s *dram.Slab, seq uint64) {
+	t.promised++
+	switch {
+	case t.headLeft == 0:
+		t.head, t.headLeft = seq, 1
+		return
+	case t.last == dram.NoBlock:
+		if t.head+uint64(t.headLeft) == seq {
+			t.headLeft++
+			return
+		}
+	default:
+		if first, n := s.Run(t.last); first+uint64(n) == seq {
+			s.SetRun(t.last, first, n+1)
+			return
+		}
 	}
-	s.SetSeq(t.last, int(t.fill), seq)
-	t.fill++
-	t.n++
+	blk := s.AcquireBlock()
+	s.SetRun(blk, seq, 1)
+	if t.last == dram.NoBlock {
+		s.SetNext(blk, blk)
+	} else {
+		s.SetNext(blk, s.Next(t.last))
+		s.SetNext(t.last, blk)
+	}
+	t.last = blk
 }
 
-// popFront removes and returns the oldest cell (the bypass delivery),
-// releasing its block once the block is spent.
-func (t *tailQueue) popFront(s *dram.Slab) cell.Cell {
-	c := s.Cell(t.first, int(t.front))
+// popFront removes and returns queue q's oldest cell, which is
+// promised (the bypass delivery). Once the front run is spent, the
+// oldest slab run becomes the front run and its block is released.
+//
+//pktbuf:hotpath
+func (t *tailQueue) popFront(s *dram.Slab, q cell.QueueID) cell.Cell {
+	c := cell.Cell{Queue: q, Seq: t.head}
 	t.n--
-	if t.front++; t.n == 0 || int(t.front) == s.BlockCells() {
-		t.dropFront(s)
+	t.promised--
+	t.head++
+	if t.headLeft--; t.headLeft == 0 && t.last != dram.NoBlock {
+		blk := s.Next(t.last)
+		t.head, t.headLeft = s.Run(blk)
+		if blk == t.last {
+			t.last = dram.NoBlock
+		} else {
+			s.SetNext(t.last, s.Next(blk))
+		}
+		s.ReleaseBlock(blk)
 	}
 	return c
 }
 
-// dropFront releases the spent front block.
-func (t *tailQueue) dropFront(s *dram.Slab) {
-	blk := t.first
-	if t.n == 0 {
-		t.first, t.last = dram.NoBlock, dram.NoBlock
-	} else {
-		t.first, t.front = s.Next(blk), 0
-	}
-	s.ReleaseBlock(blk)
+// stage removes the b oldest unpromised cells of queue q (the queue
+// holds at least b) and returns them as a block for the DRAM.
+func (t *tailQueue) stage(s *dram.Slab, q cell.QueueID, arrived uint64) dram.Block {
+	blk := s.AcquireBlock()
+	s.SetCells(blk, q, t.oldest(arrived))
+	t.n -= int32(s.BlockCells())
+	return blk
 }
 
-// stage removes the b oldest unpromised cells (the queue holds at
-// least b) and returns them as a block for the DRAM. When nothing is
-// promised and the oldest cell starts its block, that block is whole
-// and itself leaves the chain by handle. Otherwise the b sequence
-// numbers are copied into a fresh block of the same queue and the
-// promised prefix slides b cells toward the tail over the vacated
-// positions, streamed through the b-entry delay line (the chain links
-// run one way only).
-func (t *tailQueue) stage(s *dram.Slab, delay []uint64) dram.Block {
-	b := int32(s.BlockCells())
-	if t.promised == 0 && t.front == 0 {
-		blk := t.first
-		t.n -= b
-		if t.n == 0 {
-			t.first, t.last = dram.NoBlock, dram.NoBlock
-		} else {
-			t.first = s.Next(blk)
-		}
-		return blk
+// cells calls fn on the sequence number of each of t's cells, oldest
+// first: the promised runs, then the unpromised cells.
+func (t *tailQueue) cells(s *dram.Slab, arrived uint64, fn func(seq uint64)) {
+	for k := range t.headLeft {
+		fn(t.head + uint64(k))
 	}
-	dst := s.AcquireBlock()
-	s.SetQueue(dst, s.Queue(t.first))
-	out := s.Seqs(dst)
-	blk, off, k := t.first, t.front, 0
-	seqs := s.Seqs(blk)
-	for j, end := int32(0), t.promised+b; j < end; j++ {
-		orig := seqs[off]
-		if j >= t.promised {
-			out[j-t.promised] = orig
+	for blk := t.last; blk != dram.NoBlock; {
+		blk = s.Next(blk)
+		first, n := s.Run(blk)
+		for k := range n {
+			fn(first + uint64(k))
 		}
-		if j >= b {
-			seqs[off] = delay[k]
-		}
-		delay[k] = orig
-		if k++; k == int(b) {
-			k = 0
-		}
-		if off++; off == b && j+1 < end {
-			blk, off = s.Next(blk), 0
-			seqs = s.Seqs(blk)
+		if blk == t.last {
+			break
 		}
 	}
-	// The b vacated positions are now the oldest: drop them. front < b,
-	// so exactly the first block is spent.
-	next := s.Next(t.first)
-	s.ReleaseBlock(t.first)
-	t.first = next
-	if t.n -= b; t.n == 0 {
-		t.dropFront(s)
-	}
-	return dst
-}
-
-// cells calls fn on each of t's cells, oldest first.
-func (t *tailQueue) cells(s *dram.Slab, fn func(cell.Cell)) {
-	blk, off := t.first, t.front
-	for i := int32(0); i < t.n; i++ {
-		fn(s.Cell(blk, int(off)))
-		if off++; int(off) == s.BlockCells() {
-			blk, off = s.Next(blk), 0
-		}
+	for seq := t.oldest(arrived); seq < arrived; seq++ {
+		fn(seq)
 	}
 }
 
@@ -192,8 +192,8 @@ func (t *tailQueue) cells(s *dram.Slab, fn func(cell.Cell)) {
 // counters, each in its own contiguous word-aligned array indexed by
 // the logical queue ordinal. Keeping each counter class dense lets the
 // round-robin steady state walk sixteen queues per cache line instead
-// of two. Only the tail-SRAM chains stay array-of-structs: a push or a
-// pop touches all of one queue's chain fields together.
+// of two. Only the tail-SRAM queues stay array-of-structs: a promise
+// or a pop touches all of one queue's tail fields together.
 type kernelState struct {
 	arrivedSeq   []uint64
 	deliveredSeq []uint64
@@ -284,13 +284,10 @@ type Buffer struct {
 	phase   int
 
 	// ks is the packed per-queue state arena (structure of arrays) and
-	// tails the parallel tail-SRAM chain arena, both indexed by the
-	// logical queue ordinal and sized to Config.Q at construction.
-	// delay is the b-entry scratch line tailQueue.stage slides promised
-	// cells' sequence numbers through.
+	// tails the parallel tail-SRAM arena, both indexed by the logical
+	// queue ordinal and sized to Config.Q at construction.
 	ks        kernelState
 	tails     []tailQueue
-	delay     []uint64
 	tailTotal int // resident cells incl. promised and staged
 	// pendingTotal counts admitted requests not yet delivered (the
 	// cells in flight through the request pipeline).
@@ -447,7 +444,6 @@ func New(cfg Config) (*Buffer, error) {
 		logical:  logical,
 		ks:       newKernelState(cfg.Q),
 		tails:    make([]tailQueue, cfg.Q),
-		delay:    make([]uint64, cfg.Bsmall),
 		compRing: make([][]completion, dcfg.AccessSlots+1),
 		access:   dcfg.AccessSlots,
 	}
@@ -734,9 +730,8 @@ func (b *Buffer) arrive(q cell.QueueID) error {
 		}
 		return fmt.Errorf("%w: %d cells at slot %d", ErrTailOverflow, b.tailTotal, b.now)
 	}
-	seq := b.ks.arrivedSeq[q]
-	b.ks.arrivedSeq[q] = seq + 1
-	b.tails[q].push(b.slab, q, seq)
+	b.ks.arrivedSeq[q]++
+	b.tails[q].n++
 	b.tailTotal++
 	b.tmma.OnArrival(q)
 	b.ks.sysOcc[q]++
@@ -760,7 +755,8 @@ func (b *Buffer) admitRequest(q cell.QueueID) (cell.PhysQueueID, error) {
 	if !ok {
 		// Bypass: commit the oldest unpromised tail cell to direct
 		// delivery and remove it from the t-MMA's stageable ledger.
-		b.tails[q].promised++
+		t := &b.tails[q]
+		t.promise(b.slab, t.oldest(b.ks.arrivedSeq[q]))
 		b.tmma.OnBypass(q)
 		return bypassEntry(q), nil
 	}
@@ -783,8 +779,7 @@ func (b *Buffer) deliver(phys cell.PhysQueueID, q cell.QueueID) (*cell.Cell, boo
 			return nil, false, fmt.Errorf("%w: bypass for queue %d at slot %d finds no cell",
 				ErrMiss, q, b.now) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 		}
-		c = tq.popFront(b.slab)
-		tq.promised--
+		c = tq.popFront(b.slab, q)
 		b.tailTotal--
 		bypassed = true
 	} else {
@@ -838,7 +833,7 @@ func (b *Buffer) tailCycle() error {
 	if err := b.mapr.NoteWrite(q, p); err != nil {
 		return err
 	}
-	blk := b.tails[q].stage(b.slab, b.delay)
+	blk := b.tails[q].stage(b.slab, q, b.ks.arrivedSeq[q])
 	b.tmma.OnTransfer(q)
 	return b.sched.Enqueue(dss.Request{
 		Queue: p, Dir: dss.Write, Ordinal: ordinal, Bank: bank,

@@ -95,27 +95,18 @@ func inFlight(snap []byte) (writes, comps int) {
 // edits a valid snapshot so that one block's second cell names another
 // queue, and requires RestoreBuffer to fail with frame.ErrFrame.
 func TestRestoreRejectsMixedQueueBlock(t *testing.T) {
-	cfg := Config{Q: 8, B: 8, Bsmall: 4, Banks: 16}
-	buf, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(46))
-	// edits maps a section to a function that mutates the first
-	// eligible row of its frame, reporting whether it found one.
-	type edit func(f []string, prev []string) bool
 	bump := func(f []string, i int) { f[i] += "1" }
-	edits := map[string]edit{
-		"dram-queue": func(f, _ []string) bool { bump(f, 3); return true },
-		"dss": func(f, _ []string) bool {
+	applied, full := requireRejectedEdits(t, Config{Q: 8, B: 8, Bsmall: 4, Banks: 16}, 46, map[string]rowEdit{
+		"dram-queue": func(_ map[string]int64, _ int, f, _ []string) bool { bump(f, 3); return true },
+		"dss": func(_ map[string]int64, _ int, f, _ []string) bool {
 			if len(f) < 10 || f[1] != "1" { // a write entry with its block
 				return false
 			}
 			bump(f, 9)
 			return true
 		},
-		"comp-slot": func(f, _ []string) bool { bump(f, 4); return true },
-		"sram-cam-queue": func(f, prev []string) bool {
+		"comp-slot": func(_ map[string]int64, _ int, f, _ []string) bool { bump(f, 4); return true },
+		"sram-cam-queue": func(_ map[string]int64, _ int, f, prev []string) bool {
 			// The previous row is the same block's earlier cell.
 			if prev == nil || pos(f[0])/4 != pos(prev[0])/4 {
 				return false
@@ -123,7 +114,84 @@ func TestRestoreRejectsMixedQueueBlock(t *testing.T) {
 			bump(f, 1)
 			return true
 		},
+	})
+	if !full {
+		t.Fatalf("no cut held a block in all four sections (edits applied: %v)", applied)
 	}
+}
+
+// TestRestoreRejectsNonRunBlock: a slab block is a run — cell k is
+// (queue, first+k) — and the tail SRAM keeps its unpromised cells as
+// counters and its promised cells as increasing runs, so a snapshot
+// whose rows break any of that cannot be restored faithfully. For DRAM
+// queue rows, Requests Register write entries, completions and head
+// CAM rows the test makes one block's cells non-consecutive; for tail
+// rows it makes an unpromised cell differ from the youngest arrivals,
+// and two promised cells repeat a sequence number. RestoreBuffer must
+// fail with frame.ErrFrame every time.
+func TestRestoreRejectsNonRunBlock(t *testing.T) {
+	inc := func(f []string, i int) { f[i] = strconv.Itoa(pos(f[i]) + 1) }
+	edits := map[string]rowEdit{
+		"dram-queue": func(_ map[string]int64, _ int, f, _ []string) bool { inc(f, 4); return true },
+		"dss": func(_ map[string]int64, _ int, f, _ []string) bool {
+			if len(f) < 11 || f[1] != "1" { // a write entry with its block
+				return false
+			}
+			inc(f, 10)
+			return true
+		},
+		"comp-slot": func(_ map[string]int64, _ int, f, _ []string) bool { inc(f, 5); return true },
+		"sram-cam-queue": func(_ map[string]int64, _ int, f, prev []string) bool {
+			if prev == nil || pos(f[0])/4 != pos(prev[0])/4 {
+				return false
+			}
+			inc(f, 2)
+			return true
+		},
+		"tail/unpromised": func(a map[string]int64, i int, f, _ []string) bool {
+			if int64(i) != a["n"]-1 || a["promised"] == a["n"] {
+				return false
+			}
+			inc(f, 1)
+			return true
+		},
+		"tail/promised": func(a map[string]int64, i int, f, prev []string) bool {
+			if i != 1 || a["promised"] < 2 {
+				return false
+			}
+			f[1] = prev[1]
+			return true
+		},
+	}
+	applied, _ := requireRejectedEdits(t, Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, Lookahead: 4, LatencySlots: 12}, 48, edits)
+	for section := range edits {
+		if applied[section] == 0 {
+			t.Errorf("no cut held a row for the %s edit", section)
+		}
+	}
+	t.Logf("cuts each edit applied at: %v", applied)
+}
+
+// rowEdit mutates row f of a snapshot frame in place and reports
+// whether it applied. attrs are the frame's header attributes, i the
+// row's index in the frame and prev the frame's previous row (nil for
+// the first).
+type rowEdit func(attrs map[string]int64, i int, f, prev []string) bool
+
+// requireRejectedEdits drives a dense buffer of cfg from seed to cuts
+// 1000…1199. At each cut it applies each edit, keyed by frame name
+// (with an optional "/label" suffix), to the first row of that frame
+// it applies to, and requires RestoreBuffer to reject the edited
+// snapshot with frame.ErrFrame. It returns how many cuts each edit
+// applied at, and whether some cut took every edit.
+func requireRejectedEdits(t *testing.T, cfg Config, seed int64, edits map[string]rowEdit) (map[string]int, bool) {
+	t.Helper()
+	buf, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	applied, full := map[string]int{}, false
 	for cut := 1000; cut < 1200; cut++ {
 		denseStimulus(t, buf, rng, cut-int(buf.Now()))
 		var snap bytes.Buffer
@@ -134,39 +202,53 @@ func TestRestoreRejectsMixedQueueBlock(t *testing.T) {
 			t.Fatalf("cut %d: unedited snapshot: %v", cut, err)
 		}
 		mutated := 0
-		for section, ed := range edits {
+		for key, ed := range edits {
+			section, _, _ := strings.Cut(key, "/")
 			lines := strings.Split(snap.String(), "\n")
-			sect, done := "", false
-			var prev []string
-			for i, line := range lines {
-				if strings.HasPrefix(line, "!") {
-					sect, prev = strings.Fields(line[1:])[0], nil
-					continue
-				}
-				if sect != section || line == "" {
-					continue
-				}
-				f := strings.Fields(line)
-				if ed(f, prev) {
-					lines[i], done = strings.Join(f, " "), true
-					break
-				}
-				prev = f
-			}
-			if !done {
+			if !editFirstRow(lines, section, ed) {
 				continue
 			}
 			mutated++
+			applied[key]++
 			_, err := RestoreBuffer(strings.NewReader(strings.Join(lines, "\n")), cfg)
 			if !errors.Is(err, frame.ErrFrame) {
-				t.Errorf("cut %d: %s block with two queues: err = %v, want frame.ErrFrame", cut, section, err)
+				t.Errorf("cut %d: %s edit: err = %v, want frame.ErrFrame", cut, key, err)
 			}
 		}
-		if mutated == len(edits) {
-			return
-		}
+		full = full || mutated == len(edits)
 	}
-	t.Fatal("no cut held a block in all four sections")
+	return applied, full
+}
+
+// editFirstRow applies ed to the first row of a section frame in lines
+// it applies to, and reports whether it found one.
+func editFirstRow(lines []string, section string, ed rowEdit) bool {
+	sect, i := "", 0
+	var attrs map[string]int64
+	var prev []string
+	for k, line := range lines {
+		if strings.HasPrefix(line, "!") {
+			hdr := strings.Fields(line[1:])
+			sect, i, prev, attrs = hdr[0], 0, nil, map[string]int64{}
+			for _, kv := range hdr[1:] {
+				if name, v, ok := strings.Cut(kv, "="); ok {
+					attrs[name] = int64(pos(v))
+				}
+			}
+			continue
+		}
+		if sect != section || line == "" {
+			continue
+		}
+		f := strings.Fields(line)
+		if ed(attrs, i, f, prev) {
+			lines[k] = strings.Join(f, " ")
+			return true
+		}
+		prev = f
+		i++
+	}
+	return false
 }
 
 func pos(s string) int {

@@ -119,7 +119,7 @@ func (b *Buffer) Snapshot(w io.Writer) error {
 		fw.Attr("q", int64(q))
 		fw.Attr("promised", int64(t.promised))
 		fw.Attr("n", int64(t.len()))
-		t.cells(b.slab, func(c cell.Cell) { fw.Row(int64(c.Queue), int64(c.Seq)) })
+		t.cells(b.slab, b.ks.arrivedSeq[q], func(seq uint64) { fw.Row(int64(q), int64(seq)) })
 	}
 
 	// Completion calendar: in-flight DRAM→SRAM transfers by landing
@@ -362,6 +362,14 @@ func restoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 			return nil, fmt.Errorf("%w: tail queue %d out of range", frame.ErrFrame, q)
 		}
 		t := &b.tails[q]
+		arrived := b.ks.arrivedSeq[q]
+		if promised < 0 || promised > cells || uint64(cells-promised) > arrived || t.n != 0 {
+			return nil, fmt.Errorf("%w: tail queue %d promises %d of %d cells after %d arrivals",
+				frame.ErrFrame, q, promised, cells, arrived)
+		}
+		// The promised cells strictly increase and are rebuilt as runs;
+		// the unpromised ones are exactly the youngest arrivals.
+		u, prev := arrived-uint64(cells-promised), uint64(0)
 		for j := int64(0); j < cells; j++ {
 			row, err := fr.NeedRow(2)
 			if err != nil {
@@ -370,12 +378,21 @@ func restoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 			if row[0] != q {
 				return nil, fmt.Errorf("%w: tail queue %d holds a cell of queue %d", frame.ErrFrame, q, row[0])
 			}
-			t.push(b.slab, cell.QueueID(q), uint64(row[1]))
+			seq := uint64(row[1])
+			switch {
+			case j >= promised:
+				if seq != u+uint64(j-promised) {
+					return nil, fmt.Errorf("%w: tail queue %d unpromised cell %d has seq %d, want %d",
+						frame.ErrFrame, q, j-promised, seq, u+uint64(j-promised))
+				}
+			case seq >= u || (j > 0 && seq <= prev):
+				return nil, fmt.Errorf("%w: tail queue %d promised seq %d out of order", frame.ErrFrame, q, seq)
+			default:
+				t.promise(b.slab, seq)
+				prev = seq
+			}
 		}
-		if promised < 0 || promised > cells {
-			return nil, fmt.Errorf("%w: tail queue %d promises %d of %d cells", frame.ErrFrame, q, promised, cells)
-		}
-		t.promised = int32(promised)
+		t.n = int32(cells)
 	}
 
 	if err := fr.Expect("comp"); err != nil {

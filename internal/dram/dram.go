@@ -11,20 +11,18 @@
 // issue step (performed in DSA order, addressed by ordinal).
 //
 // Blocks move by descriptor, as in the paper's Requests Register. The
-// DRAM's Slab is the buffer's one cell store, from arrival to
-// delivery: a cell is written into a slab block once, when it arrives
-// in the tail SRAM, and the b-cell block then moves by its int32 Block
-// handle — the tail SRAM stages it, BeginWriteAt takes ownership,
-// BeginReadAt hands it back, the head SRAM holds it until its last
-// cell is delivered, and ReleaseBlock recycles it. Slab chunks are
-// allocated whole and never move, so a block's cells stay put for as
-// long as it is live, and released handles are reused through a free
-// list: the steady-state datapath neither copies a block nor
-// allocates. A block is b cells of one logical queue, so the slab keeps
-// the queue once, in the block's 8-byte record beside its tail-chain
-// link, and stores only each cell's 8-byte sequence number: a resident
-// cell costs 8 + 8/b bytes. Each queue's ordinal ring stores 4-byte
-// handles.
+// DRAM's Slab is the buffer's one block store, from staging to
+// delivery: a block is b consecutive cells of one logical queue, so it
+// is held as one 16-byte run record — the queue and the sequence
+// number of its first cell — named by an int32 Block handle. The tail
+// SRAM takes a block when it stages b cells, BeginWriteAt takes
+// ownership, BeginReadAt hands it back, the head SRAM holds it until
+// its last cell is delivered, and ReleaseBlock recycles it; the tail
+// SRAM also keeps all but the front run of its promised cells in slab
+// blocks. Slab chunks are allocated whole and never move, and released
+// handles are reused through a free list: the steady-state datapath
+// neither copies a block nor allocates. Each queue's ordinal ring
+// stores 4-byte handles.
 //
 // The model is storage-accurate (it holds the actual cells, so tests
 // can verify end-to-end FIFO delivery) and timing-accurate at slot
@@ -128,8 +126,6 @@ type queueState struct {
 	writeReserved uint64
 	// readReserved is the next block ordinal to assign to a read.
 	readReserved uint64
-	// readsDone counts issued reads, for stats.
-	readsDone uint64
 }
 
 // blockRing is a power-of-two ring of issued-but-unread block handles
@@ -522,7 +518,6 @@ func (d *DRAM) BeginReadAt(p cell.PhysQueueID, ordinal uint64, now cell.Slot) (B
 			ErrBankConflict, b, d.busyUntil[b], now)
 	}
 	q.ring.del(ordinal)
-	q.readsDone++
 	d.busyUntil[b] = now + cell.Slot(d.cfg.AccessSlots)
 	d.groupBlk[d.Group(p)]--
 	d.accesses++

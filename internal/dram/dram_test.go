@@ -21,13 +21,7 @@ func testConfig() Config {
 // mkBlock stages a block of q's cells start, start+1, … in d's slab.
 func mkBlock(d *DRAM, q cell.QueueID, start uint64) Block {
 	blk := d.AcquireBlock()
-	cells := make([]cell.Cell, d.BlockCells())
-	for i := range cells {
-		cells[i] = cell.Cell{Queue: q, Seq: start + uint64(i)}
-	}
-	if err := d.SetCells(blk, cells); err != nil {
-		panic(err)
-	}
+	d.SetCells(blk, q, start)
 	return blk
 }
 
@@ -207,7 +201,7 @@ func TestReadEmptyQueue(t *testing.T) {
 // malformed block a write can name is a handle the slab never issued.
 func TestBadBlockSize(t *testing.T) {
 	d := New(testConfig())
-	if got := len(d.Seqs(mkBlock(d, 0, 0))); got != d.Config().BlockCells {
+	if got := len(d.AppendCells(nil, mkBlock(d, 0, 0))) / 2; got != d.Config().BlockCells {
 		t.Errorf("block holds %d cells, want b = %d", got, d.Config().BlockCells)
 	}
 	for _, blk := range []Block{NoBlock, -1, 2} {

@@ -9,11 +9,11 @@ import (
 )
 
 // TestOneSlabTailDRAMHead: one slab serves the tail SRAM, the DRAM and
-// the head SRAM. A block written at the tail moves through a DRAM write
-// and read into a CAM head SRAM by handle, with its cells at the same
-// address throughout; the head releases it after its last cell, the
-// tail's next block reuses that handle, and once warm a full round
-// trip allocates nothing.
+// the head SRAM. A block the tail takes when it stages b cells (a run:
+// the queue and its first sequence number) moves through a DRAM write
+// and read into a CAM head SRAM by handle; the head releases it after
+// its last cell, the tail's next staging reuses that handle, and once
+// warm a full round trip allocates nothing.
 func TestOneSlabTailDRAMHead(t *testing.T) {
 	const b = 4
 	d := dram.New(dram.Config{Banks: 8, BanksPerGroup: 4, AccessSlots: 8, BlockCells: b, Queues: 2})
@@ -23,14 +23,9 @@ func TestOneSlabTailDRAMHead(t *testing.T) {
 	seq := uint64(0)
 	var last dram.Block
 	round := func() {
-		// Tail: write b arriving cells into a fresh block.
+		// Tail: stage the b oldest unpromised cells as one run block.
 		blk := d.AcquireBlock()
-		d.SetQueue(blk, cell.QueueID(p))
-		seqs := d.Seqs(blk)
-		addr := &seqs[0]
-		for i := range seqs {
-			seqs[i] = seq + uint64(i)
-		}
+		d.SetCells(blk, cell.QueueID(p), seq)
 		if last != dram.NoBlock && blk != last {
 			t.Fatalf("tail took block %d, want %d released by the head", blk, last)
 		}
@@ -51,8 +46,8 @@ func TestOneSlabTailDRAMHead(t *testing.T) {
 			t.Fatal(err)
 		}
 		now += 8
-		if got != blk || &d.Seqs(got)[0] != addr {
-			t.Fatalf("DRAM handed back block %d, want %d at the same address", got, blk)
+		if got != blk || d.Queue(got) != cell.QueueID(p) || d.Cell(got, b-1).Seq != seq+b-1 {
+			t.Fatalf("DRAM handed back block %d (queue %d), want %d holding the staged run", got, d.Queue(got), blk)
 		}
 		// Head: land by handle, deliver every cell.
 		if n, err := head.Land(p, o, got); n != 0 || err != nil {

@@ -14,45 +14,45 @@ const (
 	chunkBlocks = 1 << chunkShift
 )
 
-// Slab is the buffer's one cell store: b-cell blocks in chunks that
-// are allocated whole and never move, named by Block handles. A cell is
-// written into a block once, on arrival in the tail SRAM, and read
-// once, on delivery from the head SRAM (or from the tail, on the
-// bypass path); in between the block moves from the tail to the
-// Requests Register, the DRAM and the head SRAM by handle. Released
-// handles are reused through a free list, so a steady stream of blocks
-// neither copies nor allocates.
+// Slab is the buffer's one block store: one 16-byte record per block,
+// in chunks that are allocated whole and never move, named by Block
+// handles. Released handles are reused through a free list threaded
+// through the records, so a steady stream of blocks neither copies nor
+// allocates.
 //
-// A block holds b cells of one logical queue (§3: the unit moved
-// between the SRAMs and the DRAM), so the slab names the queue once
-// per block and stores only the b sequence numbers: a resident cell
-// costs 8 + 8/b bytes. The per-block record also carries one link,
-// Next, which the tail SRAM uses to chain a queue's blocks in arrival
-// order.
+// A block is b consecutive cells of one logical queue (§3: the unit
+// moved between the SRAMs and the DRAM). Queues are FIFO, so those
+// cells are b consecutive arrivals and the block is a run: its record
+// keeps the sequence number of its first cell, and cell k is
+// (queue, first+k). The record is {first, next, word}; word has one
+// meaning per owner:
+//
+//   - while the block is in flight — staged in the Requests Register,
+//     stored in the DRAM, in the completion calendar or held by the
+//     head SRAM — word is the block's logical queue (SetCells, Cell,
+//     Queue);
+//   - while the block is one of a tail queue's promised runs, word is
+//     the run's length, which may be anything from 1 up (SetRun, Run),
+//     and the queue is the tail queue's own;
+//   - next links a tail queue's runs in order, and a released block
+//     into the free list.
 //
 // A Slab is not safe for concurrent use.
 type Slab struct {
 	blockCells int
 	// chunks[k] holds handles [k·chunkBlocks+1, (k+1)·chunkBlocks].
-	// blocks counts the handles ever handed out; free holds released
-	// ones for reuse.
-	chunks []slabChunk
+	// blocks counts the handles ever handed out; free heads the list
+	// of released ones, linked through next.
+	chunks []*[chunkBlocks]blockRec
 	blocks int32
-	free   []Block
+	free   Block
 }
 
-// slabChunk is one allocation unit: the per-block records and the b
-// sequence numbers of each of its chunkBlocks blocks.
-type slabChunk struct {
-	recs *[chunkBlocks]blockRec
-	seqs []uint64
-}
-
-// blockRec is a block's 8-byte record: its tail-chain link and the
-// logical queue all its cells belong to.
+// blockRec is a block's 16-byte record (see Slab).
 type blockRec struct {
+	first uint64
 	next  Block
-	queue cell.QueueID
+	word  int32
 }
 
 // NewSlab returns an empty slab of blockCells-cell blocks. blockCells
@@ -67,27 +67,28 @@ func NewSlab(blockCells int) *Slab {
 // BlockCells returns b, the number of cells per block.
 func (s *Slab) BlockCells() int { return s.blockCells }
 
-// AcquireBlock returns a free block, reusing released handles first. A
-// reused block retains stale contents, a stale queue and a stale link:
-// the caller sets the queue and writes the sequence numbers it will
-// read back, and sets the link if it follows it.
+// AcquireBlock returns a free block, reusing released handles first
+// (the last released is the first reused). A reused block retains a
+// stale record: the caller sets its cells or its run, and sets the
+// link if it follows it.
+//
+//pktbuf:hotpath
 func (s *Slab) AcquireBlock() Block {
-	if n := len(s.free); n > 0 {
-		blk := s.free[n-1]
-		s.free = s.free[:n-1]
+	if blk := s.free; blk != NoBlock {
+		s.free = s.rec(blk).next
 		return blk
 	}
 	return s.grow()
 }
 
 // grow hands out a never-used handle, adding a chunk when the last one
-// is full.
+// is full. It is kept out of line: the chunk allocation is the cold
+// path of AcquireBlock, not something its hot callers should inline.
+//
+//go:noinline
 func (s *Slab) grow() Block {
 	if int(s.blocks) == len(s.chunks)*chunkBlocks {
-		s.chunks = append(s.chunks, slabChunk{
-			recs: new([chunkBlocks]blockRec),
-			seqs: make([]uint64, chunkBlocks*s.blockCells),
-		})
+		s.chunks = append(s.chunks, new([chunkBlocks]blockRec))
 	}
 	s.blocks++
 	return Block(s.blocks)
@@ -98,70 +99,48 @@ func (s *Slab) grow() Block {
 //pktbuf:hotpath
 func (s *Slab) rec(blk Block) *blockRec {
 	i := int(blk) - 1
-	return &s.chunks[i>>chunkShift].recs[i&(chunkBlocks-1)]
+	return &s.chunks[i>>chunkShift][i&(chunkBlocks-1)]
 }
 
-// Seqs returns the b sequence numbers of block blk's cells. The slice
-// aliases the slab and stays valid, at the same address, until blk is
-// released.
-//
-//pktbuf:hotpath
-func (s *Slab) Seqs(blk Block) []uint64 {
-	i := int(blk) - 1
-	bc := s.blockCells
-	off := (i & (chunkBlocks - 1)) * bc
-	return s.chunks[i>>chunkShift].seqs[off : off+bc : off+bc]
-}
-
-// Cell returns cell k of block blk: the block's queue and the cell's
-// sequence number.
+// Cell returns cell k of in-flight block blk: the block's queue and
+// the sequence number first+k.
 //
 //pktbuf:hotpath
 func (s *Slab) Cell(blk Block, k int) cell.Cell {
-	i := int(blk) - 1
-	c := &s.chunks[i>>chunkShift]
-	j := i & (chunkBlocks - 1)
-	return cell.Cell{Queue: c.recs[j].queue, Seq: c.seqs[j*s.blockCells+k]}
+	r := s.rec(blk)
+	return cell.Cell{Queue: cell.QueueID(r.word), Seq: r.first + uint64(k)}
 }
 
-// SetSeq writes seq as the sequence number of blk's cell k: the
-// one-cell form of Seqs for the per-cell tail SRAM path.
+// Queue returns the logical queue of in-flight block blk's cells.
 //
 //pktbuf:hotpath
-func (s *Slab) SetSeq(blk Block, k int, seq uint64) {
-	i := int(blk) - 1
-	s.chunks[i>>chunkShift].seqs[(i&(chunkBlocks-1))*s.blockCells+k] = seq
+func (s *Slab) Queue(blk Block) cell.QueueID { return cell.QueueID(s.rec(blk).word) }
+
+// SetCells makes blk an in-flight block of queue q whose cell k has
+// sequence number first+k.
+//
+//pktbuf:hotpath
+func (s *Slab) SetCells(blk Block, q cell.QueueID, first uint64) {
+	r := s.rec(blk)
+	r.first, r.word = first, int32(q)
 }
 
-// Queue returns the logical queue of blk's cells.
+// Run returns tail run blk: the sequence number of its first cell and
+// its length.
 //
 //pktbuf:hotpath
-func (s *Slab) Queue(blk Block) cell.QueueID { return s.rec(blk).queue }
+func (s *Slab) Run(blk Block) (first uint64, n int32) {
+	r := s.rec(blk)
+	return r.first, r.word
+}
 
-// SetQueue names q as the logical queue of blk's cells.
+// SetRun makes blk a tail run of n cells starting at sequence number
+// first.
 //
 //pktbuf:hotpath
-func (s *Slab) SetQueue(blk Block, q cell.QueueID) { s.rec(blk).queue = q }
-
-// SetCells writes cells into blk: their queue, which they must share,
-// and their sequence numbers, from cell 0 on. It reports an error, and
-// writes nothing, if two cells name different queues.
-func (s *Slab) SetCells(blk Block, cells []cell.Cell) error {
-	if len(cells) == 0 {
-		return nil
-	}
-	q := cells[0].Queue
-	for _, c := range cells[1:] {
-		if c.Queue != q {
-			return fmt.Errorf("dram: block %d cells name queues %d and %d", blk, q, c.Queue)
-		}
-	}
-	s.SetQueue(blk, q)
-	seqs := s.Seqs(blk)
-	for k, c := range cells {
-		seqs[k] = c.Seq
-	}
-	return nil
+func (s *Slab) SetRun(blk Block, first uint64, n int32) {
+	r := s.rec(blk)
+	r.first, r.word = first, n
 }
 
 // Next returns the block linked after blk (stale unless set).
@@ -175,42 +154,46 @@ func (s *Slab) Next(blk Block) Block { return s.rec(blk).next }
 func (s *Slab) SetNext(blk, nxt Block) { s.rec(blk).next = nxt }
 
 // ReleaseBlock returns a block the caller owns to the free list. The
-// caller must not use the handle or its cells afterwards.
+// caller must not use the handle or its record afterwards.
+//
+//pktbuf:hotpath
 func (s *Slab) ReleaseBlock(blk Block) {
-	s.free = append(s.free, blk)
+	s.rec(blk).next = s.free
+	s.free = blk
 }
 
 // live reports whether blk names a handle the slab has handed out.
 func (s *Slab) live(blk Block) bool { return blk > NoBlock && int32(blk) <= s.blocks }
 
-// AppendCells appends the (queue, seq) pair of each of blk's cells to
-// a snapshot row. Every section that frames a block in flight (DRAM
-// queues, Requests Register entries, completions) writes its cells
-// this way; RestoreBlock reads them back.
+// AppendCells appends the (queue, seq) pair of each of in-flight block
+// blk's cells to a snapshot row. Every section that frames a block in
+// flight (DRAM queues, Requests Register entries, completions) writes
+// its cells this way; RestoreBlock reads them back.
 func (s *Slab) AppendCells(row []int64, blk Block) []int64 {
-	q := int64(s.Queue(blk))
-	for _, seq := range s.Seqs(blk) {
-		row = append(row, q, int64(seq))
+	r := s.rec(blk)
+	q := int64(r.word)
+	for k := range s.blockCells {
+		row = append(row, q, int64(r.first+uint64(k)))
 	}
 	return row
 }
 
 // RestoreBlock acquires a block and fills it from the b (queue, seq)
-// pairs of pairs, as AppendCells wrote them. A block holds one queue's
-// cells: pairs that name two queues are rejected with frame.ErrFrame,
-// and no block is kept.
+// pairs of pairs, as AppendCells wrote them. A block is a run of one
+// queue's cells: pairs that name two queues, or whose sequence numbers
+// are not consecutive, are rejected with frame.ErrFrame, and no block
+// is kept.
 func (s *Slab) RestoreBlock(pairs []int64) (Block, error) {
-	q := pairs[0]
+	q, first := pairs[0], uint64(pairs[1])
 	for k := 1; k < s.blockCells; k++ {
 		if pairs[2*k] != q {
 			return NoBlock, fmt.Errorf("%w: block rows name queues %d and %d", frame.ErrFrame, q, pairs[2*k])
 		}
+		if seq := uint64(pairs[2*k+1]); seq != first+uint64(k) {
+			return NoBlock, fmt.Errorf("%w: block cell %d has seq %d, want %d", frame.ErrFrame, k, seq, first+uint64(k))
+		}
 	}
 	blk := s.AcquireBlock()
-	s.SetQueue(blk, cell.QueueID(q))
-	seqs := s.Seqs(blk)
-	for k := range seqs {
-		seqs[k] = uint64(pairs[2*k+1])
-	}
+	s.SetCells(blk, cell.QueueID(q), first)
 	return blk, nil
 }

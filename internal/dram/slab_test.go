@@ -58,11 +58,7 @@ func TestSlabZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			blk := d.AcquireBlock()
-			d.SetQueue(blk, cell.QueueID(p))
-			seqs := d.Seqs(blk)
-			for j := range seqs {
-				seqs[j] = o
-			}
+			d.SetCells(blk, cell.QueueID(p), o)
 			if _, err := d.BeginWriteAt(p, o, blk, now); err != nil {
 				t.Fatal(err)
 			}
@@ -93,19 +89,19 @@ func TestSlabZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSlabChunksNeverMove: a live block keeps its cells at the same
+// TestSlabChunksNeverMove: a live block keeps its record at the same
 // address while the slab grows by many chunks around it.
 func TestSlabChunksNeverMove(t *testing.T) {
 	d := New(testConfig())
 	live := mkBlock(d, 7, 100)
-	addr := &d.Seqs(live)[0]
+	addr := d.rec(live)
 	for i := 0; i < 10*chunkBlocks; i++ {
 		mkBlock(d, 1, uint64(i))
 	}
 	if len(d.chunks) < 10 {
 		t.Fatalf("slab has %d chunks, want the test to grow it past 10", len(d.chunks))
 	}
-	if &d.Seqs(live)[0] != addr {
+	if d.rec(live) != addr {
 		t.Error("a live block moved when the slab grew")
 	}
 	if cells := cellsOf(d.Slab, live); cells[0] != (cell.Cell{Queue: 7, Seq: 100}) || cells[1] != (cell.Cell{Queue: 7, Seq: 101}) {
@@ -113,22 +109,39 @@ func TestSlabChunksNeverMove(t *testing.T) {
 	}
 }
 
-// TestSlabBytesPerBlock: a block costs its b sequence numbers and one
-// 8-byte record (link and queue), 8b + 8 bytes, allocated a chunk at a
-// time. Growing a slab by 1 024 blocks at b = 4 may allocate at most
-// that plus a quarter for the chunk table's append slack.
+// TestSlabBytesPerBlock: a block is one 16-byte run record whatever
+// its size b, allocated a chunk at a time. Growing a slab by 1 024
+// blocks may allocate at most that plus a quarter for the chunk
+// table's append slack.
 func TestSlabBytesPerBlock(t *testing.T) {
-	const b, n = 4, 1024
-	s := NewSlab(b)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range n {
-		s.AcquireBlock()
+	const n = 1024
+	for _, b := range []int{1, 4, 32} {
+		s := NewSlab(b)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			s.AcquireBlock()
+		}
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := uint64(n*16) * 5 / 4; got > limit {
+			t.Errorf("growing %d blocks of %d cells allocated %d bytes, want ≤ %d", n, b, got, limit)
+		}
+		t.Logf("%d blocks of %d cells: %d bytes (%.1f per block)", n, b, got, float64(got)/n)
 	}
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(n*(8*b+8)) * 5 / 4; got > limit {
-		t.Errorf("growing %d blocks of %d cells allocated %d bytes, want ≤ %d", n, b, got, limit)
+}
+
+// TestSlabFreeListIsLIFO: released handles are reused last released
+// first, through the link each released record carries.
+func TestSlabFreeListIsLIFO(t *testing.T) {
+	s := NewSlab(4)
+	a, b, c := s.AcquireBlock(), s.AcquireBlock(), s.AcquireBlock()
+	s.ReleaseBlock(a)
+	s.ReleaseBlock(c)
+	s.ReleaseBlock(b)
+	for _, want := range []Block{b, c, a, 4} {
+		if got := s.AcquireBlock(); got != want {
+			t.Fatalf("AcquireBlock = %d, want %d", got, want)
+		}
 	}
-	t.Logf("%d blocks of %d cells: %d bytes (%.1f per block)", n, b, got, float64(got)/n)
 }

@@ -11,7 +11,9 @@ import (
 // trace frame codec: per-bank busy horizons, per-group block counts,
 // per-queue reservation cursors and the stored blocks themselves. The
 // geometry comes from the configuration the owner reconstructs; the
-// readable bitset is derived state and is rebuilt on restore. Blocks
+// readable bitset is derived state and is rebuilt on restore, and each
+// queue's issued-read count (rdone) is derived from its cursors and
+// ring on write and checked against them on restore. Blocks
 // are framed by their cells, never by handle: the slab layout and its
 // free list are not part of the state.
 func (d *DRAM) Snapshot(w *frame.Writer) {
@@ -28,7 +30,7 @@ func (d *DRAM) Snapshot(w *frame.Writer) {
 	}
 	for p := range d.queues {
 		q := &d.queues[p]
-		if q.writeReserved > 0 || q.readReserved > 0 || q.readsDone > 0 {
+		if q.writeReserved > 0 || q.readReserved > 0 {
 			live++
 		}
 	}
@@ -52,11 +54,11 @@ func (d *DRAM) Snapshot(w *frame.Writer) {
 	}
 	for p := range d.queues {
 		q := &d.queues[p]
-		if q.writeReserved == 0 && q.readReserved == 0 && q.readsDone == 0 {
+		if q.writeReserved == 0 && q.readReserved == 0 {
 			continue
 		}
 		blocks := 0
-		for o := q.ring.base; o < q.writeReserved; o++ {
+		for o := q.ring.base; o < q.ring.end(q.writeReserved); o++ {
 			if q.ring.get(o) != NoBlock {
 				blocks++
 			}
@@ -65,9 +67,9 @@ func (d *DRAM) Snapshot(w *frame.Writer) {
 		w.Attr("q", int64(p))
 		w.Attr("wres", int64(q.writeReserved))
 		w.Attr("rres", int64(q.readReserved))
-		w.Attr("rdone", int64(q.readsDone))
+		w.Attr("rdone", int64(q.readsDone()))
 		w.Attr("blocks", int64(blocks))
-		for o := q.ring.base; o < q.writeReserved; o++ {
+		for o := q.ring.base; o < q.ring.end(q.writeReserved); o++ {
 			blk := q.ring.get(o)
 			if blk == NoBlock {
 				continue
@@ -79,11 +81,31 @@ func (d *DRAM) Snapshot(w *frame.Writer) {
 	}
 }
 
+// end bounds a walk of r's ordinals from base up to lim: no ordinal
+// past the window holds a block.
+func (r *blockRing) end(lim uint64) uint64 {
+	return min(lim, r.base+uint64(len(r.slots)))
+}
+
+// readsDone counts q's issued reads: every ordinal below readReserved
+// is reserved for reading, and its block stays in the ring until the
+// read issues.
+func (q *queueState) readsDone() uint64 {
+	n := q.readReserved
+	for o := q.ring.base; o < q.ring.end(q.readReserved); o++ {
+		if q.ring.get(o) != NoBlock {
+			n--
+		}
+	}
+	return n
+}
+
 // Restore loads a snapshot written by Snapshot into a freshly
 // constructed DRAM of the same configuration. blocks bounds the block
 // ordinals the snapshot can hold (the owner derives it from its slot
 // clock): every queue's cursors must satisfy rres ≤ wres < blocks, and
-// its stored blocks come in increasing ordinal order below wres. Each
+// its stored blocks come in increasing ordinal order below wres, and
+// its rdone must count the reads those blocks imply (readsDone). Each
 // queue's ring window starts at its oldest live ordinal, so a restored
 // ring spans the queue's live blocks, however old the queue is.
 func (d *DRAM) Restore(r *frame.Reader, blocks uint64) error {
@@ -173,7 +195,6 @@ func (d *DRAM) Restore(r *frame.Reader, blocks uint64) error {
 		}
 		q.writeReserved = uint64(wres)
 		q.readReserved = uint64(rres)
-		q.readsDone = uint64(rdone)
 		// Writes not yet issued are at ordinals ≥ rres, and a read
 		// reserved but not issued keeps its block here, so no ordinal
 		// below min(first stored, rres) is addressed again.
@@ -197,6 +218,9 @@ func (d *DRAM) Restore(r *frame.Reader, blocks uint64) error {
 				return fmt.Errorf("dram queue %d: %w", p, err)
 			}
 			q.ring.put(uint64(o), blk, q.readReserved)
+		}
+		if got := q.readsDone(); got != uint64(rdone) {
+			return fmt.Errorf("%w: dram queue %d rdone %d, its blocks imply %d", frame.ErrFrame, p, rdone, got)
 		}
 		d.refreshReadable(cell.PhysQueueID(p), q)
 	}

@@ -203,12 +203,7 @@ func TestConflictFreedomAgainstDRAM(t *testing.T) {
 			if err == nil {
 				seq := pending[q]
 				blk := d.AcquireBlock()
-				if err := d.SetCells(blk, []cell.Cell{
-					{Queue: cell.QueueID(q), Seq: seq},
-					{Queue: cell.QueueID(q), Seq: seq + 1},
-				}); err != nil {
-					t.Fatal(err)
-				}
+				d.SetCells(blk, cell.QueueID(q), seq)
 				pending[q] = seq + 2
 				if err := s.Enqueue(Request{
 					Queue: q, Dir: Write, Ordinal: ord, Bank: bank,

@@ -21,15 +21,11 @@ func benchStore(b *testing.B, s Store, slab *dram.Slab) {
 		o := ord[q]
 		ord[q]++
 		blk := slab.AcquireBlock()
-		slab.SetQueue(blk, cell.QueueID(q))
-		seqs := slab.Seqs(blk)
-		for k := range seqs {
-			seqs[k] = o*benchB + uint64(k)
-		}
+		slab.SetCells(blk, cell.QueueID(q), o*benchB)
 		if _, err := s.Land(q, o, blk); err != nil {
 			b.Fatal(err)
 		}
-		for range seqs {
+		for range benchB {
 			if _, err := s.Pop(q); err != nil {
 				b.Fatal(err)
 			}

@@ -52,10 +52,9 @@ func (s *CAMStore) Snapshot(w *frame.Writer) {
 			if o == st.next {
 				i = st.off
 			}
-			q := int64(s.slab.Queue(blk))
-			seqs := s.slab.Seqs(blk)
 			for end := s.end(blk); i < end; i++ {
-				w.Row(int64(o*uint64(s.b)+uint64(i)), q, int64(seqs[i]))
+				c := s.slab.Cell(blk, int(i))
+				w.Row(int64(o*uint64(s.b)+uint64(i)), int64(c.Queue), int64(c.Seq))
 			}
 		}
 	}
@@ -65,8 +64,9 @@ func (s *CAMStore) Snapshot(w *frame.Writer) {
 // constructed store of the same geometry, packing each block's rows
 // into a slab block of its own. blocks bounds the block ordinals the
 // snapshot can hold (the owner derives it from its slot clock), so a
-// corrupt position cannot size a queue's ring. A block holds one
-// queue's cells: rows that give one block two queues are rejected.
+// corrupt position cannot size a queue's ring. A block is a run of one
+// queue's cells: rows of one block that name two queues, or whose
+// sequence numbers do not step with their positions, are rejected.
 func (s *CAMStore) Restore(r *frame.Reader, blocks uint64) error {
 	if err := r.Expect("sram-cam"); err != nil {
 		return err
@@ -132,17 +132,16 @@ func (s *CAMStore) Restore(r *frame.Reader, blocks uint64) error {
 					return fmt.Errorf("%w: cam queue %d pos %d out of order", frame.ErrFrame, q, pos)
 				}
 				blk = s.slab.AcquireBlock()
-				s.slab.SetQueue(blk, cell.QueueID(row[1]))
+				s.slab.SetCells(blk, cell.QueueID(row[1]), uint64(row[2])-pos%b)
 				st.ensure(ord)
 				st.ring[ord&uint64(len(st.ring)-1)] = blk
-			} else if row[1] != int64(s.slab.Queue(blk)) {
-				return fmt.Errorf("%w: cam queue %d block %d rows name queues %d and %d",
-					frame.ErrFrame, q, ord, s.slab.Queue(blk), row[1])
+			} else if c := s.slab.Cell(blk, int(pos%b)); row[1] != int64(c.Queue) || uint64(row[2]) != c.Seq {
+				return fmt.Errorf("%w: cam queue %d block %d: cell %d, %d does not continue the block's run of queue %d",
+					frame.ErrFrame, q, ord, row[1], row[2], c.Queue)
 			}
 			if pos != want {
 				return fmt.Errorf("%w: cam queue %d pos %d, want %d", frame.ErrFrame, q, pos, want)
 			}
-			s.slab.Seqs(blk)[pos%b] = uint64(row[2])
 			want++
 			st.count++
 			s.total++

@@ -11,12 +11,13 @@
 // stream position ordinal·b + i — and Pop always returns the next
 // in-order cell.
 //
-// Blocks arrive from the DRAM by handle into the buffer's one cell
-// slab (dram.Slab). The CAM keeps the handle: landing a block is one
-// ring store, the cells are read from the slab on Pop, and the handle
-// goes back to the slab after the block's last cell. The linked list
-// copies the block's cells into its own entry slab and releases the
-// handle at once. Capacity, duplicate and miss semantics are per cell
+// Blocks arrive from the DRAM by handle into the buffer's one block
+// slab (dram.Slab), where a block is a run: its queue and the sequence
+// number of its first cell. The CAM keeps the handle: landing a block
+// is one ring store, each cell is composed from the run on Pop, and
+// the handle goes back to the slab after the block's last cell. The
+// linked list copies the block's cells into its own entry slab and
+// releases the handle at once. Capacity, duplicate and miss semantics are per cell
 // in both: a block that lands in a nearly full store keeps exactly the
 // cells that fit.
 //
@@ -233,8 +234,9 @@ func (s *CAMStore) landSlow(q cell.PhysQueueID, st *blockQueue, ordinal uint64, 
 	end := int32(start + accepted)
 	if held != dram.NoBlock {
 		// A second landing of a partly resident block fills in the
-		// missing cells of the one already held.
-		copy(s.slab.Seqs(held)[start:end], s.slab.Seqs(blk)[start:end])
+		// missing cells of the one already held. A block is a run, so
+		// the held block already names every cell of the ordinal: it
+		// keeps its run, and the landed copy goes back to the slab.
 		s.slab.ReleaseBlock(blk)
 	} else {
 		st.ensure(ordinal)

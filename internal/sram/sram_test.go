@@ -26,13 +26,7 @@ func newStores(t *testing.T, capacity, blockCells, sublists int) ([]Store, *dram
 // stream positions (Seq = position), as the DRAM would deliver it.
 func land(s Store, slab *dram.Slab, q cell.PhysQueueID, cq cell.QueueID, ordinal uint64) (int, error) {
 	blk := slab.AcquireBlock()
-	cells := make([]cell.Cell, slab.BlockCells())
-	for i := range cells {
-		cells[i] = cell.Cell{Queue: cq, Seq: ordinal*uint64(len(cells)) + uint64(i)}
-	}
-	if err := slab.SetCells(blk, cells); err != nil {
-		panic(err)
-	}
+	slab.SetCells(blk, cq, ordinal*uint64(slab.BlockCells()))
 	return s.Land(q, ordinal, blk)
 }
 
