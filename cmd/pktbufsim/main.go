@@ -222,6 +222,7 @@ func main() {
 		}
 	}
 	runner := &sim.Runner{Buffer: buf, Arrivals: arr, Requests: req, AllowDrops: *allow}
+	before := buf.Stats()
 	var res sim.Result
 	if *latency {
 		var lat sim.LatencyStats
@@ -272,9 +273,8 @@ func main() {
 		fmt.Printf("trace: %d slots recorded to %s\n", len(rec.Trace().Events), *record)
 	}
 	fmt.Printf("stats: %+v\n", res.Stats)
-	if ff := res.Stats.FastForwardedSlots; res.Slots > 0 {
-		fmt.Printf("sparse: %d/%d slots fast-forwarded (%.1f%%)\n",
-			ff, res.Slots, 100*float64(ff)/float64(res.Slots))
+	if res.Slots > 0 {
+		fmt.Println(sparseLine(res, before))
 	}
 	if res.Clean() {
 		fmt.Println("verdict: CLEAN — zero misses, zero conflicts, bounded reordering")
@@ -282,6 +282,16 @@ func main() {
 		fmt.Println("verdict: NOT CLEAN")
 		exit(1)
 	}
+}
+
+// sparseLine reports the share of the measured run's slots that were
+// fast-forwarded. res.Stats is cumulative over the buffer's life, so
+// the counter is taken against before, the stats the run started from:
+// warm-up fast-forwards are not measured slots.
+func sparseLine(res sim.Result, before pktbuf.Stats) string {
+	ff := res.Stats.Sub(before).FastForwardedSlots
+	return fmt.Sprintf("sparse: %d/%d slots fast-forwarded (%.1f%%)",
+		ff, res.Slots, 100*float64(ff)/float64(res.Slots))
 }
 
 // stopProfiles finalizes whatever startProfiles armed. It is a

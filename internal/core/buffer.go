@@ -550,8 +550,8 @@ func (b *Buffer) Tick(in TickInput) (TickOutput, error) {
 	// A landing block moves into the head SRAM by handle.
 	if pending := b.compRing[b.compIdx]; len(pending) > 0 {
 		for _, c := range pending {
-			if n, err := b.head.Land(c.phys, c.ordinal, c.blk); n > 0 {
-				b.stats.HeadOverflows += uint64(n)
+			if err := b.head.Land(c.phys, c.ordinal, c.blk); err != nil {
+				b.stats.HeadOverflows += uint64(b.cfg.Bsmall)
 				recordErr(&firstErr, fmt.Errorf("head SRAM insert: %w", err))
 			}
 		}

@@ -85,8 +85,9 @@ type Config struct {
 	// Defaults to 2 (one read plus one write sustains the 2× line-rate
 	// buffer bandwidth).
 	IssuesPerCycle int
-	// HeadSRAMCells is the h-SRAM capacity. Defaults to equation (4)
-	// plus the in-flight slack absorbed by the latency register.
+	// HeadSRAMCells is the h-SRAM capacity. Defaults to the ECQF
+	// ledger bound Q(b−1) + L + Λ over the physical names (see
+	// ApplyDefaults), which no ECQF run can exceed.
 	HeadSRAMCells int
 	// TailSRAMCells is the t-SRAM capacity. Defaults per §3 plus the
 	// staging slack.
@@ -167,14 +168,13 @@ func (c Config) ApplyDefaults() (Config, error) {
 		c.LatencySlots = lam
 	}
 	if c.HeadSRAMCells <= 0 {
-		// Equation (4) plus engineering slack the analytic bound does
-		// not cover: cells resident while their requests traverse the
-		// latency register (one block per DSA cycle of Λ), blocks that
-		// land together in one slot (β per cycle), and one access
-		// window of burst arrival.
-		c.HeadSRAMCells = d.HeadSRAMSize() +
-			(c.LatencySlots/c.Bsmall+1)*c.Bsmall +
-			c.IssuesPerCycle*c.Bsmall + c.B
+		// The ECQF ledger bound. Every resident head cell belongs to
+		// one of three groups: its request is in the latency register
+		// (≤ Λ such cells), its request is in the lookahead (≤ L), or
+		// it has no request yet — ECQF keeps occ[q] − requests in
+		// window[q] ≤ b−1, so ≤ Q(b−1) such cells, Q counting physical
+		// names. A block therefore always fits whole.
+		c.HeadSRAMCells = d.Q*(c.Bsmall-1) + c.Lookahead + c.LatencySlots
 	}
 	if c.TailSRAMCells <= 0 {
 		// §3's Q(b−1)+1 bound (inside d.TailSRAMSize) assumes the

@@ -18,16 +18,18 @@ import (
 // cuts that cover every phase of the b-slot MMA cycle and hold write
 // blocks in the Requests Register and read blocks in the completion
 // calendar. The constants were taken when blocks were carried as cell
-// slices; carrying them by slab handle must not move a byte.
+// slices, and moved once since, when the default head SRAM size became
+// the ECQF ledger bound (the framed headcells attribute is the only
+// changed field).
 func TestSnapshotBytesPinned(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 		want uint64
 	}{
-		{"oc3072/q64/b4", Config{Q: 64, B: 32, Bsmall: 4, Banks: 256}, 0x76ae3cff027a13f8},
-		{"oc768/q8/b4/cap64", Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, BankCapacityBlocks: 64}, 0x5bd0a6610397e70b},
-		{"renaming/mdqf", Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, Renaming: true, BankCapacityBlocks: 64, MMA: MDQF}, 0x6186c185146c8553},
+		{"oc3072/q64/b4", Config{Q: 64, B: 32, Bsmall: 4, Banks: 256}, 0x071741258c549c4c},
+		{"oc768/q8/b4/cap64", Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, BankCapacityBlocks: 64}, 0xe4d10eb6012b7a8d},
+		{"renaming/mdqf", Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, Renaming: true, BankCapacityBlocks: 64, MMA: MDQF}, 0xf317e068423fc659},
 	}
 	var writes, comps int
 	for ci, tc := range cases {
@@ -127,8 +129,11 @@ func TestRestoreRejectsMixedQueueBlock(t *testing.T) {
 // queue rows, Requests Register write entries, completions and head
 // CAM rows the test makes one block's cells non-consecutive; for tail
 // rows it makes an unpromised cell differ from the youngest arrivals,
-// and two promised cells repeat a sequence number. RestoreBuffer must
-// fail with frame.ErrFrame every time.
+// and two promised cells repeat a sequence number. A head CAM block
+// must also be whole from its first unpopped cell: dropping a block's
+// last row, with the queue's count and the CAM's total adjusted to
+// match, leaves only the short block at fault. RestoreBuffer must fail
+// with frame.ErrFrame every time.
 func TestRestoreRejectsNonRunBlock(t *testing.T) {
 	inc := func(f []string, i int) { f[i] = strconv.Itoa(pos(f[i]) + 1) }
 	edits := map[string]rowEdit{
@@ -146,6 +151,15 @@ func TestRestoreRejectsNonRunBlock(t *testing.T) {
 				return false
 			}
 			inc(f, 2)
+			return true
+		},
+		"sram-cam-queue/short": func(_ map[string]int64, _ int, f, prev []string) bool {
+			// The last row of a block that has an earlier row: dropping
+			// it leaves the block short of its end.
+			if prev == nil || pos(f[0])%4 != 3 || pos(f[0])/4 != pos(prev[0])/4 {
+				return false
+			}
+			f[0] = ""
 			return true
 		},
 		"tail/unpromised": func(a map[string]int64, i int, f, _ []string) bool {
@@ -175,7 +189,10 @@ func TestRestoreRejectsNonRunBlock(t *testing.T) {
 // rowEdit mutates row f of a snapshot frame in place and reports
 // whether it applied. attrs are the frame's header attributes, i the
 // row's index in the frame and prev the frame's previous row (nil for
-// the first).
+// the first). An edit that blanks f[0] deletes the row instead, and
+// editFirstRow takes one off the frame's count attribute and off the
+// total attribute of the nearest frame above that has one, so that
+// the counts still agree with the rows.
 type rowEdit func(attrs map[string]int64, i int, f, prev []string) bool
 
 // requireRejectedEdits drives a dense buffer of cfg from seed to cuts
@@ -223,16 +240,19 @@ func requireRejectedEdits(t *testing.T, cfg Config, seed int64, edits map[string
 // editFirstRow applies ed to the first row of a section frame in lines
 // it applies to, and reports whether it found one.
 func editFirstRow(lines []string, section string, ed rowEdit) bool {
-	sect, i := "", 0
+	sect, i, hdrLine, totalLine := "", 0, 0, 0
 	var attrs map[string]int64
 	var prev []string
 	for k, line := range lines {
 		if strings.HasPrefix(line, "!") {
 			hdr := strings.Fields(line[1:])
-			sect, i, prev, attrs = hdr[0], 0, nil, map[string]int64{}
+			sect, i, prev, attrs, hdrLine = hdr[0], 0, nil, map[string]int64{}, k
 			for _, kv := range hdr[1:] {
 				if name, v, ok := strings.Cut(kv, "="); ok {
 					attrs[name] = int64(pos(v))
+					if name == "total" {
+						totalLine = k
+					}
 				}
 			}
 			continue
@@ -243,12 +263,28 @@ func editFirstRow(lines []string, section string, ed rowEdit) bool {
 		f := strings.Fields(line)
 		if ed(attrs, i, f, prev) {
 			lines[k] = strings.Join(f, " ")
+			if f[0] == "" {
+				lines[k] = ""
+				lines[hdrLine] = decAttr(lines[hdrLine], "count")
+				lines[totalLine] = decAttr(lines[totalLine], "total")
+			}
 			return true
 		}
 		prev = f
 		i++
 	}
 	return false
+}
+
+// decAttr takes one off attribute name in frame header line hdr.
+func decAttr(hdr, name string) string {
+	f := strings.Fields(hdr)
+	for k, kv := range f {
+		if n, v, ok := strings.Cut(kv, "="); ok && n == name {
+			f[k] = n + "=" + strconv.Itoa(pos(v)-1)
+		}
+	}
+	return strings.Join(f, " ")
 }
 
 func pos(s string) int {

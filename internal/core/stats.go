@@ -22,7 +22,8 @@ type Stats struct {
 	Drops uint64
 	// BadRequests counts arbiter requests for empty queues.
 	BadRequests uint64
-	// HeadOverflows counts head-SRAM insert failures (must stay 0).
+	// HeadOverflows counts the cells of refused head-SRAM landings, b
+	// per refused block (must stay 0).
 	HeadOverflows uint64
 	// TailStalls / HeadStalls count MMA cycles skipped because the
 	// Requests Register or DRAM capacity pushed back.

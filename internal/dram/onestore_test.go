@@ -50,8 +50,8 @@ func TestOneSlabTailDRAMHead(t *testing.T) {
 			t.Fatalf("DRAM handed back block %d (queue %d), want %d holding the staged run", got, d.Queue(got), blk)
 		}
 		// Head: land by handle, deliver every cell.
-		if n, err := head.Land(p, o, got); n != 0 || err != nil {
-			t.Fatalf("head land = %d, %v", n, err)
+		if err := head.Land(p, o, got); err != nil {
+			t.Fatalf("head land: %v", err)
 		}
 		for i := 0; i < b; i++ {
 			c, err := head.Pop(p)

@@ -22,7 +22,7 @@ func benchStore(b *testing.B, s Store, slab *dram.Slab) {
 		ord[q]++
 		blk := slab.AcquireBlock()
 		slab.SetCells(blk, cell.QueueID(q), o*benchB)
-		if _, err := s.Land(q, o, blk); err != nil {
+		if err := s.Land(q, o, blk); err != nil {
 			b.Fatal(err)
 		}
 		for range benchB {
@@ -47,27 +47,4 @@ func BenchmarkStoreLinkedList(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchStore(b, ls, slab)
-}
-
-// BenchmarkStorePartitioned measures the distributed organization,
-// one cell at a time (it is not a Store).
-func BenchmarkStorePartitioned(b *testing.B) {
-	ps, err := NewPartitioned(benchQueues, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	pos := make([]uint64, benchQueues)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := cell.PhysQueueID(i % benchQueues)
-		p := pos[q]
-		pos[q]++
-		if err := ps.Insert(q, p, cell.Cell{Queue: cell.QueueID(q), Seq: p}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ps.Pop(q); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

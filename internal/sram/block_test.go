@@ -9,42 +9,41 @@ import (
 	"repro/internal/frame"
 )
 
-// TestOverflowKeepsPerCellSemantics: a block landing in a nearly full
-// store keeps exactly the cells a per-cell insert would keep (the list
-// inserts cell by cell, so it is the reference), a later landing of the
-// same ordinal fills in the missing cells, and a CAM snapshot taken
-// with a partly resident block restores to the same state.
-func TestOverflowKeepsPerCellSemantics(t *testing.T) {
+// TestLandRefusesWholeBlock: a block that does not fit, or that names
+// a resident or an already popped position, is refused whole — the
+// store does not move and the handle goes back to the slab — in the
+// CAM and the list alike, and a CAM snapshot taken mid-block restores
+// to the same state.
+func TestLandRefusesWholeBlock(t *testing.T) {
 	stores, slab := newStores(t, 5, 2, 2)
 	cam := stores[0].(*CAMStore)
 	type step struct {
-		ordinal  uint64 // land this block, or pop when pop is set
-		pop      bool
-		rejected int
-		err      error
+		ordinal uint64 // land this block, or pop when pop is set
+		pop     bool
+		err     error
 	}
 	steps := []step{
-		{ordinal: 0},
+		{ordinal: 0}, {ordinal: 1},
+		{ordinal: 2, err: ErrFull}, // 4 + 2 cells > 5
+		{pop: true}, {pop: true},   // positions 0, 1
+		{ordinal: 0, err: ErrDuplicate}, // popped
+		{ordinal: 1, err: ErrDuplicate}, // resident
+		{pop: true},                     // position 2
+		{ordinal: 1, err: ErrDuplicate}, // partly popped
 		{ordinal: 2},
-		{ordinal: 1, rejected: 1, err: ErrFull}, // keeps position 2 only
-		{pop: true}, {pop: true}, {pop: true},   // positions 0, 1, 2
-		{pop: true, err: ErrMissing},                 // position 3 never landed
-		{ordinal: 1, rejected: 1, err: ErrDuplicate}, // 2 popped, 3 fills in
 		{pop: true}, {pop: true}, {pop: true}, // positions 3, 4, 5
-		{ordinal: 1, rejected: 2, err: ErrDuplicate},
+		{pop: true, err: ErrMissing},
 	}
-	var snap []byte
 	for i, st := range steps {
-		if i == 4 {
+		if i == 8 {
 			var buf bytes.Buffer
 			w := frame.NewWriter(&buf)
 			cam.Snapshot(w)
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			snap = buf.Bytes()
 			restored := NewCAM(slab, 5, 16)
-			if err := restored.Restore(frame.NewReader(bytes.NewReader(snap)), 1<<20); err != nil {
+			if err := restored.Restore(frame.NewReader(bytes.NewReader(buf.Bytes())), 1<<20); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			var again bytes.Buffer
@@ -53,24 +52,26 @@ func TestOverflowKeepsPerCellSemantics(t *testing.T) {
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(snap, again.Bytes()) {
-				t.Fatalf("restored CAM snapshots differently:\n%s\nvs\n%s", snap, again.Bytes())
+			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+				t.Fatalf("restored CAM snapshots differently:\n%s\nvs\n%s", buf.Bytes(), again.Bytes())
 			}
 			stores = append(stores, restored)
 		}
 		for _, s := range stores {
 			name := storeName(s)
 			if st.pop {
-				want := s.Total() > 0
 				c, err := s.Pop(0)
-				if !errors.Is(err, st.err) || (st.err == nil && !want) {
+				if !errors.Is(err, st.err) || (st.err == nil && err != nil) {
 					t.Fatalf("step %d %s: pop = %v, %v; want err %v", i, name, c, err, st.err)
 				}
 				continue
 			}
-			n, err := land(s, slab, 0, 0, st.ordinal)
-			if n != st.rejected || !errors.Is(err, st.err) || (st.err == nil && err != nil) {
-				t.Fatalf("step %d %s: land %d = %d, %v; want %d, %v", i, name, st.ordinal, n, err, st.rejected, st.err)
+			total, hw := s.Total(), s.HighWater()
+			blk, err := land(s, slab, 0, 0, st.ordinal)
+			if st.err != nil {
+				requireRefused(t, s, slab, total, hw, blk, err, st.err)
+			} else if err != nil {
+				t.Fatalf("step %d %s: land %d: %v", i, name, st.ordinal, err)
 			}
 		}
 		for _, s := range stores[1:] {
@@ -80,8 +81,8 @@ func TestOverflowKeepsPerCellSemantics(t *testing.T) {
 			}
 		}
 	}
-	if cam.Total() != 0 || len(cam.partial) != 0 {
-		t.Errorf("CAM ends with %d cells and %d partial blocks, want none", cam.Total(), len(cam.partial))
+	if cam.Total() != 0 {
+		t.Errorf("CAM ends with %d cells, want none", cam.Total())
 	}
 }
 
@@ -92,7 +93,7 @@ func TestCAMReleasesBlockAfterLastCell(t *testing.T) {
 	s := NewCAM(slab, 0, 1)
 	blk := slab.AcquireBlock()
 	slab.SetCells(blk, 0, 0)
-	if _, err := s.Land(0, 0, blk); err != nil {
+	if err := s.Land(0, 0, blk); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Pop(0); err != nil {

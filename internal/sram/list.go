@@ -122,22 +122,23 @@ func (s *ListStore) sublistFor(q cell.PhysQueueID, pos uint64) int {
 	return int(q)*s.sublists + int((pos/uint64(s.blockCell))%uint64(s.sublists))
 }
 
-// Land implements Store: the block's cells are inserted one by one
-// and its handle is released.
-func (s *ListStore) Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) (int, error) {
-	rejected := 0
-	var first error
+// Land implements Store: the block's cells are copied in and its
+// handle is released. A block's cells share one bank, hence one
+// sublist, so the block is checked once up front — b free entries, and
+// its first position may enter the sublist — and then inserted whole.
+func (s *ListStore) Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) error {
+	defer s.cells.ReleaseBlock(blk)
 	base := ordinal * uint64(s.blockCell)
-	for i := 0; i < s.blockCell; i++ {
-		if err := s.Insert(q, base+uint64(i), s.cells.Cell(blk, i)); err != nil {
-			rejected++
-			if first == nil {
-				first = err
-			}
-		}
+	if s.total+s.blockCell > len(s.slab) {
+		return fmt.Errorf("%w: capacity %d", ErrFull, len(s.slab))
 	}
-	s.cells.ReleaseBlock(blk)
-	return rejected, first
+	if err := s.admit(q, base); err != nil {
+		return err
+	}
+	for i := 0; i < s.blockCell; i++ {
+		s.link(q, base+uint64(i), s.cells.Cell(blk, i))
+	}
+	return nil
 }
 
 // Insert adds cell c at stream position pos of queue q. Within one
@@ -147,20 +148,35 @@ func (s *ListStore) Insert(q cell.PhysQueueID, pos uint64, c cell.Cell) error {
 	if s.freeHead == nilIdx {
 		return fmt.Errorf("%w: capacity %d", ErrFull, len(s.slab))
 	}
-	st := s.queue(q)
-	if pos < st.nextPop {
+	if err := s.admit(q, pos); err != nil {
+		return err
+	}
+	s.link(q, pos, c)
+	return nil
+}
+
+// admit reports why position pos of queue q may not enter its sublist:
+// it was popped, its block is the sublist's last, or it comes before
+// that block.
+func (s *ListStore) admit(q cell.PhysQueueID, pos uint64) error {
+	if pos < s.queue(q).nextPop {
 		return fmt.Errorf("%w: queue %d pos %d already popped", ErrDuplicate, q, pos)
 	}
 	li := s.sublistFor(q, pos)
 	if s.seeded[li] && pos <= s.lastPos[li] {
-		if pos == s.lastPos[li] {
+		if b := uint64(s.blockCell); pos/b == s.lastPos[li]/b {
 			return fmt.Errorf("%w: queue %d pos %d", ErrDuplicate, q, pos)
 		}
 		return fmt.Errorf("%w: queue %d pos %d after %d in sublist %d",
 			ErrOrder, q, pos, s.lastPos[li], li%s.sublists)
 	}
+	return nil
+}
 
-	// Take a slab entry from the free list.
+// link appends cell c at position pos to its sublist; admit has
+// cleared it and a free entry exists.
+func (s *ListStore) link(q cell.PhysQueueID, pos uint64, c cell.Cell) {
+	li := s.sublistFor(q, pos)
 	idx := s.freeHead
 	s.freeHead = s.slab[idx].next
 	s.slab[idx] = entry{c: c, pos: pos, next: nilIdx}
@@ -173,12 +189,11 @@ func (s *ListStore) Insert(q cell.PhysQueueID, pos uint64, c cell.Cell) error {
 	s.tail[li] = idx
 	s.lastPos[li] = pos
 	s.seeded[li] = true
-	st.count++
+	s.queues[q].count++
 	s.total++
 	if s.total > s.highWater {
 		s.highWater = s.total
 	}
-	return nil
 }
 
 // Pop implements Store.

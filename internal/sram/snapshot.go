@@ -52,7 +52,7 @@ func (s *CAMStore) Snapshot(w *frame.Writer) {
 			if o == st.next {
 				i = st.off
 			}
-			for end := s.end(blk); i < end; i++ {
+			for ; int(i) < s.b; i++ {
 				c := s.slab.Cell(blk, int(i))
 				w.Row(int64(o*uint64(s.b)+uint64(i)), int64(c.Queue), int64(c.Seq))
 			}
@@ -61,12 +61,14 @@ func (s *CAMStore) Snapshot(w *frame.Writer) {
 }
 
 // Restore loads a snapshot written by Snapshot into a freshly
-// constructed store of the same geometry, packing each block's rows
-// into a slab block of its own. blocks bounds the block ordinals the
-// snapshot can hold (the owner derives it from its slot clock), so a
-// corrupt position cannot size a queue's ring. A block is a run of one
-// queue's cells: rows of one block that name two queues, or whose
-// sequence numbers do not step with their positions, are rejected.
+// constructed store of the same geometry, one slab block per block
+// ordinal. blocks bounds the block ordinals the snapshot can hold (the
+// owner derives it from its slot clock), so a corrupt position cannot
+// size a queue's ring. Every held block is whole and a run of one
+// queue's cells: the front block's rows run from the pop offset to the
+// block's end, every other block's from its first cell to its last, and
+// rows of one block that name two queues, or whose sequence numbers do
+// not step with their positions, are rejected.
 func (s *CAMStore) Restore(r *frame.Reader, blocks uint64) error {
 	if err := r.Expect("sram-cam"); err != nil {
 		return err
@@ -108,46 +110,36 @@ func (s *CAMStore) Restore(r *frame.Reader, blocks uint64) error {
 			return fmt.Errorf("%w: cam queue %d framed twice", frame.ErrFrame, q)
 		}
 		st.next, st.off = uint64(nextPop)/b, int32(uint64(nextPop)%b)
-		// Rows come in position order; each block's resident cells are
-		// a run that starts at its first unpopped position.
-		blk, ord, want := dram.NoBlock, uint64(0), uint64(0)
+		// Rows come in position order. want is the position the next
+		// row must name while a block is open (want%b != 0), and the
+		// lowest it may name when it starts a block; only the first
+		// row may start one off a block boundary, at the pop offset.
+		blk, want := dram.NoBlock, uint64(nextPop)
 		for j := int64(0); j < count; j++ {
 			row, err := r.NeedRow(3)
 			if err != nil {
 				return err
 			}
 			pos := uint64(row[0])
-			if row[0] < 0 || pos/b >= blocks {
-				return fmt.Errorf("%w: cam queue %d pos %d", frame.ErrFrame, q, row[0])
+			if row[0] < 0 || pos/b >= blocks || pos < want ||
+				(pos != want && (want%b != 0 || pos%b != 0)) {
+				return fmt.Errorf("%w: cam queue %d pos %d, want %d", frame.ErrFrame, q, row[0], want)
 			}
-			if blk == dram.NoBlock || pos/b != ord {
-				if blk != dram.NoBlock {
-					s.setEnd(blk, int32(want-ord*b))
-				}
-				ord, want = pos/b, pos/b*b
-				if ord == st.next {
-					want += uint64(st.off)
-				}
-				if ord < st.next || (ord-st.next < uint64(len(st.ring)) && st.ring[ord&uint64(len(st.ring)-1)] != dram.NoBlock) {
-					return fmt.Errorf("%w: cam queue %d pos %d out of order", frame.ErrFrame, q, pos)
-				}
+			if pos%b == 0 || blk == dram.NoBlock {
 				blk = s.slab.AcquireBlock()
 				s.slab.SetCells(blk, cell.QueueID(row[1]), uint64(row[2])-pos%b)
-				st.ensure(ord)
-				st.ring[ord&uint64(len(st.ring)-1)] = blk
+				st.ensure(pos / b)
+				st.ring[(pos/b)&uint64(len(st.ring)-1)] = blk
 			} else if c := s.slab.Cell(blk, int(pos%b)); row[1] != int64(c.Queue) || uint64(row[2]) != c.Seq {
 				return fmt.Errorf("%w: cam queue %d block %d: cell %d, %d does not continue the block's run of queue %d",
-					frame.ErrFrame, q, ord, row[1], row[2], c.Queue)
+					frame.ErrFrame, q, pos/b, row[1], row[2], c.Queue)
 			}
-			if pos != want {
-				return fmt.Errorf("%w: cam queue %d pos %d, want %d", frame.ErrFrame, q, pos, want)
-			}
-			want++
+			want = pos + 1
 			st.count++
 			s.total++
 		}
-		if blk != dram.NoBlock {
-			s.setEnd(blk, int32(want-ord*b))
+		if want%b != 0 {
+			return fmt.Errorf("%w: cam queue %d block %d stops short at pos %d", frame.ErrFrame, q, want/b, want)
 		}
 	}
 	if s.total != int(total) {

@@ -17,9 +17,11 @@
 // is one ring store, each cell is composed from the run on Pop, and
 // the handle goes back to the slab after the block's last cell. The
 // linked list copies the block's cells into its own entry slab and
-// releases the handle at once. Capacity, duplicate and miss semantics are per cell
-// in both: a block that lands in a nearly full store keeps exactly the
-// cells that fit.
+// releases the handle at once. A block lands whole or not at all in
+// both: a block that does not fit, or that names a position already
+// resident or already popped, is refused and its handle goes back to
+// the slab. The engine sizes the head SRAM so that a refusal is an
+// invariant violation, never a semantics (core.Config.HeadSRAMCells).
 //
 // Per-queue bookkeeping is held in dense slices indexed by the
 // physical queue ordinal (physical names are dense by construction:
@@ -57,15 +59,16 @@ var (
 // Land takes ownership of slab block blk, the block at ordinal
 // `ordinal` of queue q's lifetime stream (its cell i is the cell at
 // stream position ordinal·b + i). Blocks may land out of order subject
-// to the implementation's discipline. Cells the store cannot accept —
-// it is full, or the position is already resident or already popped —
-// are dropped one by one exactly as a per-cell insert would drop them;
-// Land returns how many and the error of the first. Pop removes and
-// returns the cell at the queue's next unread position; HasNext
+// to the implementation's discipline. A block the store cannot take
+// whole — it does not fit, or its positions are already resident or
+// already popped — is refused whole: the handle goes back to the slab,
+// Total and HighWater do not move, and the error wraps ErrFull or
+// ErrDuplicate (ErrOrder for the list's bank discipline). Pop removes
+// and returns the cell at the queue's next unread position; HasNext
 // reports whether Pop would succeed. Popped positions advance strictly
 // one at a time.
 type Store interface {
-	Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) (rejected int, err error)
+	Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) error
 	Pop(q cell.PhysQueueID) (cell.Cell, error)
 	// Peek returns the next in-order cell without removing it.
 	Peek(q cell.PhysQueueID) (cell.Cell, bool)
@@ -125,16 +128,13 @@ func (st *blockQueue) ensure(ordinal uint64) {
 // keyed by (queue, position), held here at block granularity: the
 // cells stay in the slab block they arrived in. Out-of-order insertion
 // is trivial because the order is part of the tag (§8.2 item i).
+//
+// Every held block is whole, so a queue's pop offset is non-zero only
+// while its front block is resident.
 type CAMStore struct {
-	slab   *dram.Slab
-	b      int
-	queues []blockQueue
-	// partial maps a block of which only a prefix was accepted (the
-	// store filled up while it landed) to the end of its resident
-	// cells. Every other held block is whole. It is empty unless the
-	// head SRAM overflowed, which a correctly dimensioned buffer never
-	// does.
-	partial   map[dram.Block]int32
+	slab      *dram.Slab
+	b         int
+	queues    []blockQueue
 	capacity  int
 	total     int
 	highWater int
@@ -158,24 +158,13 @@ func (s *CAMStore) queue(q cell.PhysQueueID) *blockQueue {
 	return &s.queues[q]
 }
 
-// end returns the end of blk's resident cells: b for a whole block.
-func (s *CAMStore) end(blk dram.Block) int32 {
-	if len(s.partial) != 0 {
-		if e, ok := s.partial[blk]; ok {
-			return e
-		}
-	}
-	return int32(s.b)
-}
-
-// Land implements Store. The common case — a whole block into a free
-// slot with room to spare — is one ring store.
+// Land implements Store: a block that fits into a free slot is one
+// ring store.
 //
 //pktbuf:hotpath
-func (s *CAMStore) Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) (int, error) {
+func (s *CAMStore) Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) error {
 	st := s.queue(q)
-	if ordinal >= st.next && (st.off == 0 || ordinal != st.next) &&
-		(s.capacity == 0 || s.total+s.b <= s.capacity) {
+	if ordinal >= st.next && (s.capacity == 0 || s.total+s.b <= s.capacity) {
 		st.ensure(ordinal)
 		if slot := ordinal & uint64(len(st.ring)-1); st.ring[slot] == dram.NoBlock {
 			st.ring[slot] = blk
@@ -184,84 +173,24 @@ func (s *CAMStore) Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) (int
 			if s.total > s.highWater {
 				s.highWater = s.total
 			}
-			return 0, nil
+			return nil
 		}
 	}
-	return s.landSlow(q, st, ordinal, blk)
+	return s.refuse(q, st, ordinal, blk)
 }
 
-// landSlow lands a block that cannot be taken whole: the store lacks
-// room for it, or some of its positions are resident or already
-// popped. Cells are accepted exactly as a per-cell insert of positions
-// ordinal·b … ordinal·b+b−1 in order would accept them; since the
-// resident and popped positions of a block always form a prefix, the
-// accepted cells are a contiguous run [start, start+accepted).
-func (s *CAMStore) landSlow(q cell.PhysQueueID, st *blockQueue, ordinal uint64, blk dram.Block) (int, error) {
-	held := dram.NoBlock
-	if ordinal >= st.next && ordinal-st.next < uint64(len(st.ring)) {
-		held = st.ring[ordinal&uint64(len(st.ring)-1)]
-	}
-	// start is the first position of the block neither resident nor
-	// popped.
-	start := 0
+// refuse hands a block Land cannot take back to the slab and says why.
+func (s *CAMStore) refuse(q cell.PhysQueueID, st *blockQueue, ordinal uint64, blk dram.Block) error {
+	s.slab.ReleaseBlock(blk)
+	pos := ordinal * uint64(s.b)
 	switch {
-	case ordinal < st.next:
-		start = s.b
-	case held != dram.NoBlock:
-		start = int(s.end(held))
-	case ordinal == st.next:
-		start = int(st.off)
-	}
-	accepted := s.b - start
-	if s.capacity > 0 {
-		accepted = max(0, min(accepted, s.capacity-s.total))
-	}
-	rejected := s.b - accepted
-	var err error
-	switch {
-	case rejected == 0:
-	case start == 0 || (s.capacity > 0 && s.total >= s.capacity):
-		err = fmt.Errorf("%w: capacity %d", ErrFull, s.capacity)
-	case ordinal*uint64(s.b) < s.nextPop(st):
-		err = fmt.Errorf("%w: queue %d pos %d already popped", ErrDuplicate, q, ordinal*uint64(s.b))
+	case s.capacity > 0 && s.total+s.b > s.capacity:
+		return fmt.Errorf("%w: capacity %d", ErrFull, s.capacity)
+	case pos < s.nextPop(st):
+		return fmt.Errorf("%w: queue %d pos %d already popped", ErrDuplicate, q, pos)
 	default:
-		err = fmt.Errorf("%w: queue %d pos %d", ErrDuplicate, q, ordinal*uint64(s.b))
+		return fmt.Errorf("%w: queue %d pos %d", ErrDuplicate, q, pos)
 	}
-	if accepted == 0 {
-		s.slab.ReleaseBlock(blk)
-		return rejected, err
-	}
-	end := int32(start + accepted)
-	if held != dram.NoBlock {
-		// A second landing of a partly resident block fills in the
-		// missing cells of the one already held. A block is a run, so
-		// the held block already names every cell of the ordinal: it
-		// keeps its run, and the landed copy goes back to the slab.
-		s.slab.ReleaseBlock(blk)
-	} else {
-		st.ensure(ordinal)
-		held = blk
-		st.ring[ordinal&uint64(len(st.ring)-1)] = blk
-	}
-	s.setEnd(held, end)
-	st.count += int32(accepted)
-	s.total += accepted
-	if s.total > s.highWater {
-		s.highWater = s.total
-	}
-	return rejected, err
-}
-
-// setEnd records the end of blk's resident cells.
-func (s *CAMStore) setEnd(blk dram.Block, end int32) {
-	if int(end) == s.b {
-		delete(s.partial, blk)
-		return
-	}
-	if s.partial == nil {
-		s.partial = make(map[dram.Block]int32)
-	}
-	s.partial[blk] = end
 }
 
 // front returns the block holding q's next in-order cell and its slot,
@@ -273,11 +202,7 @@ func (s *CAMStore) front(st *blockQueue) (dram.Block, uint64) {
 		return dram.NoBlock, 0
 	}
 	slot := st.next & uint64(len(st.ring)-1)
-	blk := st.ring[slot]
-	if blk != dram.NoBlock && len(s.partial) != 0 && st.off >= s.end(blk) {
-		return dram.NoBlock, 0
-	}
-	return blk, slot
+	return st.ring[slot], slot
 }
 
 // Pop implements Store. The block goes back to the slab after its last

@@ -23,11 +23,31 @@ func newStores(t *testing.T, capacity, blockCells, sublists int) ([]Store, *dram
 }
 
 // land lands block ordinal of q holding queue cq's cells at their
-// stream positions (Seq = position), as the DRAM would deliver it.
-func land(s Store, slab *dram.Slab, q cell.PhysQueueID, cq cell.QueueID, ordinal uint64) (int, error) {
+// stream positions (Seq = position), as the DRAM would deliver it, and
+// returns the block's handle with Land's error.
+func land(s Store, slab *dram.Slab, q cell.PhysQueueID, cq cell.QueueID, ordinal uint64) (dram.Block, error) {
 	blk := slab.AcquireBlock()
 	slab.SetCells(blk, cq, ordinal*uint64(slab.BlockCells()))
-	return s.Land(q, ordinal, blk)
+	return blk, s.Land(q, ordinal, blk)
+}
+
+// requireRefused checks that a landing was refused whole with an error
+// wrapping want: the store's Total and HighWater did not move, and the
+// handle went back to the slab (it is the next one handed out).
+func requireRefused(t *testing.T, s Store, slab *dram.Slab, total, hw int, blk dram.Block, err, want error) {
+	t.Helper()
+	name := storeName(s)
+	if !errors.Is(err, want) {
+		t.Fatalf("%s land = %v, want %v", name, err, want)
+	}
+	if s.Total() != total || s.HighWater() != hw {
+		t.Errorf("%s refused landing moved total/high water to %d/%d, want %d/%d", name, s.Total(), s.HighWater(), total, hw)
+	}
+	again := slab.AcquireBlock()
+	slab.ReleaseBlock(again)
+	if again != blk {
+		t.Errorf("%s kept refused block %d (slab hands out %d next)", name, blk, again)
+	}
 }
 
 func TestInsertPopInOrder(t *testing.T) {
@@ -113,9 +133,8 @@ func TestCapacityEnforced(t *testing.T) {
 				t.Fatalf("%s insert %d: %v", name, pos, err)
 			}
 		}
-		if n, err := land(s, slab, 0, 0, 4); n != 1 || !errors.Is(err, ErrFull) {
-			t.Errorf("%s overfull land = %d, %v; want 1, ErrFull", name, n, err)
-		}
+		blk, err := land(s, slab, 0, 0, 4)
+		requireRefused(t, s, slab, 4, 4, blk, err, ErrFull)
 		// Freeing one slot admits one more.
 		if _, err := s.Pop(0); err != nil {
 			t.Fatal(err)
@@ -136,9 +155,8 @@ func TestDuplicateInsert(t *testing.T) {
 		if _, err := land(s, slab, 1, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := land(s, slab, 1, 1, 0); n != 1 || !errors.Is(err, ErrDuplicate) {
-			t.Errorf("%s duplicate land = %d, %v; want 1, ErrDuplicate", name, n, err)
-		}
+		blk, err := land(s, slab, 1, 1, 0)
+		requireRefused(t, s, slab, 1, 1, blk, err, ErrDuplicate)
 		// Re-landing an already-popped position is also a duplicate.
 		if _, err := land(s, slab, 1, 1, 1); err != nil {
 			t.Fatal(err)
@@ -146,9 +164,8 @@ func TestDuplicateInsert(t *testing.T) {
 		if _, err := s.Pop(1); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := land(s, slab, 1, 1, 0); n != 1 || !errors.Is(err, ErrDuplicate) {
-			t.Errorf("%s popped-pos reland = %d, %v; want 1, ErrDuplicate", name, n, err)
-		}
+		blk, err = land(s, slab, 1, 1, 0)
+		requireRefused(t, s, slab, 1, 2, blk, err, ErrDuplicate)
 		if got := s.Total(); got != 1 {
 			t.Errorf("%s Total = %d after duplicates, want 1", name, got)
 		}
@@ -317,8 +334,9 @@ func TestEquivalenceCAMList(t *testing.T) {
 				}
 				popped[q]++
 			}
-			if cam.Total() != ls.Total() {
-				t.Fatalf("seed %d: totals diverge %d vs %d", seed, cam.Total(), ls.Total())
+			if cam.Total() != ls.Total() || cam.HighWater() != ls.HighWater() {
+				t.Fatalf("seed %d: total/high water diverge %d/%d vs %d/%d",
+					seed, cam.Total(), cam.HighWater(), ls.Total(), ls.HighWater())
 			}
 		}
 	}

@@ -473,8 +473,9 @@ func statsFromCore(s core.Stats) Stats {
 // Sizing reports a buffer's dimensioned structure sizes — the paper's
 // equations (1)-(4). DimensionFor computes the analytic values for a
 // configuration without building it; Buffer.Sizing reports the
-// as-built values, which include the engineering slack the
-// implementation adds on top of the analytic bounds.
+// as-built values: the head SRAM is the ECQF ledger bound Q(b−1) +
+// L + Λ, which no ECQF run can overflow, and the tail SRAM adds the
+// implementation's staging slack to the analytic bound.
 type Sizing struct {
 	// GranularityB is the RADS granularity B for the line rate.
 	GranularityB int
@@ -484,7 +485,8 @@ type Sizing struct {
 	// Lookahead is the MMA lookahead in slots (the ECQF full lookahead
 	// Q(b−1)+1 unless overridden).
 	Lookahead int
-	// HeadSRAMCells / TailSRAMCells are the SRAM sizes in 64 B cells.
+	// HeadSRAMCells / TailSRAMCells are the SRAM sizes in 64 B cells
+	// (DimensionFor's head size is equation (4)).
 	HeadSRAMCells, TailSRAMCells int
 	// RequestRegister is equation (1)'s RR size.
 	RequestRegister int
@@ -496,8 +498,8 @@ type Sizing struct {
 	DelaySlots int
 }
 
-// Sizing returns the as-built structure sizes of this buffer,
-// including the engineering slack core adds over the analytic bounds.
+// Sizing returns the as-built structure sizes of this buffer (see
+// Sizing for how they differ from DimensionFor's analytic ones).
 func (b *Buffer) Sizing() Sizing {
 	cfg := b.inner.Config()
 	d := cfg.Dimension()

@@ -16,10 +16,11 @@ import (
 // card buffers: an 8×2 OC-3072 engine (b = 4, 256 banks) under seeded
 // packet traffic, every port's buffer snapshotted at several slots
 // across the b-slot MMA cycle, FNV-64 over all of them. The constant
-// was taken when DRAM blocks were carried as cell slices; carrying them
-// by slab handle must not move a byte.
+// was taken when DRAM blocks were carried as cell slices, and moved
+// once since, when the default head SRAM size became the ECQF ledger
+// bound (the framed headcells attribute is the only changed field).
 func TestPortSnapshotBytesPinned(t *testing.T) {
-	const want = 0xa34063edcaf618fe
+	const want = 0xea39fddf6e13d4aa
 	e, err := New(Config{Ports: 8, Classes: 2, Buffer: pktbuf.Config{
 		LineRate: pktbuf.OC3072, Granularity: 4, Banks: 256}})
 	if err != nil {

@@ -1,13 +1,11 @@
 package sim_test
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/facade"
-	"repro/internal/sram"
 	"repro/internal/testbuf"
 	"repro/pktbuf"
 	"repro/pktbuf/sim"
@@ -341,15 +339,14 @@ func TestDrainQuiescence(t *testing.T) {
 	}
 }
 
-// TestWitnessUniformQ64b8HeadOverflow pins a known failure: in-model
-// uniform traffic overflows the as-built head SRAM at Q=64, b=8 (the
-// workload of `pktbufsim -queues 64 -b 8 -arrivals uniform -requests
-// uniform`, seed 1, with its default Q·b·4-slot warmup). The head SRAM
-// size is padded by hand, not derived; this is ROADMAP item 1's
-// witness. It expects today's error class at today's slot, and flips
-// to a clean run once the sizing is derived. Because it depends on
-// the exact RNG consumption of both uniform generators, it also pins
-// their streams.
+// TestWitnessUniformQ64b8HeadOverflow is ROADMAP item 1's witness:
+// in-model uniform traffic at Q=64, b=8 (the workload of `pktbufsim
+// -queues 64 -b 8 -arrivals uniform -requests uniform`, seed 1, with
+// its default Q·b·4-slot warmup) overflowed the hand-padded head SRAM
+// of 688 cells at slot 8 648. Sized by the ECQF ledger bound
+// Q(b−1) + L + Λ = 448 + 449 + 152 = 1 049 cells, the same run is clean
+// for 100 000 slots. Because the high-water depends on the exact RNG
+// consumption of both uniform generators, it also pins their streams.
 func TestWitnessUniformQ64b8HeadOverflow(t *testing.T) {
 	buf, err := pktbuf.New(pktbuf.Config{Queues: 64, LineRate: pktbuf.OC3072, Granularity: 8, Banks: 256})
 	if err != nil {
@@ -362,13 +359,13 @@ func TestWitnessUniformQ64b8HeadOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := (&sim.Runner{Buffer: buf, Arrivals: arr, Requests: req}).Run(100000)
-	if !errors.Is(err, sram.ErrFull) {
-		t.Fatalf("err = %v, want sram.ErrFull", err)
+	if err != nil {
+		t.Fatalf("after %d slots: %v", res.Slots, err)
 	}
-	if res.Slots != 8648 {
-		t.Errorf("failed after %d slots, want 8648", res.Slots)
+	if res.Slots != 100000 || !res.Stats.Clean() {
+		t.Errorf("ran %d slots, stats %+v; want 100000 clean slots", res.Slots, res.Stats)
 	}
-	if hw, size := res.Stats.HeadSRAMHighWater, buf.Sizing().HeadSRAMCells; hw != size || size != 688 {
-		t.Errorf("head SRAM high-water %d, size %d; want both 688", hw, size)
+	if hw, size := res.Stats.HeadSRAMHighWater, buf.Sizing().HeadSRAMCells; hw != 751 || size != 1049 {
+		t.Errorf("head SRAM high-water %d, size %d; want 751 and 1049", hw, size)
 	}
 }
