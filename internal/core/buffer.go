@@ -188,16 +188,17 @@ func (t *tailQueue) cells(s *dram.Slab, arrived uint64, fn func(seq uint64)) {
 }
 
 // kernelState is the structure-of-arrays per-queue state arena: the
-// arrival and delivery sequence cursors and the occupancy/pending
-// counters, each in its own contiguous word-aligned array indexed by
-// the logical queue ordinal. Keeping each counter class dense lets the
+// arrival and delivery sequence cursors and the pending-request
+// counter, each in its own contiguous word-aligned array indexed by
+// the logical queue ordinal. A queue holds arrivedSeq − deliveredSeq
+// cells: a dropped arrival is refused before its sequence number is
+// taken. Keeping each counter class dense lets the
 // round-robin steady state walk sixteen queues per cache line instead
 // of two. Only the tail-SRAM queues stay array-of-structs: a promise
 // or a pop touches all of one queue's tail fields together.
 type kernelState struct {
 	arrivedSeq   []uint64
 	deliveredSeq []uint64
-	sysOcc       []int32
 	pendingReq   []int32
 }
 
@@ -205,14 +206,14 @@ func newKernelState(queues int) kernelState {
 	return kernelState{
 		arrivedSeq:   make([]uint64, queues),
 		deliveredSeq: make([]uint64, queues),
-		sysOcc:       make([]int32, queues),
 		pendingReq:   make([]int32, queues),
 	}
 }
 
 // completion is a DRAM→SRAM block transfer scheduled to land at a
-// future slot. blk is the block BeginReadAt handed back; it returns to
-// the DRAM's slab when its cells land.
+// future slot: blk, in flight since its read issued, stays in its
+// queue's DRAM list through the landing until its last cell is
+// popped.
 type completion struct {
 	ordinal uint64
 	phys    cell.PhysQueueID
@@ -258,7 +259,7 @@ type Buffer struct {
 	cfg Config
 
 	dram  *dram.DRAM
-	slab  *dram.Slab // the DRAM's, shared by the tail and head SRAMs
+	slab  *dram.Slab // the DRAM's, shared with the tail SRAM
 	head  sram.Store
 	sched *dss.Scheduler
 	hmma  mma.HeadMMA
@@ -374,13 +375,13 @@ func New(cfg Config) (*Buffer, error) {
 	var head sram.Store
 	switch cfg.Org {
 	case OrgLinkedList:
-		ls, err := sram.NewList(dr.Slab, cfg.HeadSRAMCells, d.BanksPerGroup(), physSpace)
+		ls, err := sram.NewList(dr, cfg.HeadSRAMCells, d.BanksPerGroup(), physSpace)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 		head = ls
 	default:
-		head = sram.NewCAM(dr.Slab, cfg.HeadSRAMCells, physSpace)
+		head = sram.NewCAM(dr, cfg.HeadSRAMCells)
 	}
 
 	pipeLen := cfg.Lookahead + cfg.LatencySlots
@@ -471,19 +472,19 @@ func (b *Buffer) Now() cell.Slot { return b.now }
 
 // Len returns the number of cells of queue q currently in the buffer.
 func (b *Buffer) Len(q cell.QueueID) int {
-	if q < 0 || int(q) >= len(b.ks.sysOcc) {
+	if q < 0 || int(q) >= len(b.ks.arrivedSeq) {
 		return 0
 	}
-	return int(b.ks.sysOcc[q])
+	return int(b.ks.arrivedSeq[q] - b.ks.deliveredSeq[q])
 }
 
 // Requestable returns how many cells of q the arbiter may still
 // request (cells in the system minus requests already in flight).
 func (b *Buffer) Requestable(q cell.QueueID) int {
-	if q < 0 || int(q) >= len(b.ks.sysOcc) {
+	if q < 0 || int(q) >= len(b.ks.arrivedSeq) {
 		return 0
 	}
-	return int(b.ks.sysOcc[q] - b.ks.pendingReq[q])
+	return int(b.ks.arrivedSeq[q]-b.ks.deliveredSeq[q]) - int(b.ks.pendingReq[q])
 }
 
 // PendingRequests returns the number of admitted requests still in
@@ -734,7 +735,6 @@ func (b *Buffer) arrive(q cell.QueueID) error {
 	b.tails[q].n++
 	b.tailTotal++
 	b.tmma.OnArrival(q)
-	b.ks.sysOcc[q]++
 	b.stats.Arrivals++
 	return nil
 }
@@ -799,7 +799,6 @@ func (b *Buffer) deliver(phys cell.PhysQueueID, q cell.QueueID) (*cell.Cell, boo
 			ErrOutOfOrder, q, c, want) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
 	}
 	b.ks.deliveredSeq[q] = want + 1
-	b.ks.sysOcc[q]--
 	b.ks.pendingReq[q]--
 	b.pendingTotal--
 	b.stats.Deliveries++
@@ -820,20 +819,21 @@ func (b *Buffer) tailCycle() error {
 		return nil
 	}
 	p, err := b.mapr.WriteTarget(q)
-	if err != nil {
+	if err != nil || !b.dram.CanWrite(p) {
 		// Raced capacity; treated as a stall, retried next cycle.
-		b.stats.TailStalls++
-		return nil
-	}
-	ordinal, bank, err := b.dram.ReserveWrite(p)
-	if err != nil {
 		b.stats.TailStalls++
 		return nil
 	}
 	if err := b.mapr.NoteWrite(q, p); err != nil {
 		return err
 	}
+	// Stage first: the reservation links the staged block into p's
+	// DRAM list, and with the group's room checked it cannot refuse.
 	blk := b.tails[q].stage(b.slab, q, b.ks.arrivedSeq[q])
+	ordinal, bank, err := b.dram.ReserveWrite(p, blk)
+	if err != nil {
+		return fmt.Errorf("core: write reserve for phys %d: %w", p, err)
+	}
 	b.tmma.OnTransfer(q)
 	return b.sched.Enqueue(dss.Request{
 		Queue: p, Dir: dss.Write, Ordinal: ordinal, Bank: bank,
@@ -853,13 +853,14 @@ func (b *Buffer) headCycle() error {
 	if !ok {
 		return nil
 	}
-	ordinal, bank, err := b.dram.ReserveRead(p)
+	ordinal, bank, blk, err := b.dram.ReserveRead(p)
 	if err != nil {
 		return fmt.Errorf("core: replenish reserve for phys %d: %w", p, err)
 	}
 	b.hmma.OnReplenish(p)
 	return b.sched.Enqueue(dss.Request{
-		Queue: p, Dir: dss.Read, Ordinal: ordinal, Bank: bank, Enqueued: b.now,
+		Queue: p, Dir: dss.Read, Ordinal: ordinal, Bank: bank,
+		Block: blk, Enqueued: b.now,
 	})
 }
 
@@ -871,15 +872,13 @@ func (b *Buffer) dsaCycle(budget int) error {
 		switch r.Dir {
 		case dss.Write:
 			if _, err := b.dram.BeginWriteAt(r.Queue, r.Ordinal, r.Block, b.now); err != nil {
-				b.dram.ReleaseBlock(r.Block)
 				return fmt.Errorf("core: DSA write issue: %w", err)
 			}
 			// The block physically leaves the tail SRAM on the bus: the
 			// DRAM now owns its staged handle.
 			b.tailTotal -= b.cfg.Bsmall
 		case dss.Read:
-			_, blk, err := b.dram.BeginReadAt(r.Queue, r.Ordinal, b.now)
-			if err != nil {
+			if _, err := b.dram.BeginReadAt(r.Queue, r.Ordinal, r.Block, b.now); err != nil {
 				return fmt.Errorf("core: DSA read issue: %w", err)
 			}
 			at := b.compIdx + access
@@ -887,7 +886,7 @@ func (b *Buffer) dsaCycle(budget int) error {
 				at -= len(b.compRing)
 			}
 			b.compRing[at] = append(b.compRing[at], completion{
-				phys: r.Queue, ordinal: r.Ordinal, blk: blk,
+				phys: r.Queue, ordinal: r.Ordinal, blk: r.Block,
 			})
 			b.compPending++
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/cell"
+	"repro/internal/dram"
 	"repro/internal/frame"
 	"repro/internal/mma"
 	"repro/internal/sram"
@@ -85,19 +86,20 @@ func (b *Buffer) Snapshot(w io.Writer) error {
 		}
 	}
 
-	// Per-queue cursor/counter arena.
+	// Per-queue cursor/counter arena; the fourth column is the queue's
+	// occupancy, arrivedSeq − deliveredSeq.
 	live = 0
 	for q := range b.ks.arrivedSeq {
-		if b.ks.arrivedSeq[q] != 0 || b.ks.deliveredSeq[q] != 0 || b.ks.sysOcc[q] != 0 || b.ks.pendingReq[q] != 0 {
+		if b.ks.arrivedSeq[q] != 0 || b.ks.deliveredSeq[q] != 0 || b.ks.pendingReq[q] != 0 {
 			live++
 		}
 	}
 	fw.Begin("ks")
 	fw.Attr("entries", int64(live))
 	for q := range b.ks.arrivedSeq {
-		if b.ks.arrivedSeq[q] != 0 || b.ks.deliveredSeq[q] != 0 || b.ks.sysOcc[q] != 0 || b.ks.pendingReq[q] != 0 {
+		if b.ks.arrivedSeq[q] != 0 || b.ks.deliveredSeq[q] != 0 || b.ks.pendingReq[q] != 0 {
 			fw.Row(int64(q), int64(b.ks.arrivedSeq[q]), int64(b.ks.deliveredSeq[q]),
-				int64(b.ks.sysOcc[q]), int64(b.ks.pendingReq[q]))
+				int64(b.Len(cell.QueueID(q))), int64(b.ks.pendingReq[q]))
 		}
 	}
 
@@ -257,7 +259,7 @@ func restoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 	b.deriveCursors()
 	// The t-MMA stages at most one block per b-slot cycle, so every
 	// block ordinal of every physical queue is below blocks: the bound
-	// that keeps a corrupt ordinal from sizing a ring.
+	// every section checks its ordinals against.
 	blocks := uint64(b.now)/uint64(b.cfg.Bsmall) + 1
 	// The pipeline ring's head moves with the slot counter.
 	pipeHead := int64(uint64(b.now) % uint64(b.look.Size()))
@@ -330,9 +332,14 @@ func restoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 		if q < 0 || q >= len(b.ks.arrivedSeq) {
 			return nil, fmt.Errorf("%w: ks queue %d out of range", frame.ErrFrame, q)
 		}
+		// A queue's occupancy is its cursors' difference, and a block
+		// record holds sequence numbers up to dram.MaxSeq.
+		if row[1] < 0 || uint64(row[1]) >= dram.MaxSeq || row[2] < 0 || row[2] > row[1] || row[3] != row[1]-row[2] {
+			return nil, fmt.Errorf("%w: ks queue %d holds %d cells between seqs %d and %d",
+				frame.ErrFrame, q, row[3], row[2], row[1])
+		}
 		b.ks.arrivedSeq[q] = uint64(row[1])
 		b.ks.deliveredSeq[q] = uint64(row[2])
-		b.ks.sysOcc[q] = int32(row[3])
 		b.ks.pendingReq[q] = int32(row[4])
 	}
 
@@ -429,6 +436,9 @@ func restoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 			if err != nil {
 				return nil, fmt.Errorf("completion slot %d: %w", slot, err)
 			}
+			if err := b.dram.Place(cell.PhysQueueID(row[0]), uint64(row[1]), blk, dram.InFlight); err != nil {
+				return nil, fmt.Errorf("completion slot %d: %w", slot, err)
+			}
 			b.compRing[slot] = append(b.compRing[slot], completion{
 				phys: cell.PhysQueueID(row[0]), ordinal: uint64(row[1]), blk: blk,
 			})
@@ -494,7 +504,7 @@ func restoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 	case *sram.CAMStore:
 		err = s.Restore(fr, blocks)
 	case *sram.ListStore:
-		err = s.Restore(fr)
+		err = s.Restore(fr, blocks)
 	}
 	if err != nil {
 		return nil, err
@@ -503,6 +513,12 @@ func restoreBuffer(r io.Reader, cfg Config) (*Buffer, error) {
 		return nil, err
 	}
 	if err := b.sched.Restore(fr, b.dram); err != nil {
+		return nil, err
+	}
+	// Every section has placed its blocks: relink each queue's list. A
+	// refused head landing (HeadOverflows counts b cells for each)
+	// leaves a block in flight that no section frames.
+	if err := b.dram.Relink(b.stats.HeadOverflows / uint64(b.cfg.Bsmall)); err != nil {
 		return nil, err
 	}
 	if err := fr.Expect("end"); err != nil {

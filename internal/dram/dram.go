@@ -14,15 +14,33 @@
 // DRAM's Slab is the buffer's one block store, from staging to
 // delivery: a block is b consecutive cells of one logical queue, so it
 // is held as one 16-byte run record — the queue and the sequence
-// number of its first cell — named by an int32 Block handle. The tail
-// SRAM takes a block when it stages b cells, BeginWriteAt takes
-// ownership, BeginReadAt hands it back, the head SRAM holds it until
-// its last cell is delivered, and ReleaseBlock recycles it; the tail
-// SRAM also keeps all but the front run of its promised cells in slab
-// blocks. Slab chunks are allocated whole and never move, and released
-// handles are reused through a free list: the steady-state datapath
-// neither copies a block nor allocates. Each queue's ordinal ring
-// stores 4-byte handles.
+// number of its first cell — named by an int32 Block handle. Slab
+// chunks are allocated whole and never move, and released handles are
+// reused through a free list: the steady-state datapath neither
+// copies a block nor allocates. The tail SRAM also keeps all but the
+// front run of its promised cells in slab blocks.
+//
+// A physical queue's blocks, from its DRAM write reservation to the
+// head SRAM's last pop, are one singly linked list in ordinal order,
+// threaded through the records' next links. One 40-byte record per
+// queue owns it: the front block (the head SRAM's pop block, ordinal
+// pop, with off of its cells delivered), readNext (ordinal
+// readReserved, the next block to reserve for reading) and back (the
+// youngest reserved write, ordinal writeReserved−1). Each block
+// carries its State in its record, so a transition is a check and a
+// store on the block itself:
+//
+//	Unlinked → Staged        ReserveWrite links the staged block at the back
+//	Staged → Stored          BeginWriteAt
+//	Stored → ReadReserved    ReserveRead, always the readNext block
+//	ReadReserved → InFlight  BeginReadAt
+//	InFlight → Landed        Land (the head SRAM's landing)
+//	Landed → Unlinked        Pop, after the block's last cell: the block
+//	                         leaves the front and goes back to the slab
+//
+// "Readable now" is readNext being Stored. Both head SRAM
+// organizations (internal/sram) keep their cells here and add only
+// their own accounting.
 //
 // The model is storage-accurate (it holds the actual cells, so tests
 // can verify end-to-end FIFO delivery) and timing-accurate at slot
@@ -112,106 +130,18 @@ type Block int32
 // NoBlock is the sentinel for "no block".
 const NoBlock Block = 0
 
-// queueState tracks one physical queue's stored blocks plus the
-// reservation cursors. The stored blocks live in an ordinal-indexed
-// ring window (see blockRing) instead of a hash map: block ordinals
-// are dense and monotone, so the window [ring.base, writeReserved)
-// addresses every live or in-flight block with one mask, no hashing
-// and no per-entry allocation — the datapath probes are pure indexed
-// loads. Ordinals below readReserved are consumed or have their read
-// in flight; ordinals in [readReserved, writeReserved) are live.
-type queueState struct {
-	ring blockRing
-	// writeReserved is the next block ordinal to assign to a write.
-	writeReserved uint64
-	// readReserved is the next block ordinal to assign to a read.
-	readReserved uint64
-}
-
-// blockRing is a power-of-two ring of issued-but-unread block handles
-// indexed by block ordinal. base is the lowest ordinal the window may
-// still address; slots[ordinal&mask] is NoBlock when the ordinal is
-// absent (consumed, or its write not yet issued). The window only
-// needs to cover [base, writeReserved); base advances lazily over
-// consumed ordinals (empty slots below readReserved), so steady-state
-// operation re-uses the same few slots and the ring grows —
-// geometrically, off the steady-state path — only when a genuine block
-// backlog builds up.
-type blockRing struct {
-	slots []Block
-	base  uint64
-}
-
-// get returns the block stored at ordinal, or NoBlock.
-func (r *blockRing) get(ordinal uint64) Block {
-	if ordinal < r.base || ordinal-r.base >= uint64(len(r.slots)) {
-		return NoBlock
-	}
-	return r.slots[ordinal&uint64(len(r.slots)-1)]
-}
-
-// del removes the block at ordinal (a no-op when absent).
-func (r *blockRing) del(ordinal uint64) {
-	if ordinal < r.base || ordinal-r.base >= uint64(len(r.slots)) {
-		return
-	}
-	r.slots[ordinal&uint64(len(r.slots)-1)] = NoBlock
-}
-
-// put stores blk at ordinal, growing the window as needed. consumedLim
-// is the caller's readReserved cursor: every empty slot below it is a
-// consumed ordinal the base may slide past to make room without
-// growing.
-func (r *blockRing) put(ordinal uint64, blk Block, consumedLim uint64) {
-	if ordinal < r.base {
-		// Cannot happen with the DRAM's cursor discipline (writes land
-		// at ordinals ≥ readReserved ≥ base); guard for safety.
-		panic("dram: block ordinal below ring window")
-	}
-	if ordinal-r.base >= uint64(len(r.slots)) {
-		r.grow(ordinal, consumedLim)
-	}
-	r.slots[ordinal&uint64(len(r.slots)-1)] = blk
-}
-
-// grow makes the window cover ordinal: first the base slides past
-// consumed ordinals, then the ring doubles until the span fits.
-func (r *blockRing) grow(ordinal, consumedLim uint64) {
-	if n := uint64(len(r.slots)); n > 0 {
-		for r.base < consumedLim && r.slots[r.base&(n-1)] == NoBlock {
-			r.base++
-		}
-	}
-	need := ordinal - r.base + 1
-	size := uint64(len(r.slots))
-	if size == 0 {
-		size = 8
-	}
-	for size < need {
-		size *= 2
-	}
-	if size == uint64(len(r.slots)) {
-		return
-	}
-	grown := make([]Block, size)
-	for o := r.base; o < r.base+uint64(len(r.slots)); o++ {
-		grown[o&(size-1)] = r.slots[o&uint64(len(r.slots)-1)]
-	}
-	r.slots = grown
-}
-
 // DRAM is the banked memory system. It is not safe for concurrent use;
 // each buffer is ticked by one goroutine by design.
 type DRAM struct {
-	// Slab holds the cells of every block; the DRAM's rings, the
+	// Slab holds the cells of every block; the queue lists, the
 	// Requests Register and the tail and head SRAMs name them by
 	// handle.
 	*Slab
 
 	cfg       Config
-	busyUntil []cell.Slot  // per bank: busy while now < busyUntil
-	groupBlk  []int        // per group: blocks reserved-or-stored
-	queues    []queueState // dense arena indexed by physical ordinal
+	busyUntil []cell.Slot // per bank: busy while now < busyUntil
+	groupBlk  []int       // per group: blocks reserved-or-stored
+	queues    []queueList // dense arena indexed by physical ordinal
 
 	// groupMask/bankMask replace the per-probe modulo of Group/BankFor
 	// with a mask when the respective count is a power of two (-1
@@ -233,6 +163,10 @@ type DRAM struct {
 	// busySlots accumulates bank-busy time (accesses × AccessSlots),
 	// for utilization reporting.
 	busySlots uint64
+
+	// placed collects the blocks a restore's sections frame until
+	// Relink links them; nil otherwise.
+	placed map[placeKey]Block
 }
 
 // New constructs a DRAM from cfg. It panics on invalid configuration;
@@ -247,7 +181,7 @@ func New(cfg Config) *DRAM {
 		cfg:       cfg,
 		busyUntil: make([]cell.Slot, cfg.Banks),
 		groupBlk:  make([]int, cfg.Groups()),
-		queues:    make([]queueState, cfg.Queues),
+		queues:    make([]queueList, cfg.Queues),
 		readable:  bitset.New(cfg.Queues),
 		groups:    cfg.Groups(),
 		groupMask: -1,
@@ -264,6 +198,10 @@ func New(cfg Config) *DRAM {
 
 // Config returns the configuration the DRAM was built with.
 func (d *DRAM) Config() Config { return d.cfg }
+
+// Queues returns the number of physical queues the DRAM holds lists
+// for (Config.Queues, or more once an arena grew).
+func (d *DRAM) Queues() int { return len(d.queues) }
 
 // Group returns the bank group a physical queue is statically assigned
 // to: the low-order bits of the queue field (Figure 6), i.e. p mod G.
@@ -397,14 +335,12 @@ func (d *DRAM) ReadableNow(p cell.PhysQueueID) bool {
 // read-only.
 func (d *DRAM) ReadableSet() *bitset.Set { return d.readable }
 
-// refreshReadable re-derives p's readable bit from the reservation
-// cursors and the stored blocks. Called after every transition that
-// can flip it; idempotent.
+// refreshReadable re-derives p's readable bit: its readNext block is
+// Stored. Called after every transition that can flip it; idempotent.
 //
 //pktbuf:hotpath
-func (d *DRAM) refreshReadable(p cell.PhysQueueID, q *queueState) {
-	ok := q.readReserved < q.writeReserved && q.ring.get(q.readReserved) != NoBlock
-	if ok {
+func (d *DRAM) refreshReadable(p cell.PhysQueueID, q *queueList) {
+	if q.readNext != NoBlock && d.State(q.readNext) == Stored {
 		d.readable.Set(int(p))
 	} else {
 		d.readable.Clear(int(p))
@@ -425,7 +361,7 @@ func (d *DRAM) Utilization(now cell.Slot) float64 {
 	return float64(d.busySlots) / (float64(now) * float64(d.cfg.Banks))
 }
 
-func (d *DRAM) queue(p cell.PhysQueueID) *queueState {
+func (d *DRAM) queue(p cell.PhysQueueID) *queueList {
 	if int(p) >= len(d.queues) {
 		d.queues = arena.Grown(d.queues, int(p)+1)
 		d.readable.Grow(len(d.queues))
@@ -434,94 +370,105 @@ func (d *DRAM) queue(p cell.PhysQueueID) *queueState {
 }
 
 // ReserveWrite assigns the next block ordinal (and hence bank) of
-// queue p to a pending write and charges the group's capacity. The
-// reservation happens in MMA order; the issue may happen later and out
-// of order via BeginWriteAt.
-func (d *DRAM) ReserveWrite(p cell.PhysQueueID) (ordinal uint64, bank BankID, err error) {
+// queue p to a pending write of staged block blk, links blk at the
+// back of p's list and charges the group's capacity. The reservation
+// happens in MMA order; the issue may happen later and out of order
+// via BeginWriteAt. blk must be Unlinked.
+func (d *DRAM) ReserveWrite(p cell.PhysQueueID, blk Block) (ordinal uint64, bank BankID, err error) {
 	if !d.CanWrite(p) {
 		return 0, NoBank, fmt.Errorf("%w: group %d", ErrGroupFull, d.Group(p))
+	}
+	if !d.Live(blk) || d.State(blk) != Unlinked {
+		return 0, NoBank, fmt.Errorf("%w: handle %d is not a staged block", ErrBadBlock, blk)
 	}
 	q := d.queue(p)
 	ordinal = q.writeReserved
 	q.writeReserved++
+	d.setState(blk, Staged)
+	d.link(q, blk)
+	if q.readNext == NoBlock {
+		q.readNext = blk
+	}
 	d.groupBlk[d.Group(p)]++
-	d.refreshReadable(p, q)
 	return ordinal, d.BankFor(p, ordinal), nil
 }
 
-// BeginWriteAt issues the write of a reserved block: the b cells of
-// blk are stored at the given ordinal, occupying its bank for
-// AccessSlots slots starting at now. On success the DRAM owns blk until
-// BeginReadAt hands it back; on error the caller keeps it.
+// BeginWriteAt issues the write of staged block blk, reserved at the
+// given ordinal: its cells are stored, occupying its bank for
+// AccessSlots slots starting at now. On error the block stays staged.
 func (d *DRAM) BeginWriteAt(p cell.PhysQueueID, ordinal uint64, blk Block, now cell.Slot) (BankID, error) {
-	if !d.live(blk) {
+	if !d.Live(blk) {
 		return NoBank, fmt.Errorf("%w: handle %d", ErrBadBlock, blk)
 	}
 	q := d.queue(p)
 	if ordinal >= q.writeReserved {
 		return NoBank, fmt.Errorf("%w: write ordinal %d not reserved (next %d)", ErrBadOrdinal, ordinal, q.writeReserved)
 	}
-	if q.ring.get(ordinal) != NoBlock {
-		return NoBank, fmt.Errorf("%w: write ordinal %d already issued", ErrBadOrdinal, ordinal)
-	}
-	if ordinal < q.readReserved {
-		return NoBank, fmt.Errorf("%w: write ordinal %d already consumed", ErrBadOrdinal, ordinal)
+	if st := d.State(blk); st != Staged {
+		return NoBank, fmt.Errorf("%w: write ordinal %d: block %d is %v, not staged", ErrBadOrdinal, ordinal, blk, st)
 	}
 	b := d.BankFor(p, ordinal)
 	if d.BankBusy(b, now) {
 		return NoBank, fmt.Errorf("%w: bank %d busy until slot %d, write at slot %d",
 			ErrBankConflict, b, d.busyUntil[b], now)
 	}
-	q.ring.put(ordinal, blk, q.readReserved)
+	d.setState(blk, Stored)
 	d.busyUntil[b] = now + cell.Slot(d.cfg.AccessSlots)
 	d.accesses++
 	d.busySlots += uint64(d.cfg.AccessSlots)
-	d.refreshReadable(p, q)
+	if blk == q.readNext {
+		d.readable.Set(int(p))
+	}
 	return b, nil
 }
 
-// ReserveRead assigns the next readable block ordinal of queue p to a
-// pending read. It fails if no block is readable (either the queue is
-// drained or the next block's write has not been issued yet).
-func (d *DRAM) ReserveRead(p cell.PhysQueueID) (ordinal uint64, bank BankID, err error) {
+// ReserveRead assigns the next block ordinal of queue p, its readNext
+// block, to a pending read and returns the block. It fails if no block
+// is readable (either the queue is drained or the next block's write
+// has not been issued yet).
+func (d *DRAM) ReserveRead(p cell.PhysQueueID) (ordinal uint64, bank BankID, blk Block, err error) {
 	q := d.queue(p)
-	if q.readReserved >= q.writeReserved {
-		return 0, NoBank, fmt.Errorf("%w: physical queue %d", ErrQueueEmpty, p)
+	blk = q.readNext
+	if blk == NoBlock {
+		return 0, NoBank, NoBlock, fmt.Errorf("%w: physical queue %d", ErrQueueEmpty, p)
 	}
-	if q.ring.get(q.readReserved) == NoBlock {
-		return 0, NoBank, fmt.Errorf("%w: physical queue %d block %d write not yet issued",
+	if d.State(blk) != Stored {
+		return 0, NoBank, NoBlock, fmt.Errorf("%w: physical queue %d block %d write not yet issued",
 			ErrQueueEmpty, p, q.readReserved)
 	}
 	ordinal = q.readReserved
 	q.readReserved++
+	d.setState(blk, ReadReserved)
+	q.readNext = d.Next(blk)
 	d.refreshReadable(p, q)
-	return ordinal, d.BankFor(p, ordinal), nil
+	return ordinal, d.BankFor(p, ordinal), blk, nil
 }
 
-// BeginReadAt issues a reserved read: the block at ordinal is removed
-// and its handle returned to the caller, who owns it from then on and
-// releases it once its cells have landed; its bank is occupied for
-// AccessSlots slots starting at now. The caller models transfer
-// latency by delivering the cells to SRAM AccessSlots later.
-func (d *DRAM) BeginReadAt(p cell.PhysQueueID, ordinal uint64, now cell.Slot) (BankID, Block, error) {
+// BeginReadAt issues the reserved read of block blk at ordinal: its
+// bank is occupied for AccessSlots slots starting at now, and the block
+// is in flight until the head SRAM lands it. The caller models transfer
+// latency by landing the block AccessSlots later. On error the block
+// stays reserved.
+func (d *DRAM) BeginReadAt(p cell.PhysQueueID, ordinal uint64, blk Block, now cell.Slot) (BankID, error) {
+	if !d.Live(blk) {
+		return NoBank, fmt.Errorf("%w: handle %d", ErrBadBlock, blk)
+	}
 	q := d.queue(p)
 	if ordinal >= q.readReserved {
-		return NoBank, NoBlock, fmt.Errorf("%w: read ordinal %d not reserved (next %d)", ErrBadOrdinal, ordinal, q.readReserved)
+		return NoBank, fmt.Errorf("%w: read ordinal %d not reserved (next %d)", ErrBadOrdinal, ordinal, q.readReserved)
 	}
-	blk := q.ring.get(ordinal)
-	if blk == NoBlock {
-		return NoBank, NoBlock, fmt.Errorf("%w: read ordinal %d absent or already read", ErrBadOrdinal, ordinal)
+	if st := d.State(blk); st != ReadReserved {
+		return NoBank, fmt.Errorf("%w: read ordinal %d: block %d is %v, not reserved for reading", ErrBadOrdinal, ordinal, blk, st)
 	}
 	b := d.BankFor(p, ordinal)
 	if d.BankBusy(b, now) {
-		return NoBank, NoBlock, fmt.Errorf("%w: bank %d busy until slot %d, read at slot %d",
+		return NoBank, fmt.Errorf("%w: bank %d busy until slot %d, read at slot %d",
 			ErrBankConflict, b, d.busyUntil[b], now)
 	}
-	q.ring.del(ordinal)
+	d.setState(blk, InFlight)
 	d.busyUntil[b] = now + cell.Slot(d.cfg.AccessSlots)
 	d.groupBlk[d.Group(p)]--
 	d.accesses++
 	d.busySlots += uint64(d.cfg.AccessSlots)
-	d.refreshReadable(p, q)
-	return b, blk, nil
+	return b, nil
 }

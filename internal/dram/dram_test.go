@@ -2,6 +2,7 @@ package dram
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -34,10 +35,11 @@ func cellsOf(s *Slab, blk Block) []cell.Cell {
 	return cells
 }
 
-// writeNext reserves queue p's next write ordinal and issues blk there
-// at now: the in-order path, where reservation and issue coincide.
+// writeNext reserves queue p's next write ordinal for staged block blk
+// and issues it at now: the in-order path, where reservation and issue
+// coincide.
 func writeNext(d *DRAM, p cell.PhysQueueID, blk Block, now cell.Slot) (BankID, error) {
-	ordinal, _, err := d.ReserveWrite(p)
+	ordinal, _, err := d.ReserveWrite(p, blk)
 	if err != nil {
 		return NoBank, err
 	}
@@ -45,19 +47,36 @@ func writeNext(d *DRAM, p cell.PhysQueueID, blk Block, now cell.Slot) (BankID, e
 }
 
 // readNext reserves queue p's next read ordinal and issues it at now,
-// returning a copy of the block's cells and releasing the block.
+// then lands the block and pops its cells (it is p's front block),
+// returning them.
 func readNext(d *DRAM, p cell.PhysQueueID, now cell.Slot) (BankID, []cell.Cell, error) {
-	ordinal, _, err := d.ReserveRead(p)
+	ordinal, _, blk, err := d.ReserveRead(p)
 	if err != nil {
 		return NoBank, nil, err
 	}
-	bank, blk, err := d.BeginReadAt(p, ordinal, now)
+	bank, err := d.BeginReadAt(p, ordinal, blk, now)
 	if err != nil {
 		return NoBank, nil, err
 	}
-	cells := cellsOf(d.Slab, blk)
-	d.ReleaseBlock(blk)
-	return bank, cells, nil
+	cells, err := deliver(d, p, ordinal, blk)
+	return bank, cells, err
+}
+
+// deliver lands in-flight block blk, ordinal of p, and pops its cells,
+// which must be p's next ones.
+func deliver(d *DRAM, p cell.PhysQueueID, ordinal uint64, blk Block) ([]cell.Cell, error) {
+	if err := d.Land(p, ordinal, blk); err != nil {
+		return nil, err
+	}
+	cells := make([]cell.Cell, d.BlockCells())
+	for k := range cells {
+		c, ok := d.Pop(p)
+		if !ok {
+			return nil, fmt.Errorf("pop %d of block %d: front not landed", k, ordinal)
+		}
+		cells[k] = c
+	}
+	return cells, nil
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -142,15 +161,15 @@ func TestConflictDetection(t *testing.T) {
 	}
 	// Reading the front block (bank 0) before AccessSlots have passed
 	// must conflict.
-	o, _, err := d.ReserveRead(p)
+	o, _, blk, err := d.ReserveRead(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.BeginReadAt(p, o, 7); !errors.Is(err, ErrBankConflict) {
+	if _, err := d.BeginReadAt(p, o, blk, 7); !errors.Is(err, ErrBankConflict) {
 		t.Errorf("read at slot 7 err = %v, want ErrBankConflict", err)
 	}
 	// At slot 8 the bank is free again.
-	if _, _, err := d.BeginReadAt(p, o, 8); err != nil {
+	if _, err := d.BeginReadAt(p, o, blk, 8); err != nil {
 		t.Errorf("read at slot 8: %v", err)
 	}
 }
@@ -230,7 +249,7 @@ func TestCapacityAndGroupFull(t *testing.T) {
 	if d.CanWrite(p) {
 		t.Error("CanWrite true for full group")
 	}
-	_, _, err := d.ReserveWrite(p)
+	_, _, err := d.ReserveWrite(p, mkBlock(d, 3, 32))
 	if !errors.Is(err, ErrGroupFull) {
 		t.Errorf("err = %v, want ErrGroupFull", err)
 	}

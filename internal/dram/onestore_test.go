@@ -11,13 +11,13 @@ import (
 // TestOneSlabTailDRAMHead: one slab serves the tail SRAM, the DRAM and
 // the head SRAM. A block the tail takes when it stages b cells (a run:
 // the queue and its first sequence number) moves through a DRAM write
-// and read into a CAM head SRAM by handle; the head releases it after
-// its last cell, the tail's next staging reuses that handle, and once
-// warm a full round trip allocates nothing.
+// and read into a CAM head SRAM by handle, on its queue's list; the
+// head releases it after its last cell, the tail's next staging reuses
+// that handle, and once warm a full round trip allocates nothing.
 func TestOneSlabTailDRAMHead(t *testing.T) {
 	const b = 4
 	d := dram.New(dram.Config{Banks: 8, BanksPerGroup: 4, AccessSlots: 8, BlockCells: b, Queues: 2})
-	head := sram.NewCAM(d.Slab, 0, 2)
+	head := sram.NewCAM(d, 0)
 	p := cell.PhysQueueID(1)
 	now := cell.Slot(0)
 	seq := uint64(0)
@@ -29,8 +29,9 @@ func TestOneSlabTailDRAMHead(t *testing.T) {
 		if last != dram.NoBlock && blk != last {
 			t.Fatalf("tail took block %d, want %d released by the head", blk, last)
 		}
-		// DRAM: the write takes the handle, the read hands it back.
-		o, _, err := d.ReserveWrite(p)
+		// DRAM: the write reservation links the handle into the
+		// queue's list, and the read reservation names it again.
+		o, _, err := d.ReserveWrite(p, blk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,16 +39,16 @@ func TestOneSlabTailDRAMHead(t *testing.T) {
 			t.Fatal(err)
 		}
 		now += 8
-		if o, _, err = d.ReserveRead(p); err != nil {
+		o, _, got, err := d.ReserveRead(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := d.BeginReadAt(p, o, now)
-		if err != nil {
+		if _, err := d.BeginReadAt(p, o, got, now); err != nil {
 			t.Fatal(err)
 		}
 		now += 8
 		if got != blk || d.Queue(got) != cell.QueueID(p) || d.Cell(got, b-1).Seq != seq+b-1 {
-			t.Fatalf("DRAM handed back block %d (queue %d), want %d holding the staged run", got, d.Queue(got), blk)
+			t.Fatalf("DRAM read block %d (queue %d), want %d holding the staged run", got, d.Queue(got), blk)
 		}
 		// Head: land by handle, deliver every cell.
 		if err := head.Land(p, o, got); err != nil {

@@ -14,6 +14,34 @@ const (
 	chunkBlocks = 1 << chunkShift
 )
 
+// A block record's first word holds the sequence number of the
+// block's first cell in its low stateShift bits and the block's State
+// in the bits above.
+const (
+	stateShift = 61
+	seqMask    = 1<<stateShift - 1
+)
+
+// MaxSeq bounds the sequence numbers a block can hold: a restore
+// rejects a block whose cells reach it.
+const MaxSeq = seqMask
+
+// State is a block's place in its physical queue's lifecycle, from
+// the DRAM write reservation to the head SRAM's last pop (see the
+// package documentation). Every block off a queue's list — staging, a
+// tail run, or free — is Unlinked.
+type State uint8
+
+// The lifecycle states, in the order a block passes them.
+const (
+	Unlinked     State = iota
+	Staged             // write reserved, in the Requests Register
+	Stored             // write issued: the cells are in the array
+	ReadReserved       // read reserved, still in the array
+	InFlight           // read issued: in the completion calendar
+	Landed             // in the head SRAM
+)
+
 // Slab is the buffer's one block store: one 16-byte record per block,
 // in chunks that are allocated whole and never move, named by Block
 // handles. Released handles are reused through a free list threaded
@@ -34,8 +62,9 @@ const (
 //   - while the block is one of a tail queue's promised runs, word is
 //     the run's length, which may be anything from 1 up (SetRun, Run),
 //     and the queue is the tail queue's own;
-//   - next links a tail queue's runs in order, and a released block
-//     into the free list.
+//   - next links a tail queue's runs in order, a physical queue's
+//     blocks in ordinal order (the DRAM's queue lists), and a released
+//     block into the free list.
 //
 // A Slab is not safe for concurrent use.
 type Slab struct {
@@ -108,7 +137,7 @@ func (s *Slab) rec(blk Block) *blockRec {
 //pktbuf:hotpath
 func (s *Slab) Cell(blk Block, k int) cell.Cell {
 	r := s.rec(blk)
-	return cell.Cell{Queue: cell.QueueID(r.word), Seq: r.first + uint64(k)}
+	return cell.Cell{Queue: cell.QueueID(r.word), Seq: r.first&seqMask + uint64(k)}
 }
 
 // Queue returns the logical queue of in-flight block blk's cells.
@@ -116,8 +145,8 @@ func (s *Slab) Cell(blk Block, k int) cell.Cell {
 //pktbuf:hotpath
 func (s *Slab) Queue(blk Block) cell.QueueID { return cell.QueueID(s.rec(blk).word) }
 
-// SetCells makes blk an in-flight block of queue q whose cell k has
-// sequence number first+k.
+// SetCells makes blk an Unlinked block of queue q whose cell k has
+// sequence number first+k (first ≤ MaxSeq).
 //
 //pktbuf:hotpath
 func (s *Slab) SetCells(blk Block, q cell.QueueID, first uint64) {
@@ -143,6 +172,19 @@ func (s *Slab) SetRun(blk Block, first uint64, n int32) {
 	r.first, r.word = first, n
 }
 
+// State returns blk's lifecycle state.
+//
+//pktbuf:hotpath
+func (s *Slab) State(blk Block) State { return State(s.rec(blk).first >> stateShift) }
+
+// setState moves blk to state st.
+//
+//pktbuf:hotpath
+func (s *Slab) setState(blk Block, st State) {
+	r := s.rec(blk)
+	r.first = r.first&seqMask | uint64(st)<<stateShift
+}
+
 // Next returns the block linked after blk (stale unless set).
 //
 //pktbuf:hotpath
@@ -162,8 +204,10 @@ func (s *Slab) ReleaseBlock(blk Block) {
 	s.free = blk
 }
 
-// live reports whether blk names a handle the slab has handed out.
-func (s *Slab) live(blk Block) bool { return blk > NoBlock && int32(blk) <= s.blocks }
+// Live reports whether blk names a handle the slab has handed out.
+//
+//pktbuf:hotpath
+func (s *Slab) Live(blk Block) bool { return blk > NoBlock && int32(blk) <= s.blocks }
 
 // AppendCells appends the (queue, seq) pair of each of in-flight block
 // blk's cells to a snapshot row. Every section that frames a block in
@@ -171,20 +215,23 @@ func (s *Slab) live(blk Block) bool { return blk > NoBlock && int32(blk) <= s.bl
 // its cells this way; RestoreBlock reads them back.
 func (s *Slab) AppendCells(row []int64, blk Block) []int64 {
 	r := s.rec(blk)
-	q := int64(r.word)
+	q, first := int64(r.word), r.first&seqMask
 	for k := range s.blockCells {
-		row = append(row, q, int64(r.first+uint64(k)))
+		row = append(row, q, int64(first+uint64(k)))
 	}
 	return row
 }
 
 // RestoreBlock acquires a block and fills it from the b (queue, seq)
 // pairs of pairs, as AppendCells wrote them. A block is a run of one
-// queue's cells: pairs that name two queues, or whose sequence numbers
-// are not consecutive, are rejected with frame.ErrFrame, and no block
-// is kept.
+// queue's cells: pairs that name two queues, whose sequence numbers
+// are not consecutive, or that reach MaxSeq, are rejected with
+// frame.ErrFrame, and no block is kept.
 func (s *Slab) RestoreBlock(pairs []int64) (Block, error) {
 	q, first := pairs[0], uint64(pairs[1])
+	if first >= MaxSeq-uint64(s.blockCells) {
+		return NoBlock, fmt.Errorf("%w: block seq %d out of range", frame.ErrFrame, pairs[1])
+	}
 	for k := 1; k < s.blockCells; k++ {
 		if pairs[2*k] != q {
 			return NoBlock, fmt.Errorf("%w: block rows name queues %d and %d", frame.ErrFrame, q, pairs[2*k])

@@ -43,22 +43,23 @@ func TestSlabReusesHandles(t *testing.T) {
 	}
 }
 
-// TestSlabZeroAlloc: once the slab, the free list and the queue ring
-// have grown to the working set, write/read/release cycles allocate
-// nothing.
+// TestSlabZeroAlloc: once the slab and its free list have grown to the
+// working set, write/read/land/pop cycles allocate nothing.
 func TestSlabZeroAlloc(t *testing.T) {
 	d := New(testConfig())
 	p := cell.PhysQueueID(2)
 	now := cell.Slot(0)
+	b := uint64(d.BlockCells())
 	cycle := func() {
 		var ords [3]uint64
 		for i := range ords {
-			o, _, err := d.ReserveWrite(p)
+			// Block ordinal k holds the seqs k·b … k·b+b−1.
+			blk := d.AcquireBlock()
+			d.SetCells(blk, cell.QueueID(p), d.NextPop(p)+uint64(i)*b)
+			o, _, err := d.ReserveWrite(p, blk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			blk := d.AcquireBlock()
-			d.SetCells(blk, cell.QueueID(p), o)
 			if _, err := d.BeginWriteAt(p, o, blk, now); err != nil {
 				t.Fatal(err)
 			}
@@ -67,25 +68,28 @@ func TestSlabZeroAlloc(t *testing.T) {
 		}
 		now += 8
 		for range ords {
-			o, _, err := d.ReserveRead(p)
+			o, _, blk, err := d.ReserveRead(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, blk, err := d.BeginReadAt(p, o, now)
-			if err != nil {
+			if _, err := d.BeginReadAt(p, o, blk, now); err != nil {
 				t.Fatal(err)
 			}
-			if got := d.Cell(blk, 0).Seq; got != o {
-				t.Fatalf("block at ordinal %d holds seq %d", o, got)
+			if err := d.Land(p, o, blk); err != nil {
+				t.Fatal(err)
 			}
-			d.ReleaseBlock(blk)
+			for k := range b {
+				if c, ok := d.Pop(p); !ok || c.Seq != o*b+k {
+					t.Fatalf("block at ordinal %d pops %v, %v", o, c, ok)
+				}
+			}
 			now++
 		}
 		now += 8
 	}
-	cycle() // warm: grow the slab, the free list and the ring
+	cycle() // warm: grow the slab and the free list
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("write/read/release cycle allocates %v times, want 0", allocs)
+		t.Errorf("write/read/land/pop cycle allocates %v times, want 0", allocs)
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 
 // Snapshot serializes the DRAM occupancy and timing state through the
 // trace frame codec: per-bank busy horizons, per-group block counts,
-// per-queue reservation cursors and the stored blocks themselves. The
-// geometry comes from the configuration the owner reconstructs; the
-// readable bitset is derived state and is rebuilt on restore, and each
-// queue's issued-read count (rdone) is derived from its cursors and
-// ring on write and checked against them on restore. Blocks
-// are framed by their cells, never by handle: the slab layout and its
-// free list are not part of the state.
+// per-queue reservation cursors and the stored blocks themselves (the
+// list's stored and read-reserved blocks). The geometry comes from the
+// configuration the owner reconstructs; the readable bitset is derived
+// state and is rebuilt on restore, and each queue's issued-read count
+// (rdone) is derived from its cursors and list on write and checked
+// against them on restore. Blocks are framed by their cells, never by
+// handle: the slab layout, the list links and the free list are not
+// part of the state.
 func (d *DRAM) Snapshot(w *frame.Writer) {
 	busy, groups, live := 0, 0, 0
 	for _, until := range d.busyUntil {
@@ -52,62 +53,47 @@ func (d *DRAM) Snapshot(w *frame.Writer) {
 			w.Row(int64(g), int64(n))
 		}
 	}
-	for p := range d.queues {
-		q := &d.queues[p]
+	for i := range d.queues {
+		p, q := cell.PhysQueueID(i), &d.queues[i]
 		if q.writeReserved == 0 && q.readReserved == 0 {
 			continue
 		}
-		blocks := 0
-		for o := q.ring.base; o < q.ring.end(q.writeReserved); o++ {
-			if q.ring.get(o) != NoBlock {
+		// Every ordinal below readReserved is reserved for reading, and
+		// its block stays stored until the read issues.
+		blocks, rdone := 0, q.readReserved
+		d.EachBlock(p, func(o uint64, _ Block, st State) {
+			switch st {
+			case ReadReserved:
+				rdone--
+				blocks++
+			case Stored:
 				blocks++
 			}
-		}
+		})
 		w.Begin("dram-queue")
 		w.Attr("q", int64(p))
 		w.Attr("wres", int64(q.writeReserved))
 		w.Attr("rres", int64(q.readReserved))
-		w.Attr("rdone", int64(q.readsDone()))
+		w.Attr("rdone", int64(rdone))
 		w.Attr("blocks", int64(blocks))
-		for o := q.ring.base; o < q.ring.end(q.writeReserved); o++ {
-			blk := q.ring.get(o)
-			if blk == NoBlock {
-				continue
+		d.EachBlock(p, func(o uint64, blk Block, st State) {
+			if st == Stored || st == ReadReserved {
+				row := make([]int64, 1, 1+2*d.cfg.BlockCells)
+				row[0] = int64(o)
+				w.Row(d.AppendCells(row, blk)...)
 			}
-			row := make([]int64, 1, 1+2*d.cfg.BlockCells)
-			row[0] = int64(o)
-			w.Row(d.AppendCells(row, blk)...)
-		}
+		})
 	}
-}
-
-// end bounds a walk of r's ordinals from base up to lim: no ordinal
-// past the window holds a block.
-func (r *blockRing) end(lim uint64) uint64 {
-	return min(lim, r.base+uint64(len(r.slots)))
-}
-
-// readsDone counts q's issued reads: every ordinal below readReserved
-// is reserved for reading, and its block stays in the ring until the
-// read issues.
-func (q *queueState) readsDone() uint64 {
-	n := q.readReserved
-	for o := q.ring.base; o < q.ring.end(q.readReserved); o++ {
-		if q.ring.get(o) != NoBlock {
-			n--
-		}
-	}
-	return n
 }
 
 // Restore loads a snapshot written by Snapshot into a freshly
 // constructed DRAM of the same configuration. blocks bounds the block
 // ordinals the snapshot can hold (the owner derives it from its slot
-// clock): every queue's cursors must satisfy rres ≤ wres < blocks, and
-// its stored blocks come in increasing ordinal order below wres, and
-// its rdone must count the reads those blocks imply (readsDone). Each
-// queue's ring window starts at its oldest live ordinal, so a restored
-// ring spans the queue's live blocks, however old the queue is.
+// clock): every queue's cursors must satisfy rres ≤ wres < blocks, its
+// stored blocks come in increasing ordinal order below wres, and its
+// rdone must count the reads those blocks imply. The blocks are placed
+// (Place) read-reserved below rres and stored above; the owner relinks
+// the lists (Relink) once every section is read.
 func (d *DRAM) Restore(r *frame.Reader, blocks uint64) error {
 	if err := r.Expect("dram"); err != nil {
 		return err
@@ -195,11 +181,7 @@ func (d *DRAM) Restore(r *frame.Reader, blocks uint64) error {
 		}
 		q.writeReserved = uint64(wres)
 		q.readReserved = uint64(rres)
-		// Writes not yet issued are at ordinals ≥ rres, and a read
-		// reserved but not issued keeps its block here, so no ordinal
-		// below min(first stored, rres) is addressed again.
-		q.ring.base = uint64(rres)
-		prev := int64(-1)
+		prev, reads := int64(-1), int64(0)
 		for j := int64(0); j < n; j++ {
 			row, err := r.NeedRow(1 + 2*d.cfg.BlockCells)
 			if err != nil {
@@ -209,20 +191,23 @@ func (d *DRAM) Restore(r *frame.Reader, blocks uint64) error {
 			if o <= prev || o >= wres {
 				return fmt.Errorf("%w: dram queue %d block ordinal %d", frame.ErrFrame, p, o)
 			}
-			if prev < 0 {
-				q.ring.base = min(q.ring.base, uint64(o))
-			}
 			prev = o
 			blk, err := d.RestoreBlock(row[1:])
 			if err != nil {
 				return fmt.Errorf("dram queue %d: %w", p, err)
 			}
-			q.ring.put(uint64(o), blk, q.readReserved)
+			st := Stored
+			if o < rres {
+				st = ReadReserved
+				reads++
+			}
+			if err := d.Place(cell.PhysQueueID(p), uint64(o), blk, st); err != nil {
+				return err
+			}
 		}
-		if got := q.readsDone(); got != uint64(rdone) {
-			return fmt.Errorf("%w: dram queue %d rdone %d, its blocks imply %d", frame.ErrFrame, p, rdone, got)
+		if rdone != rres-reads {
+			return fmt.Errorf("%w: dram queue %d rdone %d, its blocks imply %d", frame.ErrFrame, p, rdone, rres-reads)
 		}
-		d.refreshReadable(cell.PhysQueueID(p), q)
 	}
 	return nil
 }

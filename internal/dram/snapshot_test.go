@@ -12,9 +12,9 @@ import (
 
 // TestSnapshotDerivesReadsDone: a queue's issued-read count is not
 // kept; the snapshot derives rdone from the read cursor and the blocks
-// still in the ring (a reserved read whose issue is pending keeps its
-// block there). A restore re-snapshots to the same bytes and rejects
-// an rdone its blocks contradict.
+// still stored (a reserved read whose issue is pending keeps its block
+// there). A restore re-snapshots to the same bytes and rejects an
+// rdone its blocks contradict.
 func TestSnapshotDerivesReadsDone(t *testing.T) {
 	cfg := testConfig()
 	cfg.Queues = 2
@@ -29,12 +29,15 @@ func TestSnapshotDerivesReadsDone(t *testing.T) {
 	}
 	// Three reads reserved, the first two issued.
 	for k := range 3 {
-		o, _, err := d.ReserveRead(p)
+		o, _, blk, err := d.ReserveRead(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if k < 2 {
-			if _, _, err := d.BeginReadAt(p, o, now); err != nil {
+			if _, err := d.BeginReadAt(p, o, blk, now); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := deliver(d, p, o, blk); err != nil {
 				t.Fatal(err)
 			}
 			now += 8
@@ -49,9 +52,15 @@ func TestSnapshotDerivesReadsDone(t *testing.T) {
 		}
 		return b.String()
 	}
+	// The pop cursor is the head SRAM's to frame; the list relinks
+	// once it is set.
 	restore := func(s string) (*DRAM, error) {
 		r := New(cfg)
-		return r, r.Restore(frame.NewReader(strings.NewReader(s)), 1<<20)
+		if err := r.Restore(frame.NewReader(strings.NewReader(s)), 1<<20); err != nil {
+			return r, err
+		}
+		r.SetPop(p, d.NextPop(p))
+		return r, r.Relink(0)
 	}
 	s := snap(d)
 	if !strings.Contains(s, "wres=3 rres=3 rdone=2 blocks=1") {
@@ -65,6 +74,6 @@ func TestSnapshotDerivesReadsDone(t *testing.T) {
 		t.Fatalf("restored DRAM snapshots differently:\n%s\nvs\n%s", s, again)
 	}
 	if _, err := restore(strings.Replace(s, "rdone=2", "rdone=3", 1)); !errors.Is(err, frame.ErrFrame) {
-		t.Errorf("rdone that disagrees with the ring: err = %v, want frame.ErrFrame", err)
+		t.Errorf("rdone that disagrees with the blocks: err = %v, want frame.ErrFrame", err)
 	}
 }

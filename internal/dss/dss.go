@@ -52,8 +52,9 @@ type Request struct {
 	Ordinal uint64
 	// Bank is the target bank (fixed at reservation time).
 	Bank dram.BankID
-	// Block is the staged b-cell block of a write (dram.NoBlock for
-	// reads); the DRAM takes it over when the write issues.
+	// Block is the block the request moves: a write's staged block,
+	// whose cells the DRAM stores when the write issues, or the
+	// read-reserved block a read sends toward the head SRAM.
 	Block dram.Block
 	// Enqueued is the slot the request entered the RR.
 	Enqueued cell.Slot

@@ -199,11 +199,11 @@ func TestConflictFreedomAgainstDRAM(t *testing.T) {
 		// is exercised in the core tests).
 		if s.CanEnqueue() {
 			q := cell.PhysQueueID(rng.Intn(queues))
-			ord, bank, err := d.ReserveWrite(q)
+			seq := pending[q]
+			blk := d.AcquireBlock()
+			d.SetCells(blk, cell.QueueID(q), seq)
+			ord, bank, err := d.ReserveWrite(q, blk)
 			if err == nil {
-				seq := pending[q]
-				blk := d.AcquireBlock()
-				d.SetCells(blk, cell.QueueID(q), seq)
 				pending[q] = seq + 2
 				if err := s.Enqueue(Request{
 					Queue: q, Dir: Write, Ordinal: ord, Bank: bank,
@@ -216,12 +216,12 @@ func TestConflictFreedomAgainstDRAM(t *testing.T) {
 		if s.CanEnqueue() && rng.Intn(2) == 0 {
 			q := cell.PhysQueueID(rng.Intn(queues))
 			if d.ReadableNow(q) {
-				ord, bank, err := d.ReserveRead(q)
+				ord, bank, blk, err := d.ReserveRead(q)
 				if err != nil {
 					t.Fatalf("reserve read: %v", err)
 				}
 				if err := s.Enqueue(Request{
-					Queue: q, Dir: Read, Ordinal: ord, Bank: bank, Enqueued: slot,
+					Queue: q, Dir: Read, Ordinal: ord, Bank: bank, Block: blk, Enqueued: slot,
 				}); err != nil {
 					t.Fatalf("slot %d: %v", slot, err)
 				}
@@ -236,11 +236,20 @@ func TestConflictFreedomAgainstDRAM(t *testing.T) {
 					t.Fatalf("slot %d: conflict on write: %v", slot, err)
 				}
 			case Read:
-				_, blk, err := d.BeginReadAt(r.Queue, r.Ordinal, slot)
-				if err != nil {
+				if _, err := d.BeginReadAt(r.Queue, r.Ordinal, r.Block, slot); err != nil {
 					t.Fatalf("slot %d: conflict on read: %v", slot, err)
 				}
-				d.ReleaseBlock(blk)
+				// Land the block and deliver every cell its queue now
+				// has in order (reads of one queue may issue out of
+				// order).
+				if err := d.Land(r.Queue, r.Ordinal, r.Block); err != nil {
+					t.Fatalf("slot %d: land: %v", slot, err)
+				}
+				for {
+					if _, ok := d.Pop(r.Queue); !ok {
+						break
+					}
+				}
 			}
 		}
 	}

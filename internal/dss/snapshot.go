@@ -10,7 +10,8 @@ import (
 
 // Snapshot serializes the scheduler through the trace frame codec: the
 // age-ordered Requests Register verbatim (including staged write
-// payloads, whose cells it reads from d's block slab), the ORR bank
+// payloads, whose cells it reads from d's block slab; a read's block
+// is framed by the DRAM), the ORR bank
 // locks live at slot now (no later Cycle may run before now, so expired
 // ones are dropped), and the accumulated statistics. The reusable issue
 // buffer is scratch and is not framed.
@@ -28,13 +29,13 @@ func (s *Scheduler) Snapshot(w *frame.Writer, now cell.Slot, d *dram.DRAM) {
 	for i := range s.rr {
 		r := &s.rr[i]
 		nc := 0
-		if r.Block != dram.NoBlock {
+		if r.Dir == Write {
 			nc = d.Config().BlockCells
 		}
 		row := make([]int64, 0, 7+2*nc)
 		row = append(row, int64(r.Queue), int64(r.Dir), int64(r.Ordinal),
 			int64(r.Bank), int64(r.Enqueued), int64(r.Skips), int64(nc))
-		if r.Block != dram.NoBlock {
+		if nc > 0 {
 			row = d.AppendCells(row, r.Block)
 		}
 		w.Row(row...)
@@ -49,7 +50,9 @@ func (s *Scheduler) Snapshot(w *frame.Writer, now cell.Slot, d *dram.DRAM) {
 
 // Restore loads a snapshot written by Snapshot into a freshly
 // constructed scheduler of the same capacity and policy, scheduling
-// DRAM d, whose slab receives the staged write blocks. It also accepts
+// DRAM d, whose slab receives the staged write blocks (placed staged,
+// dram.DRAM.Place) and whose restored DRAM section frames each read's
+// read-reserved block (dram.DRAM.Placed). It also accepts
 // the ORR rows of older snapshots, which may hold expired locks and
 // several per bank: a bank keeps its latest.
 func (s *Scheduler) Restore(r *frame.Reader, d *dram.DRAM) error {
@@ -119,6 +122,12 @@ func (s *Scheduler) Restore(r *frame.Reader, d *dram.DRAM) error {
 			if req.Block, err = d.RestoreBlock(row[7:]); err != nil {
 				return fmt.Errorf("dss rr row %d: %w", i, err)
 			}
+			err = d.Place(req.Queue, req.Ordinal, req.Block, dram.Staged)
+		} else {
+			req.Block, err = d.Placed(req.Queue, req.Ordinal, dram.ReadReserved)
+		}
+		if err != nil {
+			return fmt.Errorf("dss rr row %d: %w", i, err)
 		}
 		s.rr = append(s.rr, req)
 	}

@@ -10,18 +10,31 @@ import (
 const benchQueues, benchB = 64, 4
 
 // benchStore measures the steady-state cost of landing one b-cell
-// block and popping its cells.
-func benchStore(b *testing.B, s Store, slab *dram.Slab) {
+// block and popping its cells (the DRAM write and read that put the
+// block in flight included).
+func benchStore(b *testing.B, s Store, d *dram.DRAM) {
 	b.Helper()
 	b.ReportAllocs()
-	ord := make([]uint64, benchQueues)
+	now := cell.Slot(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := cell.PhysQueueID(i % benchQueues)
-		o := ord[q]
-		ord[q]++
-		blk := slab.AcquireBlock()
-		slab.SetCells(blk, cell.QueueID(q), o*benchB)
+		blk := d.AcquireBlock()
+		d.SetCells(blk, cell.QueueID(q), d.NextPop(q))
+		o, _, err := d.ReserveWrite(q, blk)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.BeginWriteAt(q, o, blk, now); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, _, err := d.ReserveRead(q); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.BeginReadAt(q, o, blk, now+1); err != nil {
+			b.Fatal(err)
+		}
+		now += 2
 		if err := s.Land(q, o, blk); err != nil {
 			b.Fatal(err)
 		}
@@ -35,16 +48,21 @@ func benchStore(b *testing.B, s Store, slab *dram.Slab) {
 
 // BenchmarkStoreCAM measures the global CAM organization.
 func BenchmarkStoreCAM(b *testing.B) {
-	slab := dram.NewSlab(benchB)
-	benchStore(b, NewCAM(slab, 1<<16, benchQueues), slab)
+	d := benchDRAM()
+	benchStore(b, NewCAM(d, 1<<16), d)
 }
 
 // BenchmarkStoreLinkedList measures the unified linked list.
 func BenchmarkStoreLinkedList(b *testing.B) {
-	slab := dram.NewSlab(benchB)
-	ls, err := NewList(slab, 1<<16, 8, benchQueues)
+	d := benchDRAM()
+	ls, err := NewList(d, 1<<16, 8, benchQueues)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchStore(b, ls, slab)
+	benchStore(b, ls, d)
+}
+
+// benchDRAM is a DRAM whose banks are free again one slot after use.
+func benchDRAM() *dram.DRAM {
+	return dram.New(dram.Config{Banks: 64, BanksPerGroup: 8, AccessSlots: 1, BlockCells: benchB, Queues: benchQueues})
 }

@@ -9,66 +9,136 @@ import (
 )
 
 // Snapshot/Restore serialize the resident-cell state of a store
-// through the trace frame codec. The arena geometry (capacity,
-// sublist count, block size) is reconstructed by the owner from its
+// through the trace frame codec. The geometry (capacity, sublist
+// count, block size) is reconstructed by the owner from its
 // configuration; only the occupancy — pop cursors, live cells keyed by
 // stream position, ordering state and the high-water statistic — is
-// framed. Restore assumes a freshly constructed store of the same
-// geometry and rebuilds every internal index (ring windows, slab
-// blocks and links, free list) from the cells rather than reading it; per-sublist ordering cursors are restored verbatim
-// because they outlive the cells that set them.
+// framed. The cells live in landed blocks of the DRAM's queue lists:
+// Snapshot walks the lists, and Restore rebuilds each landed block
+// from its rows and places it (dram.DRAM.Place) for the owner to
+// relink; per-sublist ordering cursors are restored verbatim because
+// they outlive the cells that set them.
 
-// nextPop returns the stream position of q's next in-order cell.
-func (s *CAMStore) nextPop(st *blockQueue) uint64 { return st.next*uint64(s.b) + uint64(st.off) }
+// live reports whether q has resident cells or has popped any, and so
+// is framed.
+func live(d *dram.DRAM, q cell.PhysQueueID) bool { return d.NextPop(q) > 0 || d.LandedCells(q) > 0 }
+
+// writeCells writes one row per resident cell of q's landed blocks
+// whose ordinal is sub mod every (every = 1: all of them), by stream
+// position: the front block's from the pop offset.
+func writeCells(w *frame.Writer, d *dram.DRAM, q cell.PhysQueueID, every, sub uint64) {
+	b, next := uint64(d.BlockCells()), d.NextPop(q)
+	d.EachBlock(q, func(o uint64, blk dram.Block, st dram.State) {
+		if st != dram.Landed || o%every != sub {
+			return
+		}
+		for i := uint64(0); i < b; i++ {
+			if pos := o*b + i; pos >= next {
+				c := d.Cell(blk, int(i))
+				w.Row(int64(pos), int64(c.Queue), int64(c.Seq))
+			}
+		}
+	})
+}
+
+// restoreCells reads count rows of queue q, resident cells by stream
+// position as writeCells wrote them, and places each landed block they
+// describe. Every held block is whole and a run of one queue's cells:
+// a block's rows are consecutive, from its first cell (the front
+// block's from the pop offset next) to its last; rows of one block
+// that name two queues, or whose sequence numbers do not step with
+// their positions, are rejected. blocks bounds the block ordinals.
+func restoreCells(r *frame.Reader, d *dram.DRAM, q cell.PhysQueueID, next uint64, count int64, blocks uint64) error {
+	b := uint64(d.BlockCells())
+	blk, want := dram.NoBlock, uint64(0)
+	for j := int64(0); j < count; j++ {
+		row, err := r.NeedRow(3)
+		if err != nil {
+			return err
+		}
+		pos := uint64(row[0])
+		if want%b != 0 {
+			// Inside a block: the row continues its run.
+			if c := d.Cell(blk, int(pos%b)); pos != want || row[1] != int64(c.Queue) || uint64(row[2]) != c.Seq {
+				return fmt.Errorf("%w: queue %d block %d: row %d, %d, %d does not continue the block's run of queue %d",
+					frame.ErrFrame, q, want/b, row[0], row[1], row[2], c.Queue)
+			}
+			want++
+			continue
+		}
+		first := uint64(row[2]) - pos%b
+		if row[0] < 0 || pos/b >= blocks || pos < next || (pos%b != 0 && pos != next) ||
+			row[2] < 0 || uint64(row[2]) < pos%b || first >= dram.MaxSeq-b {
+			return fmt.Errorf("%w: queue %d pos %d (seq %d) starts no block", frame.ErrFrame, q, row[0], row[2])
+		}
+		blk = d.AcquireBlock()
+		d.SetCells(blk, cell.QueueID(row[1]), first)
+		if err := d.Place(q, pos/b, blk, dram.Landed); err != nil {
+			return err
+		}
+		want = pos + 1
+	}
+	if want%b != 0 {
+		return fmt.Errorf("%w: queue %d block %d stops short at pos %d", frame.ErrFrame, q, want/b, want)
+	}
+	return nil
+}
+
+// restoreQueue reads a queue frame's q, nextpop and count attributes
+// and sets the queue's pop cursor; blocks bounds the block ordinals.
+// seen rejects a queue framed twice.
+func restoreQueue(r *frame.Reader, d *dram.DRAM, kind string, seen map[int64]bool, blocks uint64) (cell.PhysQueueID, uint64, int64, error) {
+	if err := r.Expect(kind); err != nil {
+		return 0, 0, 0, err
+	}
+	var v [3]int64
+	for i, key := range []string{"q", "nextpop", "count"} {
+		var err error
+		if v[i], err = r.NeedAttr(key); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	q, next, count := v[0], v[1], v[2]
+	if q < 0 || q >= int64(d.Queues()) || next < 0 || uint64(next)/uint64(d.BlockCells()) >= blocks || seen[q] {
+		return 0, 0, 0, fmt.Errorf("%w: %s %d next position %d", frame.ErrFrame, kind, q, next)
+	}
+	seen[q] = true
+	d.SetPop(cell.PhysQueueID(q), uint64(next))
+	return cell.PhysQueueID(q), uint64(next), count, nil
+}
 
 // Snapshot writes the CAM occupancy: one row per resident cell, by
 // stream position (the block handles are not state).
 func (s *CAMStore) Snapshot(w *frame.Writer) {
-	live := 0
-	for q := range s.queues {
-		if st := &s.queues[q]; st.count > 0 || s.nextPop(st) > 0 {
-			live++
+	n := 0
+	for q := range s.d.Queues() {
+		if live(s.d, cell.PhysQueueID(q)) {
+			n++
 		}
 	}
 	w.Begin("sram-cam")
-	w.Attr("queues", int64(live))
+	w.Attr("queues", int64(n))
 	w.Attr("total", int64(s.total))
 	w.Attr("highwater", int64(s.highWater))
-	for q := range s.queues {
-		st := &s.queues[q]
-		if st.count == 0 && s.nextPop(st) == 0 {
+	for i := range s.d.Queues() {
+		q := cell.PhysQueueID(i)
+		if !live(s.d, q) {
 			continue
 		}
 		w.Begin("sram-cam-queue")
 		w.Attr("q", int64(q))
-		w.Attr("nextpop", int64(s.nextPop(st)))
-		w.Attr("count", int64(st.count))
-		for o := st.next; o < st.next+uint64(len(st.ring)); o++ {
-			blk := st.ring[o&uint64(len(st.ring)-1)]
-			if blk == dram.NoBlock {
-				continue
-			}
-			i := int32(0)
-			if o == st.next {
-				i = st.off
-			}
-			for ; int(i) < s.b; i++ {
-				c := s.slab.Cell(blk, int(i))
-				w.Row(int64(o*uint64(s.b)+uint64(i)), int64(c.Queue), int64(c.Seq))
-			}
-		}
+		w.Attr("nextpop", int64(s.d.NextPop(q)))
+		w.Attr("count", int64(s.d.LandedCells(q)))
+		writeCells(w, s.d, q, 1, 0)
 	}
 }
 
 // Restore loads a snapshot written by Snapshot into a freshly
-// constructed store of the same geometry, one slab block per block
-// ordinal. blocks bounds the block ordinals the snapshot can hold (the
-// owner derives it from its slot clock), so a corrupt position cannot
-// size a queue's ring. Every held block is whole and a run of one
-// queue's cells: the front block's rows run from the pop offset to the
-// block's end, every other block's from its first cell to its last, and
-// rows of one block that name two queues, or whose sequence numbers do
-// not step with their positions, are rejected.
+// constructed store of the same geometry over a freshly constructed
+// DRAM, placing one landed block per block ordinal for the owner to
+// relink. blocks bounds the block ordinals the snapshot can hold (the
+// owner derives it from its slot clock). The rows of a queue come in
+// position order.
 func (s *CAMStore) Restore(r *frame.Reader, blocks uint64) error {
 	if err := r.Expect("sram-cam"); err != nil {
 		return err
@@ -85,62 +155,16 @@ func (s *CAMStore) Restore(r *frame.Reader, blocks uint64) error {
 	if err != nil {
 		return err
 	}
-	b := uint64(s.b)
+	seen := make(map[int64]bool)
 	for i := int64(0); i < nq; i++ {
-		if err := r.Expect("sram-cam-queue"); err != nil {
-			return err
-		}
-		q, err := r.NeedAttr("q")
+		q, next, count, err := restoreQueue(r, s.d, "sram-cam-queue", seen, blocks)
 		if err != nil {
 			return err
 		}
-		nextPop, err := r.NeedAttr("nextpop")
-		if err != nil {
+		if err := restoreCells(r, s.d, q, next, count, blocks); err != nil {
 			return err
 		}
-		count, err := r.NeedAttr("count")
-		if err != nil {
-			return err
-		}
-		if q < 0 || q >= int64(len(s.queues)) || nextPop < 0 || uint64(nextPop)/b >= blocks {
-			return fmt.Errorf("%w: cam queue %d next position %d", frame.ErrFrame, q, nextPop)
-		}
-		st := &s.queues[q]
-		if st.count != 0 || s.nextPop(st) != 0 {
-			return fmt.Errorf("%w: cam queue %d framed twice", frame.ErrFrame, q)
-		}
-		st.next, st.off = uint64(nextPop)/b, int32(uint64(nextPop)%b)
-		// Rows come in position order. want is the position the next
-		// row must name while a block is open (want%b != 0), and the
-		// lowest it may name when it starts a block; only the first
-		// row may start one off a block boundary, at the pop offset.
-		blk, want := dram.NoBlock, uint64(nextPop)
-		for j := int64(0); j < count; j++ {
-			row, err := r.NeedRow(3)
-			if err != nil {
-				return err
-			}
-			pos := uint64(row[0])
-			if row[0] < 0 || pos/b >= blocks || pos < want ||
-				(pos != want && (want%b != 0 || pos%b != 0)) {
-				return fmt.Errorf("%w: cam queue %d pos %d, want %d", frame.ErrFrame, q, row[0], want)
-			}
-			if pos%b == 0 || blk == dram.NoBlock {
-				blk = s.slab.AcquireBlock()
-				s.slab.SetCells(blk, cell.QueueID(row[1]), uint64(row[2])-pos%b)
-				st.ensure(pos / b)
-				st.ring[(pos/b)&uint64(len(st.ring)-1)] = blk
-			} else if c := s.slab.Cell(blk, int(pos%b)); row[1] != int64(c.Queue) || uint64(row[2]) != c.Seq {
-				return fmt.Errorf("%w: cam queue %d block %d: cell %d, %d does not continue the block's run of queue %d",
-					frame.ErrFrame, q, pos/b, row[1], row[2], c.Queue)
-			}
-			want = pos + 1
-			st.count++
-			s.total++
-		}
-		if want%b != 0 {
-			return fmt.Errorf("%w: cam queue %d block %d stops short at pos %d", frame.ErrFrame, q, want/b, want)
-		}
+		s.total += int(count)
 	}
 	if s.total != int(total) {
 		return fmt.Errorf("%w: cam total %d, snapshot says %d", frame.ErrFrame, s.total, total)
@@ -149,12 +173,13 @@ func (s *CAMStore) Restore(r *frame.Reader, blocks uint64) error {
 	return nil
 }
 
-// Snapshot writes the linked-list occupancy.
+// Snapshot writes the linked-list occupancy: each queue's cells
+// sublist by sublist, each sublist head to tail.
 func (s *ListStore) Snapshot(w *frame.Writer) {
-	live := 0
-	for q := range s.queues {
-		if st := &s.queues[q]; st.count > 0 || st.nextPop > 0 {
-			live++
+	n := 0
+	for q := range s.d.Queues() {
+		if live(s.d, cell.PhysQueueID(q)) {
+			n++
 		}
 	}
 	seeded := 0
@@ -164,26 +189,21 @@ func (s *ListStore) Snapshot(w *frame.Writer) {
 		}
 	}
 	w.Begin("sram-list")
-	w.Attr("queues", int64(live))
+	w.Attr("queues", int64(n))
 	w.Attr("seeded", int64(seeded))
 	w.Attr("total", int64(s.total))
 	w.Attr("highwater", int64(s.highWater))
-	for q := range s.queues {
-		st := &s.queues[q]
-		if st.count == 0 && st.nextPop == 0 {
+	for i := range s.d.Queues() {
+		q := cell.PhysQueueID(i)
+		if !live(s.d, q) {
 			continue
 		}
 		w.Begin("sram-list-queue")
 		w.Attr("q", int64(q))
-		w.Attr("nextpop", int64(st.nextPop))
-		w.Attr("count", int64(st.count))
-		// Walk each sublist head-to-tail: positions increase within a
-		// sublist, which is exactly the order Insert requires on replay.
-		for li := q * s.sublists; li < (q+1)*s.sublists; li++ {
-			for idx := s.head[li]; idx != nilIdx; idx = s.slab[idx].next {
-				e := &s.slab[idx]
-				w.Row(int64(e.pos), int64(e.c.Queue), int64(e.c.Seq))
-			}
+		w.Attr("nextpop", int64(s.d.NextPop(q)))
+		w.Attr("count", int64(s.d.LandedCells(q)))
+		for sub := range uint64(s.sublists) {
+			writeCells(w, s.d, q, uint64(s.sublists), sub)
 		}
 	}
 	// Ordering cursors survive their cells: a drained sublist still
@@ -197,8 +217,10 @@ func (s *ListStore) Snapshot(w *frame.Writer) {
 }
 
 // Restore loads a snapshot written by Snapshot into a freshly
-// constructed store of the same geometry.
-func (s *ListStore) Restore(r *frame.Reader) error {
+// constructed store of the same geometry over a freshly constructed
+// DRAM, placing one landed block per block ordinal for the owner to
+// relink. blocks bounds the block ordinals the snapshot can hold.
+func (s *ListStore) Restore(r *frame.Reader, blocks uint64) error {
 	if err := r.Expect("sram-list"); err != nil {
 		return err
 	}
@@ -218,40 +240,19 @@ func (s *ListStore) Restore(r *frame.Reader) error {
 	if err != nil {
 		return err
 	}
+	seen := make(map[int64]bool)
 	for i := int64(0); i < nq; i++ {
-		if err := r.Expect("sram-list-queue"); err != nil {
-			return err
-		}
-		q, err := r.NeedAttr("q")
+		q, next, count, err := restoreQueue(r, s.d, "sram-list-queue", seen, blocks)
 		if err != nil {
 			return err
 		}
-		nextPop, err := r.NeedAttr("nextpop")
-		if err != nil {
+		if err := restoreCells(r, s.d, q, next, count, blocks); err != nil {
 			return err
 		}
-		count, err := r.NeedAttr("count")
-		if err != nil {
-			return err
-		}
-		if q < 0 || q >= int64(len(s.queues)) {
-			return fmt.Errorf("%w: list queue %d out of range", frame.ErrFrame, q)
-		}
-		st := &s.queues[q]
-		st.nextPop = uint64(nextPop)
-		for j := int64(0); j < count; j++ {
-			row, err := r.NeedRow(3)
-			if err != nil {
-				return err
-			}
-			c := cell.Cell{Queue: cell.QueueID(row[1]), Seq: uint64(row[2])}
-			if err := s.Insert(cell.PhysQueueID(q), uint64(row[0]), c); err != nil {
-				return fmt.Errorf("sram: restore list queue %d: %w", q, err)
-			}
-		}
+		s.total += int(count)
 	}
-	if s.total != int(total) {
-		return fmt.Errorf("%w: list total %d, snapshot says %d", frame.ErrFrame, s.total, total)
+	if s.total != int(total) || s.total > s.capacity {
+		return fmt.Errorf("%w: list total %d of %d cells, snapshot says %d", frame.ErrFrame, s.total, s.capacity, total)
 	}
 	if err := r.Expect("sram-list-sub"); err != nil {
 		return err

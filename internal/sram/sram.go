@@ -11,24 +11,21 @@
 // stream position ordinal·b + i — and Pop always returns the next
 // in-order cell.
 //
-// Blocks arrive from the DRAM by handle into the buffer's one block
-// slab (dram.Slab), where a block is a run: its queue and the sequence
-// number of its first cell. The CAM keeps the handle: landing a block
-// is one ring store, each cell is composed from the run on Pop, and
-// the handle goes back to the slab after the block's last cell. The
-// linked list copies the block's cells into its own entry slab and
-// releases the handle at once. A block lands whole or not at all in
-// both: a block that does not fit, or that names a position already
-// resident or already popped, is refused and its handle goes back to
-// the slab. The engine sizes the head SRAM so that a refusal is an
-// invariant violation, never a semantics (core.Config.HeadSRAMCells).
-//
-// Per-queue bookkeeping is held in dense slices indexed by the
-// physical queue ordinal (physical names are dense by construction:
-// the renaming table of §6 hands out register-bounded ordinals). The
-// stores grow their arenas on first contact with an ordinal beyond the
-// constructed size, so growth is amortized and off the steady-state
-// path.
+// A store holds no cells and no per-queue state of its own. Each
+// physical queue's blocks are one list in the DRAM (dram.DRAM), from
+// the write reservation to the last pop, and a block carries its
+// lifecycle state in its slab record. Landing a block moves it from in
+// flight to landed in place; Pop composes each cell from the front
+// block's run (its queue and the sequence number of its first cell),
+// and the block leaves the list and goes back to the slab after its
+// last cell. A store is the head SRAM's capacity, total and high-water
+// accounting over those landed blocks, plus, for the linked list, the
+// per-bank ordering discipline. A block lands whole or not at all: a
+// block that does not fit, or that names a position already resident
+// or already popped, is refused and does not move (a refused block in
+// flight stays in flight). The engine sizes the head SRAM so that a
+// refusal is an invariant violation, never a semantics
+// (core.Config.HeadSRAMCells).
 //
 // The two implementations are functionally equivalent (see the
 // equivalence property test); they differ only in the hardware cost
@@ -56,15 +53,16 @@ var (
 
 // Store is a shared SRAM buffer holding cells of many physical queues.
 //
-// Land takes ownership of slab block blk, the block at ordinal
-// `ordinal` of queue q's lifetime stream (its cell i is the cell at
-// stream position ordinal·b + i). Blocks may land out of order subject
-// to the implementation's discipline. A block the store cannot take
-// whole — it does not fit, or its positions are already resident or
-// already popped — is refused whole: the handle goes back to the slab,
-// Total and HighWater do not move, and the error wraps ErrFull or
-// ErrDuplicate (ErrOrder for the list's bank discipline). Pop removes
-// and returns the cell at the queue's next unread position; HasNext
+// Land lands in-flight block blk, the block at ordinal `ordinal` of
+// queue q's lifetime stream (its cell i is the cell at stream position
+// ordinal·b + i). Blocks may land out of order subject to the
+// implementation's discipline. A block the store cannot take whole —
+// it does not fit, or its positions are already resident or already
+// popped — is refused whole: the block does not move, Total and
+// HighWater do not move, and the error wraps ErrFull or ErrDuplicate
+// (ErrOrder for the list's bank discipline; dram.ErrBadOrdinal or
+// dram.ErrBadBlock for a block that is not in flight). Pop removes and
+// returns the cell at the queue's next unread position; HasNext
 // reports whether Pop would succeed. Popped positions advance strictly
 // one at a time.
 type Store interface {
@@ -85,176 +83,107 @@ type Store interface {
 	HighWater() int
 }
 
-// blockQueue is the per-queue state of the CAM organization: a
-// power-of-two ring of block handles indexed by block ordinal, plus
-// the pop cursor (the ordinal being popped and the cells of it already
-// delivered). The ring is indexed by stream position, not by a queue
-// identifier, mirroring the associative tag lookup of the hardware:
-// the tag is (queue, ordinal), and since a queue's blocks are consumed
-// strictly in order, the live tags always fall in the window
-// [next, next+len(ring)), so ordinal&(len-1) resolves the lookup in
-// O(1) without hashing. An empty slot holds dram.NoBlock.
-type blockQueue struct {
-	ring  []dram.Block
-	next  uint64
-	off   int32
-	count int32
-}
-
-// ensure grows the ring until ordinal fits in the window starting at
-// next, re-placing resident handles by their ordinal.
-func (st *blockQueue) ensure(ordinal uint64) {
-	need := ordinal - st.next + 1
-	size := uint64(len(st.ring))
-	if size >= need {
-		return
-	}
-	if size == 0 {
-		size = 2
-	}
-	for size < need {
-		size <<= 1
-	}
-	ring := make([]dram.Block, size)
-	for o := st.next; o < st.next+uint64(len(st.ring)); o++ {
-		ring[o&(size-1)] = st.ring[o&uint64(len(st.ring)-1)]
-	}
-	st.ring = ring
-}
-
-// CAMStore is the global content-addressable organization (§7.1):
-// every cell carries a tag (queue identifier and relative order); a
-// lookup searches all entries. Functionally this is an associative map
-// keyed by (queue, position), held here at block granularity: the
-// cells stay in the slab block they arrived in. Out-of-order insertion
-// is trivial because the order is part of the tag (§8.2 item i).
-//
-// Every held block is whole, so a queue's pop offset is non-zero only
-// while its front block is resident.
-type CAMStore struct {
-	slab      *dram.Slab
+// occupancy is what both organizations keep of their own: the capacity,
+// total and high-water accounting over the landed blocks of d's queue
+// lists, whose cells it pops.
+type occupancy struct {
+	d         *dram.DRAM
 	b         int
-	queues    []blockQueue
 	capacity  int
 	total     int
 	highWater int
 }
 
-var _ Store = (*CAMStore)(nil)
-
-// NewCAM returns a CAMStore over slab with the given capacity in cells
-// (0 = unbounded) serving queues physical queue ordinals.
-func NewCAM(slab *dram.Slab, capacity, queues int) *CAMStore {
-	if queues < 0 {
-		queues = 0
-	}
-	return &CAMStore{slab: slab, b: slab.BlockCells(), queues: make([]blockQueue, queues), capacity: capacity}
-}
-
-func (s *CAMStore) queue(q cell.PhysQueueID) *blockQueue {
-	for int(q) >= len(s.queues) {
-		s.queues = append(s.queues, blockQueue{})
-	}
-	return &s.queues[q]
-}
-
-// Land implements Store: a block that fits into a free slot is one
-// ring store.
+// Land implements Store: a block that fits lands in place.
 //
 //pktbuf:hotpath
-func (s *CAMStore) Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) error {
-	st := s.queue(q)
-	if ordinal >= st.next && (s.capacity == 0 || s.total+s.b <= s.capacity) {
-		st.ensure(ordinal)
-		if slot := ordinal & uint64(len(st.ring)-1); st.ring[slot] == dram.NoBlock {
-			st.ring[slot] = blk
-			st.count += int32(s.b)
-			s.total += s.b
-			if s.total > s.highWater {
-				s.highWater = s.total
-			}
-			return nil
-		}
+func (s *occupancy) Land(q cell.PhysQueueID, ordinal uint64, blk dram.Block) error {
+	if s.capacity > 0 && s.total+s.b > s.capacity {
+		return s.refusal(q, ordinal, blk, nil)
 	}
-	return s.refuse(q, st, ordinal, blk)
+	if err := s.d.Land(q, ordinal, blk); err != nil {
+		return s.refusal(q, ordinal, blk, err)
+	}
+	s.total += s.b
+	if s.total > s.highWater {
+		s.highWater = s.total
+	}
+	return nil
 }
 
-// refuse hands a block Land cannot take back to the slab and says why.
-func (s *CAMStore) refuse(q cell.PhysQueueID, st *blockQueue, ordinal uint64, blk dram.Block) error {
-	s.slab.ReleaseBlock(blk)
+// refusal says why the store cannot take block blk at ordinal of q
+// whole: it does not fit, its positions are popped, or it is resident;
+// otherwise it returns err, the DRAM's reason, or nil.
+func (s *occupancy) refusal(q cell.PhysQueueID, ordinal uint64, blk dram.Block, err error) error {
 	pos := ordinal * uint64(s.b)
 	switch {
 	case s.capacity > 0 && s.total+s.b > s.capacity:
 		return fmt.Errorf("%w: capacity %d", ErrFull, s.capacity)
-	case pos < s.nextPop(st):
+	case pos < s.d.NextPop(q):
 		return fmt.Errorf("%w: queue %d pos %d already popped", ErrDuplicate, q, pos)
-	default:
+	case s.d.Live(blk) && s.d.State(blk) == dram.Landed:
 		return fmt.Errorf("%w: queue %d pos %d", ErrDuplicate, q, pos)
 	}
-}
-
-// front returns the block holding q's next in-order cell and its slot,
-// or NoBlock if that cell is not resident.
-//
-//pktbuf:hotpath
-func (s *CAMStore) front(st *blockQueue) (dram.Block, uint64) {
-	if st.count == 0 {
-		return dram.NoBlock, 0
-	}
-	slot := st.next & uint64(len(st.ring)-1)
-	return st.ring[slot], slot
+	return err
 }
 
 // Pop implements Store. The block goes back to the slab after its last
 // cell.
 //
 //pktbuf:hotpath
-func (s *CAMStore) Pop(q cell.PhysQueueID) (cell.Cell, error) {
-	st := s.queue(q)
-	blk, slot := s.front(st)
-	if blk == dram.NoBlock {
-		return cell.Cell{}, fmt.Errorf("%w: queue %d pos %d", ErrMissing, q, s.nextPop(st)) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
+func (s *occupancy) Pop(q cell.PhysQueueID) (cell.Cell, error) {
+	c, ok := s.d.Pop(q)
+	if !ok {
+		return cell.Cell{}, s.missing(q)
 	}
-	c := s.slab.Cell(blk, int(st.off))
-	st.count--
 	s.total--
-	if st.off++; int(st.off) == s.b {
-		st.ring[slot] = dram.NoBlock
-		st.next++
-		st.off = 0
-		s.slab.ReleaseBlock(blk)
-	}
 	return c, nil
+}
+
+// missing is Pop's error for q: its next cell is not resident.
+func (s *occupancy) missing(q cell.PhysQueueID) error {
+	return fmt.Errorf("%w: queue %d pos %d", ErrMissing, q, s.d.NextPop(q))
 }
 
 // Peek implements Store.
 //
 //pktbuf:hotpath
-func (s *CAMStore) Peek(q cell.PhysQueueID) (cell.Cell, bool) {
-	st := s.queue(q)
-	blk, _ := s.front(st)
-	if blk == dram.NoBlock {
-		return cell.Cell{}, false
-	}
-	return s.slab.Cell(blk, int(st.off)), true
-}
+func (s *occupancy) Peek(q cell.PhysQueueID) (cell.Cell, bool) { return s.d.Peek(q) }
 
 // HasNext implements Store.
 //
 //pktbuf:hotpath
-func (s *CAMStore) HasNext(q cell.PhysQueueID) bool {
-	blk, _ := s.front(s.queue(q))
-	return blk != dram.NoBlock
+func (s *occupancy) HasNext(q cell.PhysQueueID) bool {
+	_, ok := s.d.Peek(q)
+	return ok
 }
 
 // Len implements Store.
-func (s *CAMStore) Len(q cell.PhysQueueID) int { return int(s.queue(q).count) }
+func (s *occupancy) Len(q cell.PhysQueueID) int { return s.d.LandedCells(q) }
 
 // Total implements Store.
-func (s *CAMStore) Total() int { return s.total }
+func (s *occupancy) Total() int { return s.total }
 
 // Cap implements Store.
-func (s *CAMStore) Cap() int { return s.capacity }
+func (s *occupancy) Cap() int { return s.capacity }
 
 // HighWater implements Store.
-func (s *CAMStore) HighWater() int { return s.highWater }
+func (s *occupancy) HighWater() int { return s.highWater }
+
+// CAMStore is the global content-addressable organization (§7.1):
+// every cell carries a tag (queue identifier and relative order); a
+// lookup searches all entries. Functionally this is an associative map
+// keyed by (queue, position), held here at block granularity: the
+// cells stay in the slab block they arrived in, and the tag is the
+// block's place in its queue's DRAM list. Out-of-order insertion is
+// trivial because the order is part of the tag (§8.2 item i), so the
+// CAM is its occupancy accounting alone.
+type CAMStore struct{ occupancy }
+
+var _ Store = (*CAMStore)(nil)
+
+// NewCAM returns a CAMStore over d's queue lists with the given
+// capacity in cells (0 = unbounded).
+func NewCAM(d *dram.DRAM, capacity int) *CAMStore {
+	return &CAMStore{occupancy{d: d, b: d.BlockCells(), capacity: capacity}}
+}

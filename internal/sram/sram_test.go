@@ -9,54 +9,108 @@ import (
 	"repro/internal/dram"
 )
 
+// rig is a store over its own DRAM. Landing block ordinal o of a
+// queue first writes and reads every block of that queue up to o, in
+// order, so the block is in flight, as the DRAM would deliver it.
+type rig struct {
+	Store
+	d       *dram.DRAM
+	now     cell.Slot
+	written map[cell.PhysQueueID]uint64
+	blocks  map[rigKey]dram.Block
+	// before is the state of the block the last land named, before
+	// the landing.
+	before dram.State
+}
+
+type rigKey struct {
+	q       cell.PhysQueueID
+	ordinal uint64
+}
+
+// newDRAM returns a DRAM of blockCells-cell blocks whose groups have
+// sublists banks, for 16 queues.
+func newDRAM(blockCells, sublists int) *dram.DRAM {
+	return dram.New(dram.Config{Banks: 2 * sublists, BanksPerGroup: sublists, AccessSlots: 1, BlockCells: blockCells, Queues: 16})
+}
+
+func newRig(s Store, d *dram.DRAM) *rig {
+	return &rig{Store: s, d: d, written: map[cell.PhysQueueID]uint64{}, blocks: map[rigKey]dram.Block{}}
+}
+
 // newStores returns one of each organization with identical logical
-// parameters over one slab of blockCells-cell blocks, for running the
-// same scenario against both.
-func newStores(t *testing.T, capacity, blockCells, sublists int) ([]Store, *dram.Slab) {
+// parameters, each over its own DRAM of blockCells-cell blocks, for
+// running the same scenario against both.
+func newStores(t *testing.T, capacity, blockCells, sublists int) []*rig {
 	t.Helper()
-	slab := dram.NewSlab(blockCells)
-	ls, err := NewList(slab, capacity, sublists, 16)
+	cd, ld := newDRAM(blockCells, sublists), newDRAM(blockCells, sublists)
+	ls, err := NewList(ld, capacity, sublists, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Store{NewCAM(slab, capacity, 16), ls}, slab
+	return []*rig{newRig(NewCAM(cd, capacity), cd), newRig(ls, ld)}
 }
 
 // land lands block ordinal of q holding queue cq's cells at their
-// stream positions (Seq = position), as the DRAM would deliver it, and
-// returns the block's handle with Land's error.
-func land(s Store, slab *dram.Slab, q cell.PhysQueueID, cq cell.QueueID, ordinal uint64) (dram.Block, error) {
-	blk := slab.AcquireBlock()
-	slab.SetCells(blk, cq, ordinal*uint64(slab.BlockCells()))
-	return blk, s.Land(q, ordinal, blk)
+// stream positions (Seq = position) and returns the block's handle
+// with Land's error.
+func (r *rig) land(q cell.PhysQueueID, cq cell.QueueID, ordinal uint64) (dram.Block, error) {
+	b := uint64(r.d.BlockCells())
+	for o := r.written[q]; o <= ordinal; o++ {
+		blk := r.d.AcquireBlock()
+		r.d.SetCells(blk, cq, o*b)
+		if _, _, err := r.d.ReserveWrite(q, blk); err != nil {
+			return blk, err
+		}
+		if _, err := r.d.BeginWriteAt(q, o, blk, r.now); err != nil {
+			return blk, err
+		}
+		r.now++
+		if _, _, _, err := r.d.ReserveRead(q); err != nil {
+			return blk, err
+		}
+		if _, err := r.d.BeginReadAt(q, o, blk, r.now); err != nil {
+			return blk, err
+		}
+		r.now++
+		r.blocks[rigKey{q, o}] = blk
+		r.written[q] = o + 1
+	}
+	blk := r.blocks[rigKey{q, ordinal}]
+	if blk != dram.NoBlock {
+		r.before = r.d.State(blk)
+	}
+	return blk, r.Land(q, ordinal, blk)
 }
 
 // requireRefused checks that a landing was refused whole with an error
-// wrapping want: the store's Total and HighWater did not move, and the
-// handle went back to the slab (it is the next one handed out).
-func requireRefused(t *testing.T, s Store, slab *dram.Slab, total, hw int, blk dram.Block, err, want error) {
+// wrapping want: the store's Total and HighWater did not move, and
+// neither did the block (a refused block in flight stays in flight in
+// its queue's list). A popped ordinal of a restored rig names no block.
+func requireRefused(t *testing.T, r *rig, total, hw int, blk dram.Block, err, want error) {
 	t.Helper()
-	name := storeName(s)
+	name := storeName(r.Store)
 	if !errors.Is(err, want) {
 		t.Fatalf("%s land = %v, want %v", name, err, want)
 	}
-	if s.Total() != total || s.HighWater() != hw {
-		t.Errorf("%s refused landing moved total/high water to %d/%d, want %d/%d", name, s.Total(), s.HighWater(), total, hw)
+	if r.Total() != total || r.HighWater() != hw {
+		t.Errorf("%s refused landing moved total/high water to %d/%d, want %d/%d", name, r.Total(), r.HighWater(), total, hw)
 	}
-	again := slab.AcquireBlock()
-	slab.ReleaseBlock(again)
-	if again != blk {
-		t.Errorf("%s kept refused block %d (slab hands out %d next)", name, blk, again)
+	if blk == dram.NoBlock {
+		return
+	}
+	if st := r.d.State(blk); st != r.before {
+		t.Errorf("%s refused block %d moved from %v to %v", name, blk, r.before, st)
 	}
 }
 
 func TestInsertPopInOrder(t *testing.T) {
-	stores, slab := newStores(t, 64, 2, 4)
+	stores := newStores(t, 64, 2, 4)
 	for _, s := range stores {
-		name := storeName(s)
+		name := storeName(s.Store)
 		q := cell.PhysQueueID(3)
 		for o := uint64(0); o < 4; o++ {
-			if _, err := land(s, slab, q, 3, o); err != nil {
+			if _, err := s.land(q, 3, o); err != nil {
 				t.Fatalf("%s land %d: %v", name, o, err)
 			}
 		}
@@ -99,11 +153,11 @@ func TestOutOfOrderBlockInsert(t *testing.T) {
 	// b=2, B/b=2: blocks 0,1,2,3 map to sublists 0,1,0,1. Delivering
 	// block 1 (positions 2,3) before block 0 (positions 0,1) is legal
 	// in both organizations (different banks).
-	stores, slab := newStores(t, 64, 2, 2)
+	stores := newStores(t, 64, 2, 2)
 	for _, s := range stores {
-		name := storeName(s)
+		name := storeName(s.Store)
 		q := cell.PhysQueueID(0)
-		if _, err := land(s, slab, q, 0, 1); err != nil {
+		if _, err := s.land(q, 0, 1); err != nil {
 			t.Fatalf("%s land block1: %v", name, err)
 		}
 		if s.HasNext(q) {
@@ -112,7 +166,7 @@ func TestOutOfOrderBlockInsert(t *testing.T) {
 		if _, err := s.Pop(q); !errors.Is(err, ErrMissing) {
 			t.Errorf("%s pop err = %v, want ErrMissing", name, err)
 		}
-		if _, err := land(s, slab, q, 0, 0); err != nil {
+		if _, err := s.land(q, 0, 0); err != nil {
 			t.Fatalf("%s land block0: %v", name, err)
 		}
 		for pos := uint64(0); pos < 4; pos++ {
@@ -125,21 +179,21 @@ func TestOutOfOrderBlockInsert(t *testing.T) {
 }
 
 func TestCapacityEnforced(t *testing.T) {
-	stores, slab := newStores(t, 4, 1, 1)
+	stores := newStores(t, 4, 1, 1)
 	for _, s := range stores {
-		name := storeName(s)
+		name := storeName(s.Store)
 		for pos := uint64(0); pos < 4; pos++ {
-			if _, err := land(s, slab, 0, 0, pos); err != nil {
+			if _, err := s.land(0, 0, pos); err != nil {
 				t.Fatalf("%s insert %d: %v", name, pos, err)
 			}
 		}
-		blk, err := land(s, slab, 0, 0, 4)
-		requireRefused(t, s, slab, 4, 4, blk, err, ErrFull)
+		blk, err := s.land(0, 0, 4)
+		requireRefused(t, s, 4, 4, blk, err, ErrFull)
 		// Freeing one slot admits one more.
 		if _, err := s.Pop(0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := land(s, slab, 0, 0, 4); err != nil {
+		if _, err := s.land(0, 0, 4); err != nil {
 			t.Errorf("%s insert after pop: %v", name, err)
 		}
 		if got := s.Cap(); got != 4 {
@@ -149,23 +203,23 @@ func TestCapacityEnforced(t *testing.T) {
 }
 
 func TestDuplicateInsert(t *testing.T) {
-	stores, slab := newStores(t, 16, 1, 2)
+	stores := newStores(t, 16, 1, 2)
 	for _, s := range stores {
-		name := storeName(s)
-		if _, err := land(s, slab, 1, 1, 0); err != nil {
+		name := storeName(s.Store)
+		if _, err := s.land(1, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		blk, err := land(s, slab, 1, 1, 0)
-		requireRefused(t, s, slab, 1, 1, blk, err, ErrDuplicate)
+		blk, err := s.land(1, 1, 0)
+		requireRefused(t, s, 1, 1, blk, err, ErrDuplicate)
 		// Re-landing an already-popped position is also a duplicate.
-		if _, err := land(s, slab, 1, 1, 1); err != nil {
+		if _, err := s.land(1, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Pop(1); err != nil {
 			t.Fatal(err)
 		}
-		blk, err = land(s, slab, 1, 1, 0)
-		requireRefused(t, s, slab, 1, 2, blk, err, ErrDuplicate)
+		blk, err = s.land(1, 1, 0)
+		requireRefused(t, s, 1, 2, blk, err, ErrDuplicate)
 		if got := s.Total(); got != 1 {
 			t.Errorf("%s Total = %d after duplicates, want 1", name, got)
 		}
@@ -173,26 +227,23 @@ func TestDuplicateInsert(t *testing.T) {
 }
 
 func TestListRejectsWithinBankDisorder(t *testing.T) {
-	// b=1, two sublists: positions 0,2,4.. in sublist 0. Inserting
-	// position 4 then position 2 violates the bank FIFO discipline.
-	ls, err := NewList(dram.NewSlab(1), 16, 2, 4)
-	if err != nil {
+	// b=1, two sublists: positions 0,2,4.. in sublist 0. Landing
+	// position 4 then position 2 violates the bank FIFO discipline; the
+	// refused block stays in flight.
+	r := newStores(t, 16, 1, 2)[1]
+	if _, err := r.land(0, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := ls.Insert(0, 4, cell.Cell{Seq: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.Insert(0, 2, cell.Cell{Seq: 2}); !errors.Is(err, ErrOrder) {
-		t.Errorf("err = %v, want ErrOrder", err)
-	}
+	blk, err := r.land(0, 0, 2)
+	requireRefused(t, r, 1, 1, blk, err, ErrOrder)
 }
 
 func TestCAMAcceptsAnyOrder(t *testing.T) {
 	// The CAM organization has no ordering discipline (§8.2 item i).
-	slab := dram.NewSlab(1)
-	s := NewCAM(slab, 16, 4)
+	d := newDRAM(1, 4)
+	s := newRig(NewCAM(d, 16), d)
 	for _, pos := range []uint64{4, 2, 0, 3, 1} {
-		if _, err := land(s, slab, 0, 0, pos); err != nil {
+		if _, err := s.land(0, 0, pos); err != nil {
 			t.Fatalf("land %d: %v", pos, err)
 		}
 	}
@@ -207,22 +258,22 @@ func TestCAMAcceptsAnyOrder(t *testing.T) {
 func TestNewListValidation(t *testing.T) {
 	cases := [][2]int{{0, 1}, {4, 0}, {-1, 1}}
 	for _, c := range cases {
-		if _, err := NewList(dram.NewSlab(1), c[0], c[1], 4); err == nil {
+		if _, err := NewList(newDRAM(1, 1), c[0], c[1], 4); err == nil {
 			t.Errorf("NewList(capacity %d, sublists %d) succeeded, want error", c[0], c[1])
 		}
 	}
 	if _, err := NewList(nil, 4, 1, 4); err == nil {
-		t.Error("NewList without a slab succeeded, want error")
+		t.Error("NewList without a DRAM succeeded, want error")
 	}
 }
 
 func TestMultiQueueIsolation(t *testing.T) {
-	stores, slab := newStores(t, 64, 2, 2)
+	stores := newStores(t, 64, 2, 2)
 	for _, s := range stores {
-		name := storeName(s)
+		name := storeName(s.Store)
 		for q := cell.PhysQueueID(0); q < 4; q++ {
 			for o := uint64(0); o < 2; o++ {
-				if _, err := land(s, slab, q, cell.QueueID(q), o); err != nil {
+				if _, err := s.land(q, cell.QueueID(q), o); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -268,12 +319,8 @@ func TestEquivalenceCAMList(t *testing.T) {
 	)
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		slab := dram.NewSlab(blockCell)
-		cam := NewCAM(slab, capacity, queues)
-		ls, err := NewList(slab, capacity, sublists, queues)
-		if err != nil {
-			t.Fatal(err)
-		}
+		stores := newStores(t, capacity, blockCell, sublists)
+		cam, ls := stores[0], stores[1]
 
 		// nextBlock[q][s] is the next block ordinal of queue q destined
 		// for sublist s that has not yet been delivered.
@@ -300,10 +347,10 @@ func TestEquivalenceCAMList(t *testing.T) {
 					continue
 				}
 				blk := nextBlock[k]
-				if _, err := land(cam, slab, cell.PhysQueueID(k.q), cell.QueueID(k.q), blk); err != nil {
+				if _, err := cam.land(cell.PhysQueueID(k.q), cell.QueueID(k.q), blk); err != nil {
 					t.Fatalf("seed %d cam land: %v", seed, err)
 				}
-				if _, err := land(ls, slab, cell.PhysQueueID(k.q), cell.QueueID(k.q), blk); err != nil {
+				if _, err := ls.land(cell.PhysQueueID(k.q), cell.QueueID(k.q), blk); err != nil {
 					t.Fatalf("seed %d list land: %v", seed, err)
 				}
 				nextBlock[k] = blk + uint64(sublists)
@@ -343,25 +390,26 @@ func TestEquivalenceCAMList(t *testing.T) {
 }
 
 func TestListSlabReuse(t *testing.T) {
-	// Churn through many more cells than the capacity to exercise the
-	// free list.
-	ls, err := NewList(dram.NewSlab(1), 8, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Churn through many more blocks than the capacity: each block goes
+	// back to the slab after its last pop, so the slab never grows past
+	// the blocks resident at once.
+	r := newStores(t, 8, 1, 1)[1]
 	for pos := uint64(0); pos < 1000; pos++ {
-		if err := ls.Insert(0, pos, cell.Cell{Seq: pos}); err != nil {
-			t.Fatalf("insert %d: %v", pos, err)
+		if _, err := r.land(0, 0, pos); err != nil {
+			t.Fatalf("land %d: %v", pos, err)
 		}
-		c, err := ls.Pop(0)
+		c, err := r.Pop(0)
 		if err != nil || c.Seq != pos {
 			t.Fatalf("pop %d: %v %v", pos, c, err)
 		}
 	}
-	if ls.Total() != 0 {
-		t.Errorf("Total = %d", ls.Total())
+	if r.Total() != 0 {
+		t.Errorf("Total = %d", r.Total())
 	}
-	if ls.HighWater() != 1 {
-		t.Errorf("HighWater = %d, want 1", ls.HighWater())
+	if r.HighWater() != 1 {
+		t.Errorf("HighWater = %d, want 1", r.HighWater())
+	}
+	if blk := r.d.AcquireBlock(); blk != 1 {
+		t.Errorf("slab handed out block %d, want 1: popped blocks were not reused", blk)
 	}
 }

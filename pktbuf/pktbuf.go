@@ -228,6 +228,10 @@ type Stats struct {
 	TailSRAMHighWater, HeadSRAMHighWater     int
 	MaxRequestRegisterOccupancy              int
 	MaxRequestSkips                          int
+	// HeadOverflows counts the cells of refused head-SRAM landings, b
+	// per refused block: the head SRAM is sized so that none is ever
+	// refused, so Clean requires zero.
+	HeadOverflows uint64
 	// FastForwardedSlots counts slots skipped in O(1) by FastForward
 	// (directly, via the TickBatch idle path, or by the sim Runner's
 	// sparse fast-forward) instead of being ticked. It is the only
@@ -238,7 +242,7 @@ type Stats struct {
 
 // Clean reports whether every worst-case guarantee held so far.
 func (s Stats) Clean() bool {
-	return s.Misses == 0 && s.Drops == 0 && s.BadRequests == 0
+	return s.Misses == 0 && s.Drops == 0 && s.BadRequests == 0 && s.HeadOverflows == 0
 }
 
 // Sub returns the activity between two snapshots: every monotonic
@@ -257,6 +261,7 @@ func (s Stats) Sub(prev Stats) Stats {
 	d.Misses -= prev.Misses
 	d.Drops -= prev.Drops
 	d.BadRequests -= prev.BadRequests
+	d.HeadOverflows -= prev.HeadOverflows
 	d.FastForwardedSlots -= prev.FastForwardedSlots
 	return d
 }
@@ -462,6 +467,7 @@ func statsFromCore(s core.Stats) Stats {
 		Arrivals: s.Arrivals, Requests: s.Requests, Deliveries: s.Deliveries,
 		Bypasses: s.Bypasses, Misses: s.Misses, Drops: s.Drops,
 		BadRequests:                 s.BadRequests,
+		HeadOverflows:               s.HeadOverflows,
 		TailSRAMHighWater:           s.TailHighWater,
 		HeadSRAMHighWater:           s.HeadHighWater,
 		MaxRequestRegisterOccupancy: s.DSS.MaxOccupancy,

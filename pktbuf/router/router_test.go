@@ -351,7 +351,8 @@ func TestStepBatchAppends(t *testing.T) {
 // let Step fast-forward. The constants were recorded on the tree before
 // the engine's implementation moved into this package and before each
 // output's reassembler was narrowed to the streams that can reach it;
-// both changes leave them untouched.
+// both changes leave them untouched. BufferStats fields added since
+// (HeadOverflows) are checked directly instead (pinnedBufferStats).
 func TestEngineStreamFingerprint(t *testing.T) {
 	want := map[string]uint64{
 		"2x1": 0x7aca704b0ad26103,
@@ -400,7 +401,11 @@ func TestEngineStreamFingerprint(t *testing.T) {
 			}
 			fmt.Fprintf(h, "%+v", st)
 			for p := 0; p < sh.ports; p++ {
-				fmt.Fprintf(h, "%+v", e.BufferStats(p))
+				bs := e.BufferStats(p)
+				if bs.HeadOverflows != 0 {
+					t.Errorf("port %d: %d head overflows", p, bs.HeadOverflows)
+				}
+				fmt.Fprintf(h, "%+v", pinnedBufferStats(bs))
 			}
 			if got := h.Sum64(); got != want[name] {
 				t.Errorf("stream fingerprint %#x, want %#x (stats %+v)", got, want[name], st)
@@ -427,5 +432,27 @@ func TestNewMemoryQuadraticInPorts(t *testing.T) {
 	defer e.Close()
 	if got := after.TotalAlloc - before.TotalAlloc; got > 8e6 {
 		t.Errorf("New at 64 ports × 2 classes allocated %.1f MB, want ≤ 8 MB", float64(got)/1e6)
+	}
+}
+
+// pinnedStats is pktbuf.Stats as TestEngineStreamFingerprint's
+// constants were recorded: its fields, in order, before HeadOverflows
+// joined them. Its %+v text is the text they hashed; pinnedBufferStats
+// converts.
+type pinnedStats struct {
+	Arrivals, Requests, Deliveries, Bypasses uint64
+	Misses, Drops, BadRequests               uint64
+	TailSRAMHighWater, HeadSRAMHighWater     int
+	MaxRequestRegisterOccupancy              int
+	MaxRequestSkips                          int
+	FastForwardedSlots                       uint64
+}
+
+func pinnedBufferStats(s pktbuf.Stats) pinnedStats {
+	return pinnedStats{
+		s.Arrivals, s.Requests, s.Deliveries, s.Bypasses,
+		s.Misses, s.Drops, s.BadRequests,
+		s.TailSRAMHighWater, s.HeadSRAMHighWater,
+		s.MaxRequestRegisterOccupancy, s.MaxRequestSkips, s.FastForwardedSlots,
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/facade"
 	"repro/pktbuf"
 	"repro/pktbuf/sim"
 )
@@ -85,9 +84,9 @@ func TestHeadSizingSweep(t *testing.T) {
 			if _, err := (&sim.Runner{Buffer: buf, Arrivals: arr, Requests: req}).RunBatch(30000, 0); err != nil {
 				t.Fatal(err)
 			}
-			st := facade.CoreOf(buf).Stats()
-			if st.HeadOverflows != 0 || st.HeadHighWater > sz.HeadSRAMCells {
-				t.Errorf("head overflows %d, high-water %d of %d cells", st.HeadOverflows, st.HeadHighWater, sz.HeadSRAMCells)
+			st := buf.Stats()
+			if st.HeadOverflows != 0 || st.HeadSRAMHighWater > sz.HeadSRAMCells {
+				t.Errorf("head overflows %d, high-water %d of %d cells", st.HeadOverflows, st.HeadSRAMHighWater, sz.HeadSRAMCells)
 			}
 		})
 	}

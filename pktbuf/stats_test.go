@@ -9,21 +9,21 @@ import (
 func TestStatsSub(t *testing.T) {
 	prev := pktbuf.Stats{
 		Arrivals: 100, Requests: 90, Deliveries: 80, Bypasses: 40,
-		Misses: 1, Drops: 2, BadRequests: 3,
+		Misses: 1, Drops: 2, BadRequests: 3, HeadOverflows: 4,
 		TailSRAMHighWater: 7, HeadSRAMHighWater: 5,
 		MaxRequestRegisterOccupancy: 4, MaxRequestSkips: 2,
 		FastForwardedSlots: 1000,
 	}
 	cur := pktbuf.Stats{
 		Arrivals: 150, Requests: 140, Deliveries: 130, Bypasses: 60,
-		Misses: 1, Drops: 5, BadRequests: 4,
+		Misses: 1, Drops: 5, BadRequests: 4, HeadOverflows: 12,
 		TailSRAMHighWater: 9, HeadSRAMHighWater: 5,
 		MaxRequestRegisterOccupancy: 6, MaxRequestSkips: 2,
 		FastForwardedSlots: 1200,
 	}
 	want := pktbuf.Stats{
 		Arrivals: 50, Requests: 50, Deliveries: 50, Bypasses: 20,
-		Misses: 0, Drops: 3, BadRequests: 1,
+		Misses: 0, Drops: 3, BadRequests: 1, HeadOverflows: 8,
 		// Peaks are run-wide properties: Sub keeps the current values.
 		TailSRAMHighWater: 9, HeadSRAMHighWater: 5,
 		MaxRequestRegisterOccupancy: 6, MaxRequestSkips: 2,
